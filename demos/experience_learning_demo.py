@@ -28,7 +28,8 @@ test_pairs = make_set(202, 4)
 # The loss of a weight vector w is the pipeline's cost gap to the stored
 # lower bound, averaged over the training instances.  It is piecewise
 # constant in w, so the learner is a sampling search, not gradient descent.
-loss_cfg, train_set = two_stage.experience_loss_config(train_pairs)
+loss_cfg = two_stage.experience_loss_config(train_pairs)
+train_set = [x for x, _ in train_pairs]
 learner = learning.LearnerConfig(box_radius=10.0, budget=400, seeds=(0, 1, 2))
 wv, report = learning.learn_by_experience(train_set, learner, loss_cfg)
 

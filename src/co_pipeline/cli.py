@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import difflib
 import json
 import os
 import sys
@@ -28,25 +29,20 @@ __all__ = ["main", "build_parser"]
 ENV_THREADS = "CO_PIPELINE_THREADS"
 
 
-def _load_config(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def _write_json(path: Path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _child_seeds(master_seed: int, count: int) -> list[int]:
     children = np.random.SeedSequence(master_seed).spawn(count)
     return [int(child.generate_state(1)[0]) for child in children]
 
 
-def _fmt_num(value: float) -> str:
-    value = float(value)
-    return str(int(value)) if value.is_integer() else repr(value)
+_APPLICATIONS = {"two_stage": two_stage.APPLICATION, "scheduling": scheduling.APPLICATION}
+_LEARNER_KEYS = ("box_radius", "budget", "seeds")
+
+
+def _application(name):
+    if not isinstance(name, str) or name not in _APPLICATIONS:
+        known = ", ".join(_APPLICATIONS)
+        raise ValueError(f"unknown application {name!r}; expected one of {known}")
+    return _APPLICATIONS[name]
 
 
 # ---------------------------------------------------------------------------
@@ -54,66 +50,23 @@ def _fmt_num(value: float) -> str:
 
 
 def _cmd_generate(config: dict, out: Path, seed_override, threads: int) -> int:
-    app = config["application"]
+    app = _application(config["application"])
     master_seed = int(config["seed"]) if seed_override is None else int(seed_override)
     out.mkdir(parents=True, exist_ok=True)
     inst_dir = out / "instances"
     inst_dir.mkdir(exist_ok=True)
+    cells = app.cells(config)
+    per_cell = int(config["per_cell"])
+    seeds = iter(_child_seeds(master_seed, len(cells) * per_cell))
     rows = []
-    if app == "two_stage":
-        cells = [
-            (w, k, s)
-            for w in config["widths"]
-            for k in config["K"]
-            for s in config["scenarios"]
-        ]
-        per_cell = int(config["per_cell"])
-        bound_iters = int(config.get("bound_iters", 500))
-        seeds = _child_seeds(master_seed, len(cells) * per_cell)
-        pos = 0
-        for width, K, n_scen in cells:
-            for i in range(per_cell):
-                x = two_stage.generate_instance(width, K, n_scen, seed=seeds[pos])
-                pos += 1
-                inst_id = f"ts_w{width}_K{K}_S{n_scen}_{i:03d}"
-                two_stage.save_instance(inst_dir / f"{inst_id}.json", x)
-                lb, _, _ = two_stage.lagrangian_bound(x, iters=bound_iters)
-                rows.append(
-                    {
-                        "id": inst_id,
-                        "file": f"instances/{inst_id}.json",
-                        "width": width,
-                        "K": K,
-                        "num_scenarios": n_scen,
-                        "seed": x.seed,
-                        "lower_bound": lb,
-                        "bound_iters": bound_iters,
-                    }
-                )
-    elif app == "scheduling":
-        cells = [(n, rho) for n in config["n"] for rho in config["rho"]]
-        per_cell = int(config["per_cell"])
-        seeds = _child_seeds(master_seed, len(cells) * per_cell)
-        pos = 0
-        for n, rho in cells:
-            for i in range(per_cell):
-                x = scheduling.generate_sched_instance(n, rho, seed=seeds[pos])
-                pos += 1
-                inst_id = f"sm_n{n}_rho{rho:g}_{i:03d}"
-                scheduling.save_sched_instance(inst_dir / f"{inst_id}.json", x)
-                rows.append(
-                    {
-                        "id": inst_id,
-                        "file": f"instances/{inst_id}.json",
-                        "n": n,
-                        "rho": rho,
-                        "seed": x.seed,
-                    }
-                )
-    else:
-        raise ValueError(f"unknown application {app!r}")
-    manifest = {"application": app, "config": config, "seed": master_seed, "instances": rows}
-    _write_json(out / "manifest.json", manifest)
+    for cell in cells:
+        for i in range(per_cell):
+            inst_id = app.instance_id(cell, i)
+            fields = app.generate(config, cell, next(seeds), inst_dir / f"{inst_id}.json")
+            rows.append({"id": inst_id, "file": f"instances/{inst_id}.json", **fields})
+    manifest = {"application": config["application"], "config": config, "seed": master_seed,
+                "instances": rows}
+    model._write_json(out / "manifest.json", manifest)
     print(f"wrote {len(rows)} instances to {out}")
     return 0
 
@@ -122,18 +75,14 @@ def _cmd_generate(config: dict, out: Path, seed_override, threads: int) -> int:
 # dataset loading
 
 
-def _load_dataset(dataset_dir: str):
-    root = Path(dataset_dir)
-    with open(root / "manifest.json") as fh:
-        manifest = json.load(fh)
-    app = manifest["application"]
-    instances = []
-    for row in manifest["instances"]:
-        path = root / row["file"]
-        if app == "two_stage":
-            instances.append(two_stage.load_instance(path))
-        else:
-            instances.append(scheduling.load_sched_instance(path))
+def _load_dataset(config: dict):
+    """(application, manifest, instances) of the dataset; config may name its application."""
+    root = Path(config["dataset"])
+    manifest = model._read_json(root / "manifest.json")
+    app = _application(manifest["application"])
+    if _application(config.get("application", manifest["application"])) is not app:
+        raise ValueError("config application does not match the dataset")
+    instances = [app.load(root / row["file"]) for row in manifest["instances"]]
     return app, manifest, instances
 
 
@@ -151,78 +100,46 @@ def _perturbation_from(config) -> model.PerturbationConfig | None:
     )
 
 
+def _learner_from(config: dict, seed_override) -> learning.LearnerConfig:
+    for key in config:
+        if key not in _LEARNER_KEYS:
+            close = difflib.get_close_matches(key, _LEARNER_KEYS, n=1)
+            hint = f"did you mean {close[0]!r}? " if close else ""
+            valid = ", ".join(_LEARNER_KEYS)
+            raise ValueError(f"unknown learner key {key!r}; {hint}valid: {valid}")
+    seeds = [int(seed_override)] if seed_override is not None else [
+        int(s) for s in config.get("seeds", range(10))
+    ]
+    return learning.LearnerConfig(
+        box_radius=float(config.get("box_radius", 10.0)),
+        budget=int(config.get("budget", 1000)),
+        seeds=tuple(seeds),
+    )
+
+
 def _cmd_train(config: dict, out: Path, seed_override, threads: int) -> int:
-    app, manifest, instances = _load_dataset(config["dataset"])
-    if app != config.get("application", app):
-        raise ValueError("config application does not match the dataset")
+    app, manifest, instances = _load_dataset(config)
     method = config.get("method", "experience")
     out.mkdir(parents=True, exist_ok=True)
 
     if method == "experience":
         pert = _perturbation_from(config.get("perturbation"))
-        if app == "two_stage":
-            pairs = [
-                (x, row["lower_bound"])
-                for x, row in zip(instances, manifest["instances"])
-            ]
-            loss_cfg, train_set = two_stage.experience_loss_config(pairs, pert)
-        else:
-            loss_cfg = scheduling.experience_loss_config(
-                instances, post=config.get("post", "ls"), perturbation=pert
-            )
-            train_set = instances
-        learner_cfg = config.get("learner", {})
-        seeds = [int(seed_override)] if seed_override is not None else [
-            int(s) for s in learner_cfg.get("seeds", range(10))
-        ]
-        learner = learning.LearnerConfig(
-            box_radius=float(learner_cfg.get("box_radius", 10.0)),
-            budget=int(learner_cfg.get("budget", 1000)),
-            seeds=tuple(seeds),
-        )
+        loss_cfg = app.loss_config(config, instances, manifest["instances"], pert)
+        learner = _learner_from(config.get("learner", {}), seed_override)
         weights, report = learning.learn_by_experience(
-            train_set, learner, loss_cfg, threads=threads
+            instances, learner, loss_cfg, threads=threads
         )
     elif method == "fyl":
-        if app != "two_stage":
-            raise ValueError("fyl training is implemented for the two_stage application")
         fyl_cfg = config.get("fyl", {})
-        bound_iters = int(fyl_cfg.get("bound_iters", 500))
-        pairs = []
-        for x in instances:
-            _, duals, _ = two_stage.lagrangian_bound(x, iters=bound_iters)
-            z = two_stage.lagrangian_heuristic(x, duals)
-            completion = (
-                frozenset(
-                    two_stage.mst_constrained(x.graph, x.d.mean(axis=1), z.first_stage)
-                )
-                - z.first_stage
-            )
-            target = two_stage.EasySolution(
-                first_stage=z.first_stage, second_stage=completion
-            )
-            pairs.append((x, two_stage.incidence_vector(x, target)))
-        weights = learning.fyl_learn(
-            pairs,
-            argmin_vec=two_stage.easy_incidence,
-            features_of=two_stage.features,
-            epsilon=float(fyl_cfg.get("epsilon", 1.0)),
-            n_z=int(fyl_cfg.get("n_z", 20)),
-            steps=int(fyl_cfg.get("steps", 500)),
-            rate=float(fyl_cfg.get("rate", 0.05)),
-            box_radius=float(fyl_cfg.get("box_radius", 10.0)),
-            seed=int(seed_override) if seed_override is not None else int(fyl_cfg.get("seed", 0)),
-        )
-        report = {
-            "per_seed": [],
-            "best_w": [float(v) for v in weights.w],
-            "config_hash": learning.config_hash(config),
-        }
+        seed = int(seed_override) if seed_override is not None else int(fyl_cfg.get("seed", 0))
+        weights = app.fyl_train(fyl_cfg, instances, seed)
+        report = {"per_seed": [], "best_w": [float(v) for v in weights.w],
+                  "config_hash": learning.config_hash(config)}
     else:
         raise ValueError(f"unknown training method {method!r}")
 
     model.save_weights(out / "weights.json", weights)
-    _write_json(out / "report.json", report)
+    model._write_json(out / "report.json", report)
     print(f"trained {method} weights -> {out / 'weights.json'}")
     return 0
 
@@ -231,112 +148,36 @@ def _cmd_train(config: dict, out: Path, seed_override, threads: int) -> int:
 # eval
 
 
-def _two_stage_algorithms(entry: dict):
-    kind = entry["kind"]
-    if kind == "approx_baseline":
-        return lambda x, row: two_stage.evaluate_solution(x, two_stage.approx_baseline(x))
-    if kind == "pipeline":
-        weights = model.load_weights(entry["weights"])
-
-        def run(x, row):
-            z = two_stage.pipeline_solution(x, weights)
-            return two_stage.evaluate_solution(x, z)
-
-        return run
-    if kind == "lagrangian_heuristic":
-        iters = int(entry.get("iters", 500))
-
-        def run(x, row):
-            _, duals, _ = two_stage.lagrangian_bound(x, iters=iters)
-            z = two_stage.lagrangian_heuristic(x, duals)
-            return two_stage.evaluate_solution(x, z)
-
-        return run
-    raise ValueError(f"unknown two_stage algorithm kind {kind!r}")
-
-
-def _scheduling_algorithms(entry: dict):
-    kind = entry["kind"]
-    if kind == "spt":
-        def run(x, row):
-            order = scheduling.spt_layer(x.p)
-            return scheduling.evaluate_schedule(x, order)[0]
-
-        return run
-    if kind in ("pipeline", "pipeline_ls"):
-        weights = model.load_weights(entry["weights"])
-        post = "ls" if kind == "pipeline_ls" else "none"
-
-        def run(x, row):
-            order = scheduling.pipeline_order(x, weights, post=post)
-            return scheduling.evaluate_schedule(x, order)[0]
-
-        return run
-    if kind == "pipeline_pert_ls":
-        weights = model.load_weights(entry["weights"])
-        sigma = float(entry.get("sigma", 1.0))
-        nsamples = int(entry.get("nsamples", 150))
-        seed = int(entry.get("seed", 0))
-
-        def run(x, row):
-            order = scheduling.perturbed_decode(
-                x, weights, sigma=sigma, nsamples=nsamples, seed=seed, post="ls"
-            )
-            return scheduling.evaluate_schedule(x, order)[0]
-
-        return run
-    if kind == "brute_force":
-        def run(x, row):
-            return scheduling.brute_force_schedule(x)[0]
-
-        return run
-    raise ValueError(f"unknown scheduling algorithm kind {kind!r}")
-
-
 def _gap_pct(cost: float, reference: float) -> float:
     den = abs(reference)
-    if den < 1e-12:
-        den = 1.0
-    return 100.0 * (cost - reference) / den
+    return 100.0 * (cost - reference) / (1.0 if den < 1e-12 else den)
 
 
 def _cmd_eval(config: dict, out: Path, threads: int, timings: bool) -> int:
-    app, manifest, instances = _load_dataset(config["dataset"])
-    algorithms = config["algorithms"]
+    app, manifest, instances = _load_dataset(config)
+    runners = [(entry["name"], app.algorithm(entry)) for entry in config["algorithms"]]
     out.mkdir(parents=True, exist_ok=True)
-
-    runners = []
-    for entry in algorithms:
-        make = _two_stage_algorithms if app == "two_stage" else _scheduling_algorithms
-        runners.append((entry["name"], make(entry)))
 
     rows = manifest["instances"]
     # cost[name][i], measured wall time in the sidecar regardless of --timings
     costs: dict[str, list[float]] = {}
     walls: dict[str, list[float]] = {}
     for name, run in runners:
-        def timed(pair):
-            x, row = pair
+        def timed(x):
             start = time.perf_counter()
-            cost = float(run(x, row))
+            cost = float(run(x))
             return cost, time.perf_counter() - start
 
-        results = learning.parallel_map(timed, list(zip(instances, rows)), threads)
+        results = learning.parallel_map(timed, instances, threads)
         costs[name] = [c for c, _ in results]
         walls[name] = [t for _, t in results]
 
-    # references per instance
-    references = []
-    if app == "two_stage":
-        references = [float(row["lower_bound"]) for row in rows]
-    else:
-        for i, x in enumerate(instances):
-            best = min(costs[name][i] for name, _ in runners)
-            if x.n <= scheduling.BRUTE_FORCE_JOB_LIMIT:
-                best = min(best, scheduling.brute_force_schedule(x)[0])
-            references.append(best)
+    references = [
+        app.reference(x, row, [costs[name][i] for name, _ in runners])
+        for i, (x, row) in enumerate(zip(instances, rows))
+    ]
 
-    bucket_key = "width" if app == "two_stage" else "n"
+    bucket_key = app.bucket_key
     csv_path = out / "gaps.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -348,28 +189,19 @@ def _cmd_eval(config: dict, out: Path, threads: int, timings: bool) -> int:
                 gaps[name].append(gap)
                 wall = f"{walls[name][i]:.6f}" if timings else "0.0"
                 writer.writerow(
-                    [row["id"], name, _fmt_num(costs[name][i]),
-                     _fmt_num(references[i]), f"{gap:.6f}", wall]
+                    [row["id"], name, str(model._as_number(costs[name][i])),
+                     str(model._as_number(references[i])), f"{gap:.6f}", wall]
                 )
-        buckets = sorted({row[bucket_key] for row in rows})
-        for bucket in [*buckets, "all"]:
-            idx = [
-                i for i, row in enumerate(rows)
-                if bucket == "all" or row[bucket_key] == bucket
-            ]
+        for bucket in [*sorted({row[bucket_key] for row in rows}), "all"]:
+            idx = [i for i, row in enumerate(rows) if bucket == "all" or row[bucket_key] == bucket]
+            label = f"{bucket_key}={bucket}" if bucket != "all" else "all"
             for name, _ in runners:
                 sel = [gaps[name][i] for i in idx]
-                label = f"{bucket_key}={bucket}" if bucket != "all" else "all"
-                writer.writerow(
-                    [f"delta_avg[{label}]", name, "", "", f"{float(np.mean(sel)):.6f}", ""]
-                )
-                writer.writerow(
-                    [f"delta_max[{label}]", name, "", "", f"{float(np.max(sel)):.6f}", ""]
-                )
-    _write_json(
-        out / "timings.json",
-        {name: [round(t, 6) for t in walls[name]] for name, _ in runners},
-    )
+                for stat, agg in (("avg", np.mean), ("max", np.max)):
+                    value = f"{float(agg(sel)):.6f}"
+                    writer.writerow([f"delta_{stat}[{label}]", name, "", "", value, ""])
+    timings_out = {name: [round(t, 6) for t in walls[name]] for name, _ in runners}
+    model._write_json(out / "timings.json", timings_out)
     print(f"wrote gap table -> {csv_path}")
     return 0
 
@@ -469,7 +301,7 @@ def main(argv=None) -> int:
     if threads is None:
         threads = int(os.environ.get(ENV_THREADS, "1"))
     try:
-        config = _load_config(args.config)
+        config = model._read_json(args.config)
         if args.command in ("generate", "train", "eval") and args.out is None:
             raise ValueError(f"{args.command} requires --out")
         out = None if args.out is None else Path(args.out)

@@ -96,6 +96,23 @@ def _as_weight_array(w) -> np.ndarray:
     return np.asarray(w, dtype=float)
 
 
+def _as_number(v):
+    """int for integral values, float otherwise: how numbers go into JSON and CSV."""
+    return int(v) if float(v).is_integer() else float(v)
+
+
+def _read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _write_json(path, payload) -> None:
+    """Sorted keys, two-space indent and a final newline, so files diff cleanly."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def predict_theta(w, phi: FeatureMatrix) -> np.ndarray:
     """theta = Phi w, one entry per feature row."""
     wa = _as_weight_array(w)
@@ -119,15 +136,11 @@ def sample_gaussians(cfg: PerturbationConfig, dim: int) -> np.ndarray:
 
 
 def save_weights(path, wv: WeightVector) -> None:
-    payload = {"d": wv.dim, "M": wv.box_radius, "w": [float(v) for v in wv.w]}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, {"d": wv.dim, "M": wv.box_radius, "w": [float(v) for v in wv.w]})
 
 
 def load_weights(path) -> WeightVector:
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = _read_json(path)
     w = np.asarray(payload["w"], dtype=float)
     if w.shape[0] != int(payload["d"]):
         raise ValueError("weight file dimension mismatch")

@@ -13,13 +13,15 @@ Jobs are indexed 0..n-1; a schedule is a permutation of all job indices.
 from __future__ import annotations
 
 import heapq
-import json
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import learning
-from .model import FeatureMatrix, PerturbationConfig, _as_weight_array
+from . import learning, model
+from .model import (
+    FeatureMatrix, PerturbationConfig, _as_number, _as_weight_array, _read_json, _write_json,
+)
 
 __all__ = [
     "SchedInstance",
@@ -38,6 +40,8 @@ __all__ = [
     "load_sched_instance",
     "pipeline_order",
     "experience_loss_config",
+    "SchedulingApplication",
+    "APPLICATION",
 ]
 
 SCHED_FEATURE_DIM = 11
@@ -254,16 +258,25 @@ def local_search(x: SchedInstance, order) -> np.ndarray:
             return order
 
 
+def _sort_and_search(x: SchedInstance, theta: np.ndarray, post: str) -> np.ndarray:
+    """SPT order on theta, then local search when post is 'ls'."""
+    order = spt_layer(theta)
+    return local_search(x, order) if post == "ls" else order
+
+
+def _check_post(post: str) -> None:
+    if post not in ("none", "ls"):
+        raise ValueError("post must be 'none' or 'ls'")
+
+
 def pipeline_order(
     x: SchedInstance, w, post: str = "none", phi: FeatureMatrix | None = None
 ) -> np.ndarray:
     """Pipeline at weights w: features -> theta -> SPT order -> post-processing."""
-    if post not in ("none", "ls"):
-        raise ValueError("post must be 'none' or 'ls'")
+    _check_post(post)
     if phi is None:
         phi = features(x)
-    order = spt_layer(phi.values @ _as_weight_array(w))
-    return local_search(x, order) if post == "ls" else order
+    return _sort_and_search(x, phi.values @ _as_weight_array(w), post)
 
 
 def perturbed_decode(
@@ -285,15 +298,12 @@ def perturbed_decode(
         raise ValueError("sigma must be >= 0")
     if nsamples < 0:
         raise ValueError("nsamples must be >= 0")
+    _check_post(post)
     w = _as_weight_array(w)
     phi = features(x)
 
     def run(weights):
-        order = spt_layer(phi.values @ weights)
-        if post == "ls":
-            order = local_search(x, order)
-        elif post != "none":
-            raise ValueError("post must be 'none' or 'ls'")
+        order = _sort_and_search(x, phi.values @ weights, post)
         return float(_totals(x.p[order], x.r[order]).sum()), order
 
     best_cost, best_order = run(w)
@@ -371,18 +381,15 @@ def save_sched_instance(path, x: SchedInstance) -> None:
     payload = {
         "n": x.n,
         "rho": x.rho,
-        "p": [int(v) if float(v).is_integer() else float(v) for v in x.p],
-        "r": [int(v) if float(v).is_integer() else float(v) for v in x.r],
+        "p": [_as_number(v) for v in x.p],
+        "r": [_as_number(v) for v in x.r],
         "seed": None if x.seed is None else int(x.seed),
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, payload)
 
 
 def load_sched_instance(path) -> SchedInstance:
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = _read_json(path)
     p = np.asarray(payload["p"], dtype=float)
     r = np.asarray(payload["r"], dtype=float)
     if p.shape[0] != int(payload["n"]):
@@ -400,17 +407,18 @@ def experience_loss_config(
     The normalizer keeps instances of different sizes on one scale (the
     worst total grows quadratically in n).  Features are computed once
     per instance and local-search results are memoized by starting order.
+    The caches are keyed by id(x) and hold x itself, so no other instance
+    can take over that id while the loss is alive.
     """
-    if post not in ("none", "ls"):
-        raise ValueError("post must be 'none' or 'ls'")
-    feats: dict[int, np.ndarray] = {}
+    _check_post(post)
+    feats: dict[int, tuple[SchedInstance, np.ndarray]] = {}
     searched: dict[tuple[int, tuple], float] = {}
 
     def pipeline_cost(x: SchedInstance, w: np.ndarray) -> float:
-        phi = feats.get(id(x))
-        if phi is None:
-            phi = feats.setdefault(id(x), features(x).values)
-        order = spt_layer(phi @ w)
+        entry = feats.get(id(x))
+        if entry is None:
+            entry = feats.setdefault(id(x), (x, features(x).values))
+        order = spt_layer(entry[1] @ w)
         if post == "none":
             return float(_totals(x.p[order], x.r[order]).sum())
         key = (id(x), tuple(order.tolist()))
@@ -431,3 +439,74 @@ def experience_loss_config(
         dim=SCHED_FEATURE_DIM,
         perturbation=perturbation,
     )
+
+
+class SchedulingApplication:
+    """What the command line runs for scheduling datasets.
+
+    Instances are sampled per (n, rho) cell; totals are normalized by
+    n(n+1) for training, and eval gaps are taken to the best evaluated
+    total (exact on small instances) and bucketed by n.
+    """
+
+    bucket_key = "n"
+
+    def cells(self, config: dict) -> list:
+        return list(itertools.product(config["n"], config["rho"]))
+
+    def instance_id(self, cell, index: int) -> str:
+        n, rho = cell
+        return f"sm_n{n}_rho{rho:g}_{index:03d}"
+
+    def generate(self, config: dict, cell, seed: int, path) -> dict:
+        """Sample one instance of a cell into path; returns its manifest fields."""
+        n, rho = cell
+        x = generate_sched_instance(n, rho, seed=seed)
+        save_sched_instance(path, x)
+        return {"n": n, "rho": rho, "seed": x.seed}
+
+    def load(self, path) -> SchedInstance:
+        return load_sched_instance(path)
+
+    def loss_config(self, config: dict, instances, rows, perturbation) -> learning.LossConfig:
+        return experience_loss_config(
+            instances, post=config.get("post", "ls"), perturbation=perturbation
+        )
+
+    def fyl_train(self, fyl_cfg: dict, instances, seed: int):
+        raise ValueError("fyl training is implemented for the two_stage application")
+
+    def algorithm(self, entry: dict):
+        """The total one eval algorithm reaches, as a function of the instance."""
+        kind = entry["kind"]
+        if kind == "spt":
+            return lambda x: evaluate_schedule(x, spt_layer(x.p))[0]
+        if kind in ("pipeline", "pipeline_ls"):
+            weights = model.load_weights(entry["weights"])
+            post = "ls" if kind == "pipeline_ls" else "none"
+            return lambda x: evaluate_schedule(x, pipeline_order(x, weights, post=post))[0]
+        if kind == "pipeline_pert_ls":
+            weights = model.load_weights(entry["weights"])
+            sigma = float(entry.get("sigma", 1.0))
+            nsamples = int(entry.get("nsamples", 150))
+            seed = int(entry.get("seed", 0))
+
+            def run(x):
+                order = perturbed_decode(
+                    x, weights, sigma=sigma, nsamples=nsamples, seed=seed, post="ls"
+                )
+                return evaluate_schedule(x, order)[0]
+
+            return run
+        if kind == "brute_force":
+            return lambda x: brute_force_schedule(x)[0]
+        raise ValueError(f"unknown scheduling algorithm kind {kind!r}")
+
+    def reference(self, x: SchedInstance, row: dict, costs) -> float:
+        """Best evaluated total, sharpened by branch-and-bound on small instances."""
+        if x.n > BRUTE_FORCE_JOB_LIMIT:
+            return min(costs)
+        return min(min(costs), brute_force_schedule(x)[0])
+
+
+APPLICATION = SchedulingApplication()

@@ -15,14 +15,16 @@ everything in the second stage.
 
 from __future__ import annotations
 
-import json
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import learning
+from . import learning, model
 from .graphs import Graph, UnionFind, grid_graph, mst_constrained, mst_kruskal
-from .model import FeatureMatrix, PerturbationConfig, _as_weight_array
+from .model import (
+    FeatureMatrix, PerturbationConfig, _as_number, _as_weight_array, _read_json, _write_json,
+)
 
 __all__ = [
     "TwoStageInstance",
@@ -48,6 +50,8 @@ __all__ = [
     "load_instance",
     "pipeline_solution",
     "experience_loss_config",
+    "TwoStageApplication",
+    "APPLICATION",
 ]
 
 TWO_STAGE_FEATURE_DIM = 34
@@ -210,6 +214,19 @@ def easy_incidence(x: TwoStageInstance, theta_array) -> np.ndarray:
     return incidence_vector(x, y)
 
 
+def _complete_or_empty(x: TwoStageInstance, first: frozenset[int]) -> TwoStageSolution:
+    """The decode rule (see decode) for a given first stage."""
+    second = tuple(
+        frozenset(mst_constrained(x.graph, x.d[:, s], first)) - first
+        for s in range(x.num_scenarios)
+    )
+    cand = TwoStageSolution(first_stage=first, second_stage=second)
+    cost = evaluate_solution(x, cand)
+    empty_second = tuple(mst_kruskal(x.graph, x.d[:, s]) for s in range(x.num_scenarios))
+    empty = TwoStageSolution(first_stage=frozenset(), second_stage=empty_second)
+    return cand if cost <= evaluate_solution(x, empty) else empty
+
+
 def decode(x: TwoStageInstance, y: EasySolution) -> TwoStageSolution:
     """Feasible hard solution from an easy one.
 
@@ -218,17 +235,7 @@ def decode(x: TwoStageInstance, y: EasySolution) -> TwoStageSolution:
     candidate B postpones everything to the second stage.  Returns the
     cheaper candidate, ties toward A.
     """
-    first = y.first_stage
-    second_a = tuple(
-        frozenset(mst_constrained(x.graph, x.d[:, s], first)) - first
-        for s in range(x.num_scenarios)
-    )
-    cand_a = TwoStageSolution(first_stage=first, second_stage=second_a)
-    cost_a = evaluate_solution(x, cand_a)
-    second_b = tuple(mst_kruskal(x.graph, x.d[:, s]) for s in range(x.num_scenarios))
-    cand_b = TwoStageSolution(first_stage=frozenset(), second_stage=second_b)
-    cost_b = evaluate_solution(x, cand_b)
-    return cand_a if cost_a <= cost_b else cand_b
+    return _complete_or_empty(x, y.first_stage)
 
 
 def theta_tilde(x: TwoStageInstance) -> ThetaVector:
@@ -394,16 +401,7 @@ def lagrangian_heuristic(x: TwoStageInstance, duals: np.ndarray) -> TwoStageSolu
         u, v = x.graph.edges[e]
         if uf.union(u, v):
             forest.append(int(e))
-    first = frozenset(forest)
-    second = tuple(
-        frozenset(mst_constrained(x.graph, x.d[:, s], first)) - first
-        for s in range(x.num_scenarios)
-    )
-    cand = TwoStageSolution(first_stage=first, second_stage=second)
-    cost = evaluate_solution(x, cand)
-    empty_second = tuple(mst_kruskal(x.graph, x.d[:, s]) for s in range(x.num_scenarios))
-    empty = TwoStageSolution(first_stage=frozenset(), second_stage=empty_second)
-    return cand if cost <= evaluate_solution(x, empty) else empty
+    return _complete_or_empty(x, frozenset(forest))
 
 
 def brute_force_optimum(x: TwoStageInstance):
@@ -459,10 +457,6 @@ def generate_instance(
     return TwoStageInstance(graph=graph, c=c, d=d, width=width, K=K, seed=seed)
 
 
-def _as_number(v: float):
-    return int(v) if float(v).is_integer() else float(v)
-
-
 def save_instance(path, x: TwoStageInstance) -> None:
     if x.width is None:
         raise ValueError("only grid instances with a recorded width are serializable")
@@ -474,14 +468,11 @@ def save_instance(path, x: TwoStageInstance) -> None:
         "seed": None if x.seed is None else int(x.seed),
         "K": None if x.K is None else int(x.K),
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, payload)
 
 
 def load_instance(path) -> TwoStageInstance:
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = _read_json(path)
     width = int(payload["width"])
     graph = grid_graph(width, width)
     c = np.asarray(payload["c"], dtype=float)
@@ -508,25 +499,25 @@ def pipeline_solution(x: TwoStageInstance, w, phi: FeatureMatrix | None = None):
 
 def experience_loss_config(
     pairs, perturbation: PerturbationConfig | None = None
-) -> tuple[learning.LossConfig, list[TwoStageInstance]]:
+) -> learning.LossConfig:
     """Loss for learning by experience on (instance, lower_bound) pairs.
 
     The pipeline cost is normalized to the shifted relative gap
     (cost - LB) / max(1, |LB|) so instances of different sizes are
     comparable.  Features are computed once per instance and decoded
     candidates are cached by first-stage set, which keeps the black-box
-    evaluations cheap.
+    evaluations cheap.  The caches are keyed by id(x) and hold x itself,
+    so no other instance can take over that id while the loss is alive.
     """
-    instances = [x for x, _ in pairs]
-    lower = {id(x): float(lb) for x, lb in pairs}
-    feats: dict[int, np.ndarray] = {}
+    lower = {id(x): (x, float(lb)) for x, lb in pairs}
+    feats: dict[int, tuple[TwoStageInstance, np.ndarray]] = {}
     decoded: dict[tuple[int, frozenset[int]], float] = {}
 
     def pipeline_cost(x: TwoStageInstance, w: np.ndarray) -> float:
-        phi = feats.get(id(x))
-        if phi is None:
-            phi = feats.setdefault(id(x), features(x).values)
-        theta = phi @ w
+        entry = feats.get(id(x))
+        if entry is None:
+            entry = feats.setdefault(id(x), (x, features(x).values))
+        theta = entry[1] @ w
         y = easy_layer(x, ThetaVector.from_array(theta, x.num_edges))
         key = (id(x), y.first_stage)
         cost = decoded.get(key)
@@ -535,13 +526,93 @@ def experience_loss_config(
         return cost
 
     def normalize(x: TwoStageInstance, cost: float) -> float:
-        lb = lower[id(x)]
+        lb = lower[id(x)][1]
         return (cost - lb) / max(1.0, abs(lb))
 
-    cfg = learning.LossConfig(
+    return learning.LossConfig(
         pipeline_cost=pipeline_cost,
         normalize=normalize,
         dim=TWO_STAGE_FEATURE_DIM,
         perturbation=perturbation,
     )
-    return cfg, instances
+
+
+class TwoStageApplication:
+    """What the command line runs for two-stage datasets.
+
+    Instances are grids sampled per (width, K, scenarios) cell and stored
+    with their Lagrangian lower bound, which both normalizes the training
+    loss and is the eval reference; eval gaps are bucketed by width.
+    """
+
+    bucket_key = "width"
+
+    def cells(self, config: dict) -> list:
+        return list(itertools.product(config["widths"], config["K"], config["scenarios"]))
+
+    def instance_id(self, cell, index: int) -> str:
+        width, K, n_scen = cell
+        return f"ts_w{width}_K{K}_S{n_scen}_{index:03d}"
+
+    def generate(self, config: dict, cell, seed: int, path) -> dict:
+        """Sample one instance of a cell into path; returns its manifest fields."""
+        width, K, n_scen = cell
+        x = generate_instance(width, K, n_scen, seed=seed)
+        save_instance(path, x)
+        bound_iters = int(config.get("bound_iters", 500))
+        lb, _, _ = lagrangian_bound(x, iters=bound_iters)
+        return {"width": width, "K": K, "num_scenarios": n_scen, "seed": x.seed,
+                "lower_bound": lb, "bound_iters": bound_iters}
+
+    def load(self, path) -> TwoStageInstance:
+        return load_instance(path)
+
+    def loss_config(self, config: dict, instances, rows, perturbation) -> learning.LossConfig:
+        pairs = [(x, row["lower_bound"]) for x, row in zip(instances, rows)]
+        return experience_loss_config(pairs, perturbation)
+
+    def fyl_train(self, fyl_cfg: dict, instances, seed: int) -> model.WeightVector:
+        """Fenchel-Young imitation of the Lagrangian heuristic.
+
+        An instance's target is the heuristic's first stage plus its
+        completion on the mean scenario costs, as an easy-layer incidence.
+        """
+        bound_iters = int(fyl_cfg.get("bound_iters", 500))
+        pairs = []
+        for x in instances:
+            _, duals, _ = lagrangian_bound(x, iters=bound_iters)
+            first = lagrangian_heuristic(x, duals).first_stage
+            second = frozenset(mst_constrained(x.graph, x.d.mean(axis=1), first)) - first
+            pairs.append((x, incidence_vector(x, EasySolution(first, second))))
+        return learning.fyl_learn(
+            pairs,
+            argmin_vec=easy_incidence,
+            features_of=features,
+            epsilon=float(fyl_cfg.get("epsilon", 1.0)),
+            n_z=int(fyl_cfg.get("n_z", 20)),
+            steps=int(fyl_cfg.get("steps", 500)),
+            rate=float(fyl_cfg.get("rate", 0.05)),
+            box_radius=float(fyl_cfg.get("box_radius", 10.0)),
+            seed=seed,
+        )
+
+    def algorithm(self, entry: dict):
+        """The cost one eval algorithm reaches, as a function of the instance."""
+        kind = entry["kind"]
+        if kind == "approx_baseline":
+            return lambda x: evaluate_solution(x, approx_baseline(x))
+        if kind == "pipeline":
+            weights = model.load_weights(entry["weights"])
+            return lambda x: evaluate_solution(x, pipeline_solution(x, weights))
+        if kind == "lagrangian_heuristic":
+            iters = int(entry.get("iters", 500))
+            return lambda x: evaluate_solution(
+                x, lagrangian_heuristic(x, lagrangian_bound(x, iters=iters)[1])
+            )
+        raise ValueError(f"unknown two_stage algorithm kind {kind!r}")
+
+    def reference(self, x: TwoStageInstance, row: dict, costs) -> float:
+        return float(row["lower_bound"])
+
+
+APPLICATION = TwoStageApplication()

@@ -261,7 +261,8 @@ def test_criterion_08_two_stage_learning_beats_baseline():
     start = time.perf_counter()
     pairs_tr = _two_stage_desk_set(7)
     pairs_te = _two_stage_desk_set(4)
-    cfg, train_set = two_stage.experience_loss_config(list(pairs_tr), None)
+    cfg = two_stage.experience_loss_config(pairs_tr, None)
+    train_set = [x for x, _ in pairs_tr]
     learner = learning.LearnerConfig(
         box_radius=10.0, budget=3000, seeds=tuple(range(10))
     )
@@ -285,11 +286,13 @@ def test_criterion_08_two_stage_learning_beats_baseline():
 def test_criterion_09_sigma_sensitivity_ordering():
     pairs_tr = _two_stage_desk_set(7)
     pairs_ho = _two_stage_desk_set(4)
-    ho_cfg, ho_set = two_stage.experience_loss_config(list(pairs_ho), None)
+    ho_cfg = two_stage.experience_loss_config(pairs_ho, None)
+    ho_set = [x for x, _ in pairs_ho]
+    train_set = [x for x, _ in pairs_tr]
     risks = {}
     for sigma in (1e-3, 0.3):
         pert = model.PerturbationConfig(sigma=sigma, nsamples=20, seed=0)
-        cfg, train_set = two_stage.experience_loss_config(list(pairs_tr), pert)
+        cfg = two_stage.experience_loss_config(pairs_tr, pert)
         learner = learning.LearnerConfig(box_radius=10.0, budget=300, seeds=(0, 1))
         wv, _ = learning.learn_by_experience(train_set, learner, cfg)
         risks[sigma] = learning.empirical_risk(ho_set, wv.w, ho_cfg)

@@ -281,6 +281,23 @@ def test_cli_error_exits(tmp_path, capsys):
     )
     assert main(["generate", "--config", gen]) == 1  # --out is required
     capsys.readouterr()
+    # a misspelled application in a manifest or a train config is named,
+    # never loaded as the other application
+    ds = tmp_path / "ds"
+    assert main(["generate", "--config", gen, "--out", str(ds)]) == 0
+    manifest = json.loads((ds / "manifest.json").read_text())
+    (ds / "manifest.json").write_text(json.dumps({**manifest, "application": "two_stagee"}))
+    ev = _write(
+        tmp_path / "ev.json", {"dataset": str(ds), "algorithms": [{"name": "spt", "kind": "spt"}]}
+    )
+    assert main(["eval", "--config", ev, "--out", str(tmp_path / "o3")]) == 1
+    err = capsys.readouterr().err
+    assert "'two_stagee'" in err and "two_stage, scheduling" in err
+    (ds / "manifest.json").write_text(json.dumps(manifest))
+    tr = _write(tmp_path / "tr.json", {"application": "schedule", "dataset": str(ds)})
+    assert main(["train", "--config", tr, "--out", str(tmp_path / "o4")]) == 1
+    err = capsys.readouterr().err
+    assert "'schedule'" in err and "two_stage, scheduling" in err
 
 
 def test_threads_flag_matches_serial(two_stage_dataset, tmp_path):
@@ -297,3 +314,16 @@ def test_threads_flag_matches_serial(two_stage_dataset, tmp_path):
     assert main(["train", "--config", cfg, "--out", str(w1), "--threads", "1"]) == 0
     assert main(["train", "--config", cfg, "--out", str(w2), "--threads", "4"]) == 0
     assert (w1 / "weights.json").read_bytes() == (w2 / "weights.json").read_bytes()
+
+
+def test_train_rejects_unknown_learner_key(two_stage_dataset, tmp_path, capsys):
+    base, ds = two_stage_dataset
+    cfg = _write(
+        base / "train_typo.json",
+        {"application": "two_stage", "dataset": str(ds), "learner": {"bugdet": 50, "seeds": [0]}},
+    )
+    wdir = tmp_path / "w"
+    assert main(["train", "--config", cfg, "--out", str(wdir)]) == 1
+    err = capsys.readouterr().err
+    assert "'bugdet'" in err and "did you mean 'budget'" in err
+    assert not (wdir / "weights.json").exists()

@@ -55,7 +55,7 @@ def test_loss_two_stage_selector_hits_bound_on_one_edge():
         d=np.array([[-3.0]]),
     )
     lb, _, _ = two_stage.lagrangian_bound(x, iters=1)
-    cfg, _ = two_stage.experience_loss_config([(x, lb)], None)
+    cfg = two_stage.experience_loss_config([(x, lb)], None)
     val = loss(x, np.zeros(two_stage.TWO_STAGE_FEATURE_DIM), cfg)
     assert val == 0.0  # decode compares both stages; -5 is optimal, bound tight
 
@@ -107,7 +107,7 @@ def test_loss_piecewise_constant_along_segments():
     rng = np.random.default_rng(101)
     x = two_stage.generate_instance(4, 20, 3, seed=17)
     lb, _, _ = two_stage.lagrangian_bound(x, iters=150)
-    cfg, _ = two_stage.experience_loss_config([(x, lb)], None)
+    cfg = two_stage.experience_loss_config([(x, lb)], None)
     for _ in range(3):
         w0 = rng.uniform(-10, 10, cfg.dim)
         w1 = rng.uniform(-10, 10, cfg.dim)
@@ -237,11 +237,11 @@ def test_learn_by_experience_trivial_instances_reach_oracle():
         lb, _, _ = two_stage.lagrangian_bound(x, iters=1)
         xs.append(x)
         pairs.append((x, lb))
-    cfg, train = two_stage.experience_loss_config(pairs, None)
+    cfg = two_stage.experience_loss_config(pairs, None)
     learner = LearnerConfig(box_radius=10.0, budget=30, seeds=(0,))
-    wv, report = learn_by_experience(train, learner, cfg)
+    wv, report = learn_by_experience(xs, learner, cfg)
     assert report["per_seed"][0]["best_value"] == 0.0
-    assert empirical_risk(train, wv.w, cfg) == 0.0
+    assert empirical_risk(xs, wv.w, cfg) == 0.0
 
 
 def test_config_hash_stable_and_order_free():

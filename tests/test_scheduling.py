@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from co_pipeline import learning
 from co_pipeline.model import WeightVector
 from co_pipeline.scheduling import (
     BRUTE_FORCE_JOB_LIMIT,
@@ -358,3 +359,17 @@ def test_experience_loss_spt_selector_reaches_optimum_over_u():
         cost = cfg.pipeline_cost(x, w)
         best, _ = brute_force_schedule(x)
         assert cfg.normalize(x, cost) == pytest.approx(best / (n * (n + 1)), abs=1e-12)
+
+
+def test_loss_cache_never_serves_a_freed_instance():
+    # Each instance is scored once and dropped, so CPython hands its id()
+    # to the next one; an id-keyed cache must not take it for the old one.
+    shared = experience_loss_config([], post="none")
+    w = np.linspace(-1.0, 1.0, SCHED_FEATURE_DIM)
+    stale = 0
+    for seed in range(200):
+        x = generate_sched_instance(8, 1.0, seed=seed)
+        fresh = experience_loss_config([], post="none")
+        stale += learning.loss(x, w, shared) != learning.loss(x, w, fresh)
+        del x
+    assert stale == 0
