@@ -3,19 +3,16 @@
 Every command reads a JSON config (--config), writes its outputs under
 --out, and is deterministic given the seeds in the config: rerunning a
 generate/train/eval chain reproduces the output files byte for byte.
-The only opt-out is `eval --timings`, which fills the time_s column of
-the gap table with measured wall-clock seconds instead of the
-deterministic 0.0 placeholder (measured timings always go to the
-timings.json sidecar either way).
+
+Config blocks are read by model._read_config: an unknown key fails before
+anything is written, and an omitted key takes its consumer's default.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import difflib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -26,8 +23,6 @@ from . import learning, model, scheduling, two_stage
 
 __all__ = ["main", "build_parser"]
 
-ENV_THREADS = "CO_PIPELINE_THREADS"
-
 
 def _child_seeds(master_seed: int, count: int) -> list[int]:
     children = np.random.SeedSequence(master_seed).spawn(count)
@@ -35,7 +30,6 @@ def _child_seeds(master_seed: int, count: int) -> list[int]:
 
 
 _APPLICATIONS = {"two_stage": two_stage.APPLICATION, "scheduling": scheduling.APPLICATION}
-_LEARNER_KEYS = ("box_radius", "budget", "seeds")
 
 
 def _application(name):
@@ -49,22 +43,20 @@ def _application(name):
 # generate
 
 
-def _cmd_generate(config: dict, out: Path, seed_override, threads: int) -> int:
-    app = _application(config["application"])
-    master_seed = int(config["seed"]) if seed_override is None else int(seed_override)
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_generate(app, config: dict, out: Path, seed_override, /, application: str, seed: int,
+                  per_cell: int, **axes) -> int:
+    master_seed = seed if seed_override is None else int(seed_override)
+    cells = app.cells(**axes)
     inst_dir = out / "instances"
-    inst_dir.mkdir(exist_ok=True)
-    cells = app.cells(config)
-    per_cell = int(config["per_cell"])
+    inst_dir.mkdir(parents=True, exist_ok=True)
     seeds = iter(_child_seeds(master_seed, len(cells) * per_cell))
     rows = []
     for cell in cells:
         for i in range(per_cell):
             inst_id = app.instance_id(cell, i)
-            fields = app.generate(config, cell, next(seeds), inst_dir / f"{inst_id}.json")
+            fields = app.generate(cell, next(seeds), inst_dir / f"{inst_id}.json")
             rows.append({"id": inst_id, "file": f"instances/{inst_id}.json", **fields})
-    manifest = {"application": config["application"], "config": config, "seed": master_seed,
+    manifest = {"application": application, "config": config, "seed": master_seed,
                 "instances": rows}
     model._write_json(out / "manifest.json", manifest)
     print(f"wrote {len(rows)} instances to {out}")
@@ -75,69 +67,60 @@ def _cmd_generate(config: dict, out: Path, seed_override, threads: int) -> int:
 # dataset loading
 
 
-def _load_dataset(config: dict):
-    """(application, manifest, instances) of the dataset; config may name its application."""
-    root = Path(config["dataset"])
-    manifest = model._read_json(root / "manifest.json")
+def _dataset(dataset) -> tuple:
+    """(application, manifest) of a dataset; every row must name its file and the
+    fields its application reads."""
+    path = Path(dataset) / "manifest.json"
+    manifest = model._read_json(path)
     app = _application(manifest["application"])
-    if _application(config.get("application", manifest["application"])) is not app:
+    for row in manifest["instances"]:
+        for key in ("file", *app.row_keys):
+            if key not in row:
+                raise ValueError(f"instance {row.get('id')!r} in {path} has no {key!r}")
+    return app, manifest
+
+
+def _instances(app, manifest, dataset, application) -> list:
+    """The dataset's instances; a config that names its application must match."""
+    if application is not None and _application(application) is not app:
         raise ValueError("config application does not match the dataset")
-    instances = [app.load(root / row["file"]) for row in manifest["instances"]]
-    return app, manifest, instances
+    return [app.load(Path(dataset) / row["file"]) for row in manifest["instances"]]
 
 
 # ---------------------------------------------------------------------------
 # train
 
 
-def _perturbation_from(config) -> model.PerturbationConfig | None:
-    if not config:
-        return None
-    return model.PerturbationConfig(
-        sigma=float(config["sigma"]),
-        nsamples=int(config.get("nsamples", 20)),
-        seed=int(config.get("seed", 0)),
-    )
-
-
-def _learner_from(config: dict, seed_override) -> learning.LearnerConfig:
-    for key in config:
-        if key not in _LEARNER_KEYS:
-            close = difflib.get_close_matches(key, _LEARNER_KEYS, n=1)
-            hint = f"did you mean {close[0]!r}? " if close else ""
-            valid = ", ".join(_LEARNER_KEYS)
-            raise ValueError(f"unknown learner key {key!r}; {hint}valid: {valid}")
-    seeds = [int(seed_override)] if seed_override is not None else [
-        int(s) for s in config.get("seeds", range(10))
-    ]
-    return learning.LearnerConfig(
-        box_radius=float(config.get("box_radius", 10.0)),
-        budget=int(config.get("budget", 1000)),
-        seeds=tuple(seeds),
-    )
-
-
-def _cmd_train(config: dict, out: Path, seed_override, threads: int) -> int:
-    app, manifest, instances = _load_dataset(config)
-    method = config.get("method", "experience")
-    out.mkdir(parents=True, exist_ok=True)
+def _cmd_train(app, manifest: dict, out: Path, seed_override, /, dataset: str,
+               application: str | None = None, method: str = "experience",
+               learner: dict | None = None, perturbation: dict | None = None,
+               fyl: dict | None = None, **loss_keys) -> int:
+    instances = _instances(app, manifest, dataset, application)
+    learner = model._read_config("learner", learner or {}, learning.LearnerConfig)
+    fyl = model._read_config("fyl", fyl or {}, app.fyl_train, learning.fyl_learn,
+                             skip=("pairs", "argmin_vec", "features_of"))
+    if seed_override is not None:
+        learner["seeds"] = (int(seed_override),)
+        fyl["seed"] = int(seed_override)
+    pert = None
+    if perturbation:
+        pert = model.PerturbationConfig(
+            **model._read_config("perturbation", perturbation, model.PerturbationConfig)
+        )
 
     if method == "experience":
-        pert = _perturbation_from(config.get("perturbation"))
-        loss_cfg = app.loss_config(config, instances, manifest["instances"], pert)
-        learner = _learner_from(config.get("learner", {}), seed_override)
+        loss_cfg = app.loss_config(instances, manifest["instances"], pert, **loss_keys)
         weights, report = learning.learn_by_experience(
-            instances, learner, loss_cfg, threads=threads
+            instances, learning.LearnerConfig(**learner), loss_cfg
         )
     elif method == "fyl":
-        fyl_cfg = config.get("fyl", {})
-        seed = int(seed_override) if seed_override is not None else int(fyl_cfg.get("seed", 0))
-        weights = app.fyl_train(fyl_cfg, instances, seed)
+        weights = app.fyl_train(instances, **fyl)
         report = {"per_seed": [], "best_w": [float(v) for v in weights.w],
-                  "config_hash": learning.config_hash(config)}
+                  "config_hash": learning.config_hash(fyl)}
     else:
         raise ValueError(f"unknown training method {method!r}")
 
+    out.mkdir(parents=True, exist_ok=True)
     model.save_weights(out / "weights.json", weights)
     model._write_json(out / "report.json", report)
     print(f"trained {method} weights -> {out / 'weights.json'}")
@@ -153,13 +136,29 @@ def _gap_pct(cost: float, reference: float) -> float:
     return 100.0 * (cost - reference) / (1.0 if den < 1e-12 else den)
 
 
-def _cmd_eval(config: dict, out: Path, threads: int, timings: bool) -> int:
-    app, manifest, instances = _load_dataset(config)
-    runners = [(entry["name"], app.algorithm(entry)) for entry in config["algorithms"]]
+def _runner(factory, /, name: str, kind: str, **keys):
+    """(name, cost function) of one eval entry: the factory its kind picked
+    takes the other keys and returns the cost as a function of the instance."""
+    return name, factory(**keys)
+
+
+def _cmd_eval(app, manifest: dict, out: Path, /, dataset: str, algorithms: list,
+              application: str | None = None) -> int:
+    instances = _instances(app, manifest, dataset, application)
+    kinds = app.algorithms()
+    runners = []
+    for entry in algorithms:
+        kind = entry.get("kind")
+        if kind not in kinds:
+            raise ValueError(f"unknown {manifest['application']} algorithm kind {kind!r}")
+        factory, *passed_on = kinds[kind]
+        keys = model._read_config(f"{kind} entry", entry, _runner, factory, *passed_on,
+                                  skip=app.entry_skip)
+        runners.append(_runner(factory, **keys))
     out.mkdir(parents=True, exist_ok=True)
 
     rows = manifest["instances"]
-    # cost[name][i], measured wall time in the sidecar regardless of --timings
+    # cost[name][i]; measured wall times go to the timings.json sidecar
     costs: dict[str, list[float]] = {}
     walls: dict[str, list[float]] = {}
     for name, run in runners:
@@ -168,7 +167,7 @@ def _cmd_eval(config: dict, out: Path, threads: int, timings: bool) -> int:
             cost = float(run(x))
             return cost, time.perf_counter() - start
 
-        results = learning.parallel_map(timed, instances, threads)
+        results = learning.parallel_map(timed, instances)
         costs[name] = [c for c, _ in results]
         walls[name] = [t for _, t in results]
 
@@ -187,10 +186,9 @@ def _cmd_eval(config: dict, out: Path, threads: int, timings: bool) -> int:
             for name, _ in runners:
                 gap = _gap_pct(costs[name][i], references[i])
                 gaps[name].append(gap)
-                wall = f"{walls[name][i]:.6f}" if timings else "0.0"
                 writer.writerow(
                     [row["id"], name, str(model._as_number(costs[name][i])),
-                     str(model._as_number(references[i])), f"{gap:.6f}", wall]
+                     str(model._as_number(references[i])), f"{gap:.6f}", "0.0"]
                 )
         for bucket in [*sorted({row[bucket_key] for row in rows}), "all"]:
             idx = [i for i, row in enumerate(rows) if bucket == "all" or row[bucket_key] == bucket]
@@ -211,26 +209,16 @@ def _cmd_eval(config: dict, out: Path, threads: int, timings: bool) -> int:
 
 
 def _cmd_bounds(config: dict, out: Path | None, as_json: bool) -> int:
-    grid = config.get("n", [config.get("n_single", 1)])
-    if isinstance(grid, int):
-        grid = [grid]
+    # n may be a list of sample counts: one row per count
+    grid = [{"n": n} for n in config["n"]] if isinstance(config.get("n"), list) else [{}]
     records = []
     for n in grid:
         params = learning.BoundParams(
-            M=float(config["M"]),
-            d=int(config["d"]),
-            sigma=float(config.get("sigma", 1.0)),
-            n=int(n),
-            delta=float(config.get("delta", 0.05)),
-            a=float(config.get("a", 0.0)),
-            b=float(config.get("b", 1.0)),
-            beta=int(config.get("beta", 1)),
-            kappa_phi=float(config.get("kappa_phi", 1.0)),
-            expectation_term=float(config.get("expectation_term", 1.0)),
+            **model._read_config("bounds", {**config, **n}, learning.BoundParams)
         )
         records.append(
             {
-                "n": int(n),
+                "n": params.n,
                 "sigma_n": learning.sigma_n(params),
                 "excess_risk_bound": learning.excess_risk_bound(params),
             }
@@ -278,18 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="path to a JSON config")
         cmd.add_argument("--out", default=None, help="output directory")
         cmd.add_argument("--seed", type=int, default=None, help="master seed override")
-        cmd.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help=f"worker threads (default: ${ENV_THREADS} or 1)",
-        )
-        if name == "eval":
-            cmd.add_argument(
-                "--timings",
-                action="store_true",
-                help="write measured wall times into the CSV (breaks byte-identity)",
-            )
         if name == "bounds":
             cmd.add_argument("--json", action="store_true", help="print JSON to stdout")
     return parser
@@ -297,21 +273,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get(ENV_THREADS, "1"))
     try:
         config = model._read_json(args.config)
         if args.command in ("generate", "train", "eval") and args.out is None:
             raise ValueError(f"{args.command} requires --out")
         out = None if args.out is None else Path(args.out)
+        # each stage's keyword parameters are the top-level keys of its config
         if args.command == "generate":
-            return _cmd_generate(config, out, args.seed, threads)
+            app = _application(config.get("application"))
+            settings = model._read_config("generate", config, _cmd_generate, app.cells)
+            return _cmd_generate(app, config, out, args.seed, **settings)
+        if args.command == "bounds":
+            return _cmd_bounds(config, out, args.json)
+        app, manifest = _dataset(config["dataset"])
         if args.command == "train":
-            return _cmd_train(config, out, args.seed, threads)
-        if args.command == "eval":
-            return _cmd_eval(config, out, threads, args.timings)
-        return _cmd_bounds(config, out, args.json)
+            settings = model._read_config("train", config, _cmd_train, app.loss_config)
+            return _cmd_train(app, manifest, out, args.seed, **settings)
+        settings = model._read_config("eval", config, _cmd_eval)
+        return _cmd_eval(app, manifest, out, **settings)
     except KeyError as exc:
         print(f"error: missing config key {exc}", file=sys.stderr)
         return 1

@@ -16,8 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from typing import Callable
 
 import numpy as np
@@ -66,7 +65,7 @@ class LearnerConfig:
 
     box_radius: float = 10.0
     budget: int = 1000
-    seeds: tuple = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
+    seeds: tuple[int, ...] = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
 
     def __post_init__(self):
         if self.box_radius <= 0:
@@ -77,12 +76,9 @@ class LearnerConfig:
             raise ValueError("at least one seed is required")
 
 
-def parallel_map(fn, items, threads: int = 1) -> list:
-    """Order-preserving map, optionally on a thread pool."""
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def parallel_map(fn, items) -> list:
+    """Order-preserving map."""
+    return [fn(item) for item in items]
 
 
 def loss(x, w, cfg: LossConfig) -> float:
@@ -109,13 +105,13 @@ def perturbed_loss_saa(x, w, cfg: LossConfig) -> float:
     return float(total / pert.nsamples)
 
 
-def empirical_risk(training_set, w, cfg: LossConfig, threads: int = 1) -> float:
+def empirical_risk(training_set, w, cfg: LossConfig) -> float:
     """Mean (perturbed) loss over the training set."""
     if len(training_set) == 0:
         raise ValueError("training set is empty")
     w = np.asarray(w, dtype=float)
     f = perturbed_loss_saa if cfg.perturbation is not None else loss
-    values = parallel_map(lambda x: f(x, w, cfg), training_set, threads)
+    values = parallel_map(lambda x: f(x, w, cfg), training_set)
     return float(np.mean(values))
 
 
@@ -280,12 +276,7 @@ def config_hash(payload) -> str:
     ).hexdigest()
 
 
-def learn_by_experience(
-    training_set,
-    learner: LearnerConfig,
-    loss_cfg: LossConfig,
-    threads: int = 1,
-):
+def learn_by_experience(training_set, learner: LearnerConfig, loss_cfg: LossConfig):
     """Minimize empirical risk with DIRECT, once per seed; keep the best w.
 
     No target solutions are involved anywhere: the only training signal
@@ -296,7 +287,7 @@ def learn_by_experience(
     bounds = [(-learner.box_radius, learner.box_radius)] * loss_cfg.dim
 
     def objective(w):
-        return empirical_risk(training_set, w, loss_cfg, threads)
+        return empirical_risk(training_set, w, loss_cfg)
 
     per_seed = []
     best = None
@@ -307,24 +298,13 @@ def learn_by_experience(
         )
         if best is None or result.value < best.value:
             best = result
+    pert = loss_cfg.perturbation
+    settings = {**asdict(learner), "dim": loss_cfg.dim,
+                "perturbation": None if pert is None else list(astuple(pert))}
     report = {
         "per_seed": per_seed,
         "best_w": [float(v) for v in best.w],
-        "config_hash": config_hash(
-            {
-                "box_radius": learner.box_radius,
-                "budget": learner.budget,
-                "seeds": list(learner.seeds),
-                "dim": loss_cfg.dim,
-                "perturbation": None
-                if loss_cfg.perturbation is None
-                else [
-                    loss_cfg.perturbation.sigma,
-                    loss_cfg.perturbation.nsamples,
-                    loss_cfg.perturbation.seed,
-                ],
-            }
-        ),
+        "config_hash": config_hash(settings),
     }
     return WeightVector(w=best.w, box_radius=learner.box_radius), report
 

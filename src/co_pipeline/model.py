@@ -8,6 +8,8 @@ what lets one w generalize across instances.
 
 from __future__ import annotations
 
+import difflib
+import inspect
 import json
 from dataclasses import dataclass
 
@@ -80,7 +82,7 @@ class PerturbationConfig:
     """Gaussian perturbation of the weights: w + sigma * Z, Z ~ N(0, I)."""
 
     sigma: float
-    nsamples: int
+    nsamples: int = 20
     seed: int = 0
 
     def __post_init__(self):
@@ -104,6 +106,45 @@ def _as_number(v):
 def _read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+_CASTS = {"int": int, "float": float, "tuple[int, ...]": lambda v: tuple(int(s) for s in v)}
+
+
+def _read_config(block: str, config, *consumers, skip=()) -> dict:
+    """The settings of one config block, keyed, typed and defaulted by its consumers.
+
+    The keys of a block are the parameters of its consumers (functions,
+    methods or dataclasses) that can be passed by keyword, less those
+    named in skip.  A given value is cast to its parameter's annotated
+    int, float or tuple[int, ...]; an omitted key takes its parameter's
+    default and is an error if there is none.  Any other key is an error
+    that names the block, the key and the nearest valid key.
+    """
+    if not isinstance(config, dict):
+        raise ValueError(f"the {block} block must be a JSON object")
+    params = {
+        name: param
+        for consumer in consumers
+        for name, param in inspect.signature(consumer).parameters.items()
+        if param.kind in (param.POSITIONAL_OR_KEYWORD, param.KEYWORD_ONLY) and name not in skip
+    }
+    for key in config:
+        if key not in params:
+            close = difflib.get_close_matches(key, list(params), n=1)
+            hint = f"did you mean {close[0]!r}? " if close else ""
+            valid = ", ".join(params) or "none"
+            raise ValueError(f"unknown {block} key {key!r}; {hint}valid: {valid}")
+    settings = {}
+    for name, param in params.items():
+        if name in config:
+            cast = _CASTS.get(param.annotation)
+            settings[name] = config[name] if cast is None else cast(config[name])
+        elif param.default is param.empty:
+            raise ValueError(f"missing {block} key {name!r}")
+        else:
+            settings[name] = param.default
+    return settings
 
 
 def _write_json(path, payload) -> None:

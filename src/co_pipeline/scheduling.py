@@ -12,6 +12,7 @@ Jobs are indexed 0..n-1; a schedule is a permutation of all job indices.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -282,7 +283,7 @@ def pipeline_order(
 def perturbed_decode(
     x: SchedInstance,
     w,
-    sigma: float,
+    sigma: float = 1.0,
     nsamples: int = 150,
     seed: int = 0,
     post: str = "ls",
@@ -399,7 +400,7 @@ def load_sched_instance(path) -> SchedInstance:
 
 def experience_loss_config(
     instances,
-    post: str = "ls",
+    post: str,
     perturbation: PerturbationConfig | None = None,
 ) -> learning.LossConfig:
     """Loss for learning by experience: pipeline total normalized by n(n+1).
@@ -450,57 +451,55 @@ class SchedulingApplication:
     """
 
     bucket_key = "n"
+    row_keys = ()
+    # arguments of perturbed_decode that are not eval entry keys
+    entry_skip = ("x", "w", "post")
 
-    def cells(self, config: dict) -> list:
-        return list(itertools.product(config["n"], config["rho"]))
+    def cells(self, n, rho) -> list:
+        """The manifest fields of each (n, rho) cell."""
+        return [{"n": size, "rho": r} for size, r in itertools.product(n, rho)]
 
-    def instance_id(self, cell, index: int) -> str:
-        n, rho = cell
-        return f"sm_n{n}_rho{rho:g}_{index:03d}"
+    def instance_id(self, cell: dict, index: int) -> str:
+        return f"sm_n{cell['n']}_rho{cell['rho']:g}_{index:03d}"
 
-    def generate(self, config: dict, cell, seed: int, path) -> dict:
+    def generate(self, cell: dict, seed: int, path) -> dict:
         """Sample one instance of a cell into path; returns its manifest fields."""
-        n, rho = cell
-        x = generate_sched_instance(n, rho, seed=seed)
+        x = generate_sched_instance(cell["n"], cell["rho"], seed=seed)
         save_sched_instance(path, x)
-        return {"n": n, "rho": rho, "seed": x.seed}
+        return {**cell, "seed": x.seed}
 
     def load(self, path) -> SchedInstance:
         return load_sched_instance(path)
 
-    def loss_config(self, config: dict, instances, rows, perturbation) -> learning.LossConfig:
-        return experience_loss_config(
-            instances, post=config.get("post", "ls"), perturbation=perturbation
-        )
+    def loss_config(self, instances, rows, perturbation, /, post: str = "ls"):
+        return experience_loss_config(instances, post=post, perturbation=perturbation)
 
-    def fyl_train(self, fyl_cfg: dict, instances, seed: int):
+    def fyl_train(self, instances, /, **fyl):
         raise ValueError("fyl training is implemented for the two_stage application")
 
-    def algorithm(self, entry: dict):
-        """The total one eval algorithm reaches, as a function of the instance."""
-        kind = entry["kind"]
-        if kind == "spt":
-            return lambda x: evaluate_schedule(x, spt_layer(x.p))[0]
-        if kind in ("pipeline", "pipeline_ls"):
-            weights = model.load_weights(entry["weights"])
-            post = "ls" if kind == "pipeline_ls" else "none"
-            return lambda x: evaluate_schedule(x, pipeline_order(x, weights, post=post))[0]
-        if kind == "pipeline_pert_ls":
-            weights = model.load_weights(entry["weights"])
-            sigma = float(entry.get("sigma", 1.0))
-            nsamples = int(entry.get("nsamples", 150))
-            seed = int(entry.get("seed", 0))
+    def algorithms(self) -> dict:
+        """Each eval kind's factory, then the library functions it passes keys on to."""
+        return {
+            "spt": (self._spt,),
+            "pipeline": (functools.partial(self._pipeline, "none"),),
+            "pipeline_ls": (functools.partial(self._pipeline, "ls"),),
+            "pipeline_pert_ls": (self._pipeline_pert_ls, perturbed_decode),
+            "brute_force": (self._brute_force,),
+        }
 
-            def run(x):
-                order = perturbed_decode(
-                    x, weights, sigma=sigma, nsamples=nsamples, seed=seed, post="ls"
-                )
-                return evaluate_schedule(x, order)[0]
+    def _spt(self):
+        return lambda x: evaluate_schedule(x, spt_layer(x.p))[0]
 
-            return run
-        if kind == "brute_force":
-            return lambda x: brute_force_schedule(x)[0]
-        raise ValueError(f"unknown scheduling algorithm kind {kind!r}")
+    def _pipeline(self, post: str, weights: str):
+        w = model.load_weights(weights)
+        return lambda x: evaluate_schedule(x, pipeline_order(x, w, post=post))[0]
+
+    def _pipeline_pert_ls(self, weights: str, **decode):
+        w = model.load_weights(weights)
+        return lambda x: evaluate_schedule(x, perturbed_decode(x, w, post="ls", **decode))[0]
+
+    def _brute_force(self):
+        return lambda x: brute_force_schedule(x)[0]
 
     def reference(self, x: SchedInstance, row: dict, costs) -> float:
         """Best evaluated total, sharpened by branch-and-bound on small instances."""

@@ -546,70 +546,68 @@ class TwoStageApplication:
     """
 
     bucket_key = "width"
+    row_keys = ("lower_bound",)
+    # arguments of lagrangian_bound that are not eval entry keys
+    entry_skip = ("x", "step_cfg")
 
-    def cells(self, config: dict) -> list:
-        return list(itertools.product(config["widths"], config["K"], config["scenarios"]))
+    def cells(self, widths, K, scenarios, bound_iters: int = 500) -> list:
+        """The manifest fields of each cell: its (width, K, scenarios) and the
+        subgradient iterations of every stored lower bound."""
+        return [
+            {"width": width, "K": k, "num_scenarios": n_scen, "bound_iters": bound_iters}
+            for width, k, n_scen in itertools.product(widths, K, scenarios)
+        ]
 
-    def instance_id(self, cell, index: int) -> str:
-        width, K, n_scen = cell
-        return f"ts_w{width}_K{K}_S{n_scen}_{index:03d}"
+    def instance_id(self, cell: dict, index: int) -> str:
+        return f"ts_w{cell['width']}_K{cell['K']}_S{cell['num_scenarios']}_{index:03d}"
 
-    def generate(self, config: dict, cell, seed: int, path) -> dict:
+    def generate(self, cell: dict, seed: int, path) -> dict:
         """Sample one instance of a cell into path; returns its manifest fields."""
-        width, K, n_scen = cell
-        x = generate_instance(width, K, n_scen, seed=seed)
+        x = generate_instance(cell["width"], cell["K"], cell["num_scenarios"], seed=seed)
         save_instance(path, x)
-        bound_iters = int(config.get("bound_iters", 500))
-        lb, _, _ = lagrangian_bound(x, iters=bound_iters)
-        return {"width": width, "K": K, "num_scenarios": n_scen, "seed": x.seed,
-                "lower_bound": lb, "bound_iters": bound_iters}
+        lb, _, _ = lagrangian_bound(x, iters=cell["bound_iters"])
+        return {**cell, "seed": x.seed, "lower_bound": lb}
 
     def load(self, path) -> TwoStageInstance:
         return load_instance(path)
 
-    def loss_config(self, config: dict, instances, rows, perturbation) -> learning.LossConfig:
+    def loss_config(self, instances, rows, perturbation, /) -> learning.LossConfig:
         pairs = [(x, row["lower_bound"]) for x, row in zip(instances, rows)]
         return experience_loss_config(pairs, perturbation)
 
-    def fyl_train(self, fyl_cfg: dict, instances, seed: int) -> model.WeightVector:
-        """Fenchel-Young imitation of the Lagrangian heuristic.
+    def fyl_train(self, instances, /, bound_iters: int = 500, **fyl) -> model.WeightVector:
+        """Fenchel-Young imitation of the Lagrangian heuristic (fyl: fyl_learn's settings).
 
         An instance's target is the heuristic's first stage plus its
         completion on the mean scenario costs, as an easy-layer incidence.
         """
-        bound_iters = int(fyl_cfg.get("bound_iters", 500))
         pairs = []
         for x in instances:
             _, duals, _ = lagrangian_bound(x, iters=bound_iters)
             first = lagrangian_heuristic(x, duals).first_stage
             second = frozenset(mst_constrained(x.graph, x.d.mean(axis=1), first)) - first
             pairs.append((x, incidence_vector(x, EasySolution(first, second))))
-        return learning.fyl_learn(
-            pairs,
-            argmin_vec=easy_incidence,
-            features_of=features,
-            epsilon=float(fyl_cfg.get("epsilon", 1.0)),
-            n_z=int(fyl_cfg.get("n_z", 20)),
-            steps=int(fyl_cfg.get("steps", 500)),
-            rate=float(fyl_cfg.get("rate", 0.05)),
-            box_radius=float(fyl_cfg.get("box_radius", 10.0)),
-            seed=seed,
-        )
+        return learning.fyl_learn(pairs, argmin_vec=easy_incidence, features_of=features, **fyl)
 
-    def algorithm(self, entry: dict):
-        """The cost one eval algorithm reaches, as a function of the instance."""
-        kind = entry["kind"]
-        if kind == "approx_baseline":
-            return lambda x: evaluate_solution(x, approx_baseline(x))
-        if kind == "pipeline":
-            weights = model.load_weights(entry["weights"])
-            return lambda x: evaluate_solution(x, pipeline_solution(x, weights))
-        if kind == "lagrangian_heuristic":
-            iters = int(entry.get("iters", 500))
-            return lambda x: evaluate_solution(
-                x, lagrangian_heuristic(x, lagrangian_bound(x, iters=iters)[1])
-            )
-        raise ValueError(f"unknown two_stage algorithm kind {kind!r}")
+    def algorithms(self) -> dict:
+        """Each eval kind's factory, then the library functions it passes keys on to."""
+        return {
+            "approx_baseline": (self._approx_baseline,),
+            "pipeline": (self._pipeline,),
+            "lagrangian_heuristic": (self._lagrangian_heuristic, lagrangian_bound),
+        }
+
+    def _approx_baseline(self):
+        return lambda x: evaluate_solution(x, approx_baseline(x))
+
+    def _pipeline(self, weights: str):
+        w = model.load_weights(weights)
+        return lambda x: evaluate_solution(x, pipeline_solution(x, w))
+
+    def _lagrangian_heuristic(self, **bound):
+        return lambda x: evaluate_solution(
+            x, lagrangian_heuristic(x, lagrangian_bound(x, **bound)[1])
+        )
 
     def reference(self, x: TwoStageInstance, row: dict, costs) -> float:
         return float(row["lower_bound"])

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import shutil
 
 import pytest
 
@@ -114,7 +115,7 @@ def test_train_eval_round_trip(two_stage_dataset, tmp_path):
     assert len(body) == 2 * 2  # instances x algorithms
     for r in body:
         assert float(r[4]) >= 0.0  # cost never beats the lower bound
-        assert r[5] == "0.0"  # deterministic placeholder without --timings
+        assert r[5] == "0.0"  # deterministic placeholder; wall times go to timings.json
     # aggregates: one avg and one max row per bucket (width=3, all) and algorithm
     assert len(aggr) == 2 * 2 * 2
     assert (edir / "timings.json").exists()
@@ -298,32 +299,83 @@ def test_cli_error_exits(tmp_path, capsys):
     assert main(["train", "--config", tr, "--out", str(tmp_path / "o4")]) == 1
     err = capsys.readouterr().err
     assert "'schedule'" in err and "two_stage, scheduling" in err
-
-
-def test_threads_flag_matches_serial(two_stage_dataset, tmp_path):
-    base, ds = two_stage_dataset
-    cfg = _write(
-        base / "train_t.json",
-        {
-            "application": "two_stage",
-            "dataset": str(ds),
-            "learner": {"budget": 30, "seeds": [0]},
-        },
-    )
-    w1, w2 = tmp_path / "w1", tmp_path / "w2"
-    assert main(["train", "--config", cfg, "--out", str(w1), "--threads", "1"]) == 0
-    assert main(["train", "--config", cfg, "--out", str(w2), "--threads", "4"]) == 0
-    assert (w1 / "weights.json").read_bytes() == (w2 / "weights.json").read_bytes()
-
-
-def test_train_rejects_unknown_learner_key(two_stage_dataset, tmp_path, capsys):
-    base, ds = two_stage_dataset
-    cfg = _write(
-        base / "train_typo.json",
-        {"application": "two_stage", "dataset": str(ds), "learner": {"bugdet": 50, "seeds": [0]}},
-    )
-    wdir = tmp_path / "w"
-    assert main(["train", "--config", cfg, "--out", str(wdir)]) == 1
+    # a manifest row without its file, or a two-stage row without its lower
+    # bound, is named with its manifest
+    row = manifest["instances"][0]
+    no_file = {k: v for k, v in row.items() if k != "file"}
+    (ds / "manifest.json").write_text(json.dumps({**manifest, "instances": [no_file]}))
+    assert main(["eval", "--config", ev, "--out", str(tmp_path / "o5")]) == 1
     err = capsys.readouterr().err
-    assert "'bugdet'" in err and "did you mean 'budget'" in err
-    assert not (wdir / "weights.json").exists()
+    assert f"instance {row['id']!r}" in err and str(ds / "manifest.json") in err
+    ts = tmp_path / "ts"
+    ts_gen = _write(tmp_path / "ts_gen.json", {"application": "two_stage", "widths": [2], "K": [5],
+                                               "scenarios": [1], "per_cell": 1, "seed": 0,
+                                               "bound_iters": 5})
+    assert main(["generate", "--config", ts_gen, "--out", str(ts)]) == 0
+    manifest = json.loads((ts / "manifest.json").read_text())
+    row = manifest["instances"][0]
+    del row["lower_bound"]
+    (ts / "manifest.json").write_text(json.dumps(manifest))
+    tr = _write(tmp_path / "tr_ts.json", {"dataset": str(ts), "learner": {"budget": 5, "seeds": [0]}})
+    assert main(["train", "--config", tr, "--out", str(tmp_path / "o6")]) == 1
+    err = capsys.readouterr().err
+    assert f"instance {row['id']!r}" in err and "'lower_bound'" in err
+
+
+def _typo_case(block, two_stage_dataset, tmp_path):
+    """(argv, output directory, typo, nearest valid key) of one misspelled key in `block`."""
+    base, ds = two_stage_dataset
+    weights = tmp_path / "w" / "weights.json"
+    if block in ("eval", "eval_entry"):
+        train = _write(base / "t.json", {"dataset": str(ds), "learner": {"budget": 5, "seeds": [0]}})
+        assert main(["train", "--config", train, "--out", str(weights.parent)]) == 0
+    train = {"application": "two_stage", "dataset": str(ds)}
+    entries = [{"name": "pipeline", "kind": "pipeline", "weights": str(weights)}]
+    configs = {
+        "generate": ("generate", {"application": "two_stage", "widths": [3], "K": [10],
+                                  "scenarios": [2], "per_cell": 1, "seed": 0, "bound_iter": 5},
+                     "bound_iter", "bound_iters"),
+        "train": ("train", {**train, "methd": "fyl"}, "methd", "method"),
+        "learner": ("train", {**train, "learner": {"bugdet": 50, "seeds": [0]}}, "bugdet", "budget"),
+        "perturbation": ("train", {**train, "perturbation": {"sigma": 0.5, "nsample": 3}},
+                         "nsample", "nsamples"),
+        "fyl": ("train", {**train, "method": "fyl", "fyl": {"epsilom": 0.5}}, "epsilom", "epsilon"),
+        "eval": ("eval", {"dataset": str(ds), "algorithms": entries, "aplication": "two_stage"},
+                 "aplication", "application"),
+        "eval_entry": ("eval", {"dataset": str(ds), "algorithms": [
+            *entries, {"name": "lagr", "kind": "lagrangian_heuristic", "iter": 5}]}, "iter", "iters"),
+        "bounds": ("bounds", {"M": 10.0, "d": 34, "n": [100, 400], "sigm": 0.5}, "sigm", "sigma"),
+    }
+    command, config, typo, nearest = configs[block]
+    out = tmp_path / "out"
+    argv = [command, "--config", _write(tmp_path / f"{block}.json", config), "--out", str(out)]
+    return argv, out, typo, nearest
+
+
+@pytest.mark.parametrize(
+    "block",
+    ["generate", "train", "learner", "perturbation", "fyl", "eval", "eval_entry", "bounds"],
+)
+def test_config_typo_exits_before_writing(block, two_stage_dataset, tmp_path, capsys):
+    argv, out, typo, nearest = _typo_case(block, two_stage_dataset, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{typo!r}" in err and f"did you mean {nearest!r}" in err
+    assert not out.exists() or not any(out.rglob("*"))
+
+
+def test_fyl_config_hash_ignores_the_dataset_path(two_stage_dataset, tmp_path):
+    base, ds = two_stage_dataset
+    copy = tmp_path / "copy"
+    shutil.copytree(ds, copy)
+    fyl = {"epsilon": 1.0, "n_z": 3, "steps": 10, "bound_iters": 20}
+    reports = []
+    for name, data, seed in (("a", ds, []), ("b", copy, []), ("c", copy, ["--seed", "1"])):
+        cfg = _write(base / f"fyl_{name}.json", {"dataset": str(data), "method": "fyl", "fyl": fyl})
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / name), *seed]) == 0
+        reports.append((tmp_path / name / "report.json").read_bytes())
+    # same data and settings, two directories: one fingerprint
+    assert reports[0] == reports[1]
+    # the seed actually used is part of it
+    assert json.loads(reports[2])["config_hash"] != json.loads(reports[1])["config_hash"]

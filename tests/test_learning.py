@@ -90,7 +90,6 @@ def test_empirical_risk_mean_and_determinism():
     w = np.array([0.1, 0.2])
     want = np.mean([loss(x, w, cfg) for x in xs])
     assert empirical_risk(xs, w, cfg) == pytest.approx(want, rel=1e-12)
-    assert empirical_risk(xs, w, cfg, threads=3) == empirical_risk(xs, w, cfg)
     assert empirical_risk([xs[0], xs[0]], w, cfg) == loss(xs[0], w, cfg)
     with pytest.raises(ValueError):
         empirical_risk([], w, cfg)
@@ -98,7 +97,7 @@ def test_empirical_risk_mean_and_determinism():
 
 def test_parallel_map_preserves_order():
     items = list(range(20))
-    assert parallel_map(lambda v: v * v, items, threads=4) == [v * v for v in items]
+    assert parallel_map(lambda v: v * v, items) == [v * v for v in items]
 
 
 def test_loss_piecewise_constant_along_segments():
