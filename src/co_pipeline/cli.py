@@ -96,29 +96,34 @@ def _cmd_train(app, manifest: dict, out: Path, seed_override, /, dataset: str,
                learner: dict | None = None, perturbation: dict | None = None,
                fyl: dict | None = None, **loss_keys) -> int:
     instances = _instances(app, manifest, dataset, application)
-    learner = model._read_config("learner", learner or {}, learning.LearnerConfig)
-    fyl = model._read_config("fyl", fyl or {}, app.fyl_train, learning.fyl_learn,
-                             skip=("pairs", "argmin_vec", "features_of"))
-    if seed_override is not None:
-        learner["seeds"] = (int(seed_override),)
-        fyl["seed"] = int(seed_override)
-    pert = None
-    if perturbation:
-        pert = model.PerturbationConfig(
-            **model._read_config("perturbation", perturbation, model.PerturbationConfig)
-        )
+    unread = {"experience": {"fyl": fyl}, "fyl": {"learner": learner, "perturbation": perturbation}}
+    if method not in unread:
+        raise ValueError(f"unknown training method {method!r}")
+    for block, value in unread[method].items():
+        if value is not None:
+            raise ValueError(f"training method {method!r} does not read the {block!r} block")
 
     if method == "experience":
+        learner = model._read_config("learner", learner or {}, learning.LearnerConfig)
+        if seed_override is not None:
+            learner["seeds"] = (int(seed_override),)
+        pert = None
+        if perturbation:
+            pert = model.PerturbationConfig(
+                **model._read_config("perturbation", perturbation, model.PerturbationConfig)
+            )
         loss_cfg = app.loss_config(instances, manifest["instances"], pert, **loss_keys)
         weights, report = learning.learn_by_experience(
             instances, learning.LearnerConfig(**learner), loss_cfg
         )
-    elif method == "fyl":
+    else:
+        fyl = model._read_config("fyl", fyl or {}, app.fyl_train, learning.fyl_learn,
+                                 skip=("pairs", "argmin_vec", "features_of"))
+        if seed_override is not None:
+            fyl["seed"] = int(seed_override)
         weights = app.fyl_train(instances, **fyl)
         report = {"per_seed": [], "best_w": [float(v) for v in weights.w],
                   "config_hash": learning.config_hash(fyl)}
-    else:
-        raise ValueError(f"unknown training method {method!r}")
 
     out.mkdir(parents=True, exist_ok=True)
     model.save_weights(out / "weights.json", weights)
@@ -265,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to a JSON config")
         cmd.add_argument("--out", default=None, help="output directory")
-        cmd.add_argument("--seed", type=int, default=None, help="master seed override")
+        if name in ("generate", "train"):
+            cmd.add_argument("--seed", type=int, default=None, help="master seed override")
         if name == "bounds":
             cmd.add_argument("--json", action="store_true", help="print JSON to stdout")
     return parser

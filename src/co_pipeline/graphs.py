@@ -108,25 +108,28 @@ def _check_weights(graph: Graph, weights) -> np.ndarray:
     return w
 
 
+def _kruskal(graph: Graph, w: np.ndarray, uf: UnionFind, tree: list) -> frozenset[int]:
+    """Extend the forest `tree` (already merged in uf) to a spanning tree by
+    adding edges in (weight, edge id) order; stops at |V| - 1 edges."""
+    size = graph.num_vertices - 1
+    for eid in np.argsort(w, kind="stable"):
+        u, v = graph.edges[eid]
+        if uf.union(u, v):
+            tree.append(int(eid))
+            if len(tree) == size:
+                break
+    if len(tree) != size:
+        raise ValueError("edge set is not spanning")
+    return frozenset(tree)
+
+
 def mst_kruskal(graph: Graph, weights) -> frozenset[int]:
     """Minimum spanning tree (set of edge ids) by Kruskal's algorithm.
 
     Ties are broken by ascending edge id (stable sort on weight), so the
     returned tree is unique given (graph, weights).
     """
-    w = _check_weights(graph, weights)
-    order = np.argsort(w, kind="stable")
-    uf = UnionFind(graph.num_vertices)
-    tree = []
-    for eid in order:
-        u, v = graph.edges[eid]
-        if uf.union(u, v):
-            tree.append(int(eid))
-            if len(tree) == graph.num_vertices - 1:
-                break
-    if len(tree) != graph.num_vertices - 1:
-        raise ValueError("edge set is not spanning")
-    return frozenset(tree)
+    return _kruskal(graph, _check_weights(graph, weights), UnionFind(graph.num_vertices), [])
 
 
 def mst_constrained(graph: Graph, weights, forced) -> frozenset[int]:
@@ -139,22 +142,13 @@ def mst_constrained(graph: Graph, weights, forced) -> frozenset[int]:
     w = _check_weights(graph, weights)
     forced = sorted(int(e) for e in forced)
     uf = UnionFind(graph.num_vertices)
-    tree = []
     for eid in forced:
         if not (0 <= eid < graph.num_edges):
             raise ValueError(f"forced edge id {eid} out of range")
         u, v = graph.edges[eid]
         if not uf.union(u, v):
             raise ValueError("forced edges contain a cycle")
-        tree.append(eid)
-    order = np.argsort(w, kind="stable")
-    for eid in order:
-        u, v = graph.edges[eid]
-        if uf.union(u, v):
-            tree.append(int(eid))
-    if len(tree) != graph.num_vertices - 1:
-        raise ValueError("edge set is not spanning")
-    return frozenset(tree)
+    return _kruskal(graph, w, uf, forced)
 
 
 def enumerate_spanning_trees(graph: Graph) -> list[frozenset[int]]:

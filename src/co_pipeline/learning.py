@@ -131,12 +131,12 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _potentially_optimal(sizes: np.ndarray, values: np.ndarray, eps: float) -> list[int]:
+def _potentially_optimal(sizes: np.ndarray, values: np.ndarray) -> list[int]:
     """Indices on the lower-right convex hull of (size, value) points.
 
     A point k qualifies if some Lipschitz constant K >= 0 makes its bound
     value_k - K*size_k minimal and improves the incumbent by at least
-    eps*|f_min| (the classic potential-optimality test).
+    1e-4*|f_min| (the classic potential-optimality test).
     """
     fmin = values.min()
     selected = []
@@ -156,13 +156,13 @@ def _potentially_optimal(sizes: np.ndarray, values: np.ndarray, eps: float) -> l
                 break
         if dominated or k_lo > k_hi * (1 + 1e-12) + 1e-15:
             continue
-        if np.isfinite(k_hi) and values[k] - k_hi * sizes[k] > fmin - eps * abs(fmin):
+        if np.isfinite(k_hi) and values[k] - k_hi * sizes[k] > fmin - 1e-4 * abs(fmin):
             continue
         selected.append(k)
     return selected
 
 
-def direct_minimize(objective, bounds, budget: int, seed: int = 0, eps: float = 1e-4):
+def direct_minimize(objective, bounds, budget: int, seed: int = 0):
     """Global minimization of a black box over a box by DIRECT.
 
     Deterministic given the seed: the unit cube is trisected along
@@ -255,7 +255,7 @@ def direct_minimize(objective, bounds, budget: int, seed: int = 0, eps: float = 
                     rng.shuffle(ties)
                 class_values[pos] = vmin
                 class_rects.append(ties)
-            for pos in _potentially_optimal(sizes, class_values, eps):
+            for pos in _potentially_optimal(sizes, class_values):
                 for idx in class_rects[pos]:
                     divide(idx)
     except _BudgetExhausted:
@@ -384,9 +384,10 @@ class BoundParams:
     """Constants entering the excess-risk bound and the sigma_n schedule.
 
     M and d describe the weight box, sigma the training perturbation, n
-    the sample count, delta the confidence level; a, b and beta bound the
-    loss by a + b*||theta||_inf^beta, kappa_phi bounds feature row norms
-    and expectation_term is E[d(x)^(1/beta) / u(x)].
+    the sample count, delta the confidence level; b is the slope of the
+    loss growth in ||theta||_inf, kappa_phi bounds feature row norms and
+    expectation_term is E[d(x) / u(x)].  sigma_n reads b, kappa_phi and
+    expectation_term; excess_risk_bound reads sigma and delta.
     """
 
     M: float
@@ -394,9 +395,7 @@ class BoundParams:
     sigma: float = 1.0
     n: int = 1
     delta: float = 0.05
-    a: float = 0.0
     b: float = 1.0
-    beta: int = 1
     kappa_phi: float = 1.0
     expectation_term: float = 1.0
 
@@ -409,8 +408,6 @@ class BoundParams:
             raise ValueError("sigma must be >= 0")
         if self.b <= 0 or self.kappa_phi <= 0 or self.expectation_term <= 0:
             raise ValueError("b, kappa_phi and expectation_term must be positive")
-        if self.beta not in (1, 2):
-            raise ValueError("beta must be 1 or 2")
 
 
 def constant_C() -> float:

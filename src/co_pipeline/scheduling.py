@@ -49,9 +49,13 @@ SCHED_FEATURE_DIM = 11
 BRUTE_FORCE_JOB_LIMIT = 9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchedInstance:
-    """Jobs with processing times p >= 1 and release dates r >= 0."""
+    """Jobs with processing times p >= 1 and release dates r >= 0.
+
+    Instances compare and hash by identity, so per-instance caches can key
+    on the instance itself.
+    """
 
     p: np.ndarray
     r: np.ndarray
@@ -102,6 +106,11 @@ def _totals(p_ord: np.ndarray, r_ord: np.ndarray) -> np.ndarray:
     # C_k = P_k + max_{t<=k} (r_t - P_{t-1}) with P the prefix sums of p.
     pref = np.cumsum(p_ord)
     return pref + np.maximum.accumulate(r_ord - (pref - p_ord))
+
+
+def _total(x: SchedInstance, order: np.ndarray) -> float:
+    """Total completion time of a permutation known to be valid."""
+    return float(_totals(x.p[order], x.r[order]).sum())
 
 
 def evaluate_schedule(x: SchedInstance, order):
@@ -226,15 +235,14 @@ def local_search(x: SchedInstance, order) -> np.ndarray:
     optimum, so the total never increases.
     """
     order = _check_permutation(x, order).copy()
-    p, r = x.p, x.r
-    total = float(_totals(p[order], r[order]).sum())
+    total = _total(x, order)
     n = x.n
     while True:
         improved = False
         for i in range(n - 1):
             cand = order.copy()
             cand[i], cand[i + 1] = cand[i + 1], cand[i]
-            cand_total = float(_totals(p[cand], r[cand]).sum())
+            cand_total = _total(x, cand)
             if cand_total < total:
                 order, total = cand, cand_total
                 improved = True
@@ -248,7 +256,7 @@ def local_search(x: SchedInstance, order) -> np.ndarray:
                 if k == i:
                     continue
                 cand = np.insert(rest, k, job)
-                cand_total = float(_totals(p[cand], r[cand]).sum())
+                cand_total = _total(x, cand)
                 if cand_total < total:
                     order, total = cand, cand_total
                     improved = True
@@ -259,25 +267,17 @@ def local_search(x: SchedInstance, order) -> np.ndarray:
             return order
 
 
-def _sort_and_search(x: SchedInstance, theta: np.ndarray, post: str) -> np.ndarray:
-    """SPT order on theta, then local search when post is 'ls'."""
-    order = spt_layer(theta)
-    return local_search(x, order) if post == "ls" else order
-
-
 def _check_post(post: str) -> None:
     if post not in ("none", "ls"):
         raise ValueError("post must be 'none' or 'ls'")
 
 
-def pipeline_order(
-    x: SchedInstance, w, post: str = "none", phi: FeatureMatrix | None = None
-) -> np.ndarray:
-    """Pipeline at weights w: features -> theta -> SPT order -> post-processing."""
+def pipeline_order(x: SchedInstance, w, post: str = "none") -> np.ndarray:
+    """Pipeline at weights w: features -> theta -> SPT order -> post-processing
+    (local search when post is 'ls')."""
     _check_post(post)
-    if phi is None:
-        phi = features(x)
-    return _sort_and_search(x, phi.values @ _as_weight_array(w), post)
+    order = spt_layer(features(x).values @ _as_weight_array(w))
+    return local_search(x, order) if post == "ls" else order
 
 
 def perturbed_decode(
@@ -286,11 +286,11 @@ def perturbed_decode(
     sigma: float = 1.0,
     nsamples: int = 150,
     seed: int = 0,
-    post: str = "ls",
 ) -> np.ndarray:
     """Best schedule over the pipeline at w and at nsamples perturbed copies.
 
-    Sample 0 is the unperturbed w, samples 1..nsamples use w + sigma*Z_k
+    Each sample's theta, from features computed once, is decoded by SPT
+    order then local search.  Sample 0 is the unperturbed w, samples 1..nsamples use w + sigma*Z_k
     with a seed-fixed Gaussian matrix (prefixes are nested, so enlarging
     nsamples can only improve the result).  The winner is the
     deterministic (cost, sample index) minimum.
@@ -299,13 +299,12 @@ def perturbed_decode(
         raise ValueError("sigma must be >= 0")
     if nsamples < 0:
         raise ValueError("nsamples must be >= 0")
-    _check_post(post)
     w = _as_weight_array(w)
     phi = features(x)
 
     def run(weights):
-        order = _sort_and_search(x, phi.values @ weights, post)
-        return float(_totals(x.p[order], x.r[order]).sum()), order
+        order = local_search(x, spt_layer(phi.values @ weights))
+        return _total(x, order), order
 
     best_cost, best_order = run(w)
     if sigma > 0 and nsamples > 0:
@@ -408,27 +407,24 @@ def experience_loss_config(
     The normalizer keeps instances of different sizes on one scale (the
     worst total grows quadratically in n).  Features are computed once
     per instance and local-search results are memoized by starting order.
-    The caches are keyed by id(x) and hold x itself, so no other instance
-    can take over that id while the loss is alive.
+    The caches are keyed by the instance, which hashes by identity and
+    stays alive as long as the loss does.
     """
     _check_post(post)
-    feats: dict[int, tuple[SchedInstance, np.ndarray]] = {}
-    searched: dict[tuple[int, tuple], float] = {}
+    feats: dict[SchedInstance, np.ndarray] = {}
+    searched: dict[tuple[SchedInstance, tuple], float] = {}
 
     def pipeline_cost(x: SchedInstance, w: np.ndarray) -> float:
-        entry = feats.get(id(x))
-        if entry is None:
-            entry = feats.setdefault(id(x), (x, features(x).values))
-        order = spt_layer(entry[1] @ w)
+        phi = feats.get(x)
+        if phi is None:
+            phi = feats.setdefault(x, features(x).values)
+        order = spt_layer(phi @ w)
         if post == "none":
-            return float(_totals(x.p[order], x.r[order]).sum())
-        key = (id(x), tuple(order.tolist()))
+            return _total(x, order)
+        key = (x, tuple(order.tolist()))
         cost = searched.get(key)
         if cost is None:
-            improved = local_search(x, order)
-            cost = searched.setdefault(
-                key, float(_totals(x.p[improved], x.r[improved]).sum())
-            )
+            cost = searched.setdefault(key, _total(x, local_search(x, order)))
         return cost
 
     def normalize(x: SchedInstance, cost: float) -> float:
@@ -453,7 +449,7 @@ class SchedulingApplication:
     bucket_key = "n"
     row_keys = ()
     # arguments of perturbed_decode that are not eval entry keys
-    entry_skip = ("x", "w", "post")
+    entry_skip = ("x", "w")
 
     def cells(self, n, rho) -> list:
         """The manifest fields of each (n, rho) cell."""
@@ -496,7 +492,7 @@ class SchedulingApplication:
 
     def _pipeline_pert_ls(self, weights: str, **decode):
         w = model.load_weights(weights)
-        return lambda x: evaluate_schedule(x, perturbed_decode(x, w, post="ls", **decode))[0]
+        return lambda x: evaluate_schedule(x, perturbed_decode(x, w, **decode))[0]
 
     def _brute_force(self):
         return lambda x: brute_force_schedule(x)[0]

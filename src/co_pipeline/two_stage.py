@@ -31,7 +31,6 @@ __all__ = [
     "TwoStageSolution",
     "EasySolution",
     "ThetaVector",
-    "SubgradientConfig",
     "TWO_STAGE_FEATURE_DIM",
     "BRUTE_FORCE_EDGE_LIMIT",
     "evaluate_solution",
@@ -73,12 +72,13 @@ _COL_QBF = slice(24, 29)    # ... restricted to scenarios where first stage is c
 _COL_QBS = slice(29, 34)    # ... restricted to scenarios where second stage is cheaper
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoStageInstance:
     """Grid (or arbitrary connected) graph with first/second-stage costs.
 
     c has one entry per edge, d one row per edge and one column per
-    scenario; all costs are <= 0.
+    scenario; all costs are <= 0.  Instances compare and hash by identity,
+    so per-instance caches can key on the instance itself.
     """
 
     graph: Graph
@@ -315,15 +315,6 @@ def features(x: TwoStageInstance, standardize: bool = True) -> FeatureMatrix:
     return FeatureMatrix(values=mat, kappa_phi=kappa)
 
 
-@dataclass(frozen=True)
-class SubgradientConfig:
-    """Polyak-style step s0*|best|/(||g||^2 + eps); s0 halves after a stall."""
-
-    s0: float = 1.0
-    halve_after: int = 50
-    eps: float = 1e-12
-
-
 def _scenario_subproblems(x: TwoStageInstance, lam: np.ndarray):
     """Per-scenario relaxed MSTs at multipliers lam; value and stage picks."""
     value = 0.0
@@ -338,27 +329,26 @@ def _scenario_subproblems(x: TwoStageInstance, lam: np.ndarray):
     return value / x.num_scenarios, ybar
 
 
-def lagrangian_bound(
-    x: TwoStageInstance,
-    iters: int = 500,
-    step_cfg: SubgradientConfig | None = None,
-):
+def lagrangian_bound(x: TwoStageInstance, iters: int = 500):
     """Lower bound by relaxing nonanticipativity of the first stage.
 
     Scenario copies of the first-stage choice are priced by multipliers
     lam with zero mean across scenarios per edge; each L(lam) is a sum of
     independent per-scenario MSTs on min(c_e + lam_es, d_es) and bounds
-    the optimum from below.  Projected subgradient ascent from lam = 0.
+    the optimum from below.  Projected subgradient ascent from lam = 0
+    with the Polyak-style step s0*|best|/(||g||^2 + 1e-12) along the
+    subgradient g (|best| taken as 1 while best is 0): s0 starts at 1.0
+    and halves after 50 iterations without a better bound, and the ascent
+    stops early once ||g||^2 <= 1e-12.
 
     Returns (best bound, final multipliers, best-so-far trace).
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    cfg = step_cfg or SubgradientConfig()
     lam = np.zeros((x.num_edges, x.num_scenarios))
     best = -np.inf
     trace = []
-    s0 = cfg.s0
+    s0 = 1.0
     stall = 0
     for _ in range(iters):
         value, ybar = _scenario_subproblems(x, lam)
@@ -367,16 +357,16 @@ def lagrangian_bound(
             stall = 0
         else:
             stall += 1
-            if stall >= cfg.halve_after:
+            if stall >= 50:
                 s0 /= 2.0
                 stall = 0
         trace.append(best)
         g = ybar - ybar.mean(axis=1, keepdims=True)
         g_sq = float((g * g).sum())
-        if g_sq <= cfg.eps:
+        if g_sq <= 1e-12:
             break  # consensus across scenarios: no ascent direction left
         scale = abs(best) if best != 0.0 else 1.0
-        lam = lam + (s0 * scale / (g_sq + cfg.eps)) * g
+        lam = lam + (s0 * scale / (g_sq + 1e-12)) * g
         lam -= lam.mean(axis=1, keepdims=True)
     return best, lam, trace
 
@@ -489,11 +479,9 @@ def load_instance(path) -> TwoStageInstance:
     )
 
 
-def pipeline_solution(x: TwoStageInstance, w, phi: FeatureMatrix | None = None):
+def pipeline_solution(x: TwoStageInstance, w):
     """Full pipeline at weights w: features -> theta -> easy layer -> decode."""
-    if phi is None:
-        phi = features(x)
-    theta = phi.values @ _as_weight_array(w)
+    theta = features(x).values @ _as_weight_array(w)
     return decode(x, easy_layer(x, ThetaVector.from_array(theta, x.num_edges)))
 
 
@@ -506,27 +494,26 @@ def experience_loss_config(
     (cost - LB) / max(1, |LB|) so instances of different sizes are
     comparable.  Features are computed once per instance and decoded
     candidates are cached by first-stage set, which keeps the black-box
-    evaluations cheap.  The caches are keyed by id(x) and hold x itself,
-    so no other instance can take over that id while the loss is alive.
+    evaluations cheap.  The caches are keyed by the instance, which hashes
+    by identity and stays alive as long as the loss does.
     """
-    lower = {id(x): (x, float(lb)) for x, lb in pairs}
-    feats: dict[int, tuple[TwoStageInstance, np.ndarray]] = {}
-    decoded: dict[tuple[int, frozenset[int]], float] = {}
+    lower = {x: float(lb) for x, lb in pairs}
+    feats: dict[TwoStageInstance, np.ndarray] = {}
+    decoded: dict[tuple[TwoStageInstance, frozenset[int]], float] = {}
 
     def pipeline_cost(x: TwoStageInstance, w: np.ndarray) -> float:
-        entry = feats.get(id(x))
-        if entry is None:
-            entry = feats.setdefault(id(x), (x, features(x).values))
-        theta = entry[1] @ w
-        y = easy_layer(x, ThetaVector.from_array(theta, x.num_edges))
-        key = (id(x), y.first_stage)
+        phi = feats.get(x)
+        if phi is None:
+            phi = feats.setdefault(x, features(x).values)
+        y = easy_layer(x, ThetaVector.from_array(phi @ w, x.num_edges))
+        key = (x, y.first_stage)
         cost = decoded.get(key)
         if cost is None:
             cost = decoded.setdefault(key, evaluate_solution(x, decode(x, y)))
         return cost
 
     def normalize(x: TwoStageInstance, cost: float) -> float:
-        lb = lower[id(x)][1]
+        lb = lower[x]
         return (cost - lb) / max(1.0, abs(lb))
 
     return learning.LossConfig(
@@ -548,7 +535,7 @@ class TwoStageApplication:
     bucket_key = "width"
     row_keys = ("lower_bound",)
     # arguments of lagrangian_bound that are not eval entry keys
-    entry_skip = ("x", "step_cfg")
+    entry_skip = ("x",)
 
     def cells(self, widths, K, scenarios, bound_iters: int = 500) -> list:
         """The manifest fields of each cell: its (width, K, scenarios) and the

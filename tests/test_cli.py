@@ -320,6 +320,20 @@ def test_cli_error_exits(tmp_path, capsys):
     assert main(["train", "--config", tr, "--out", str(tmp_path / "o6")]) == 1
     err = capsys.readouterr().err
     assert f"instance {row['id']!r}" in err and "'lower_bound'" in err
+    # a block the training method never reads is named with the method
+    ok = tmp_path / "ok"
+    assert main(["generate", "--config", ts_gen, "--out", str(ok)]) == 0
+    for method, block in (("experience", "fyl"), ("fyl", "learner"), ("fyl", "perturbation")):
+        tr = _write(tmp_path / "tr_block.json", {"dataset": str(ok), "method": method, block: {}})
+        assert main(["train", "--config", tr, "--out", str(tmp_path / "o7")]) == 1
+        err = capsys.readouterr().err
+        assert f"{method!r}" in err and f"{block!r}" in err
+    assert not (tmp_path / "o7").exists()
+    # --seed exists on generate and train only
+    for command in ("eval", "bounds"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", ev, "--seed", "5"])
+        assert exc.value.code == 2
 
 
 def _typo_case(block, two_stage_dataset, tmp_path):
@@ -345,6 +359,8 @@ def _typo_case(block, two_stage_dataset, tmp_path):
         "eval_entry": ("eval", {"dataset": str(ds), "algorithms": [
             *entries, {"name": "lagr", "kind": "lagrangian_heuristic", "iter": 5}]}, "iter", "iters"),
         "bounds": ("bounds", {"M": 10.0, "d": 34, "n": [100, 400], "sigm": 0.5}, "sigm", "sigma"),
+        # beta moves no bound, so it is not a bounds key
+        "bounds_beta": ("bounds", {"M": 10.0, "d": 34, "beta": 2}, "beta", "delta"),
     }
     command, config, typo, nearest = configs[block]
     out = tmp_path / "out"
@@ -354,7 +370,8 @@ def _typo_case(block, two_stage_dataset, tmp_path):
 
 @pytest.mark.parametrize(
     "block",
-    ["generate", "train", "learner", "perturbation", "fyl", "eval", "eval_entry", "bounds"],
+    ["generate", "train", "learner", "perturbation", "fyl", "eval", "eval_entry", "bounds",
+     "bounds_beta"],
 )
 def test_config_typo_exits_before_writing(block, two_stage_dataset, tmp_path, capsys):
     argv, out, typo, nearest = _typo_case(block, two_stage_dataset, tmp_path)

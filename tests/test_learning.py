@@ -392,8 +392,6 @@ def test_bound_params_validation():
     with pytest.raises(ValueError):
         BoundParams(M=1.0, d=2, delta=2.0)
     with pytest.raises(ValueError):
-        BoundParams(M=1.0, d=2, beta=3)
-    with pytest.raises(ValueError):
         excess_risk_bound(BoundParams(M=1.0, d=2, sigma=0.0))
 
 
