@@ -39,12 +39,22 @@ def _application(name):
     return _APPLICATIONS[name]
 
 
+def _nonempty(block: str, **lists) -> None:
+    """Reject an empty list, naming its key: a stage run over nothing is a mistake."""
+    for key, value in lists.items():
+        if isinstance(value, list) and not value:
+            raise ValueError(f"{block} key {key!r} is an empty list")
+
+
 # ---------------------------------------------------------------------------
 # generate
 
 
 def _cmd_generate(app, config: dict, out: Path, seed_override, /, application: str, seed: int,
                   per_cell: int, **axes) -> int:
+    _nonempty("generate", **axes)
+    if per_cell < 1:
+        raise ValueError("generate key 'per_cell' must be >= 1")
     master_seed = seed if seed_override is None else int(seed_override)
     cells = app.cells(**axes)
     inst_dir = out / "instances"
@@ -149,9 +159,10 @@ def _runner(factory, /, name: str, kind: str, **keys):
 
 def _cmd_eval(app, manifest: dict, out: Path, /, dataset: str, algorithms: list,
               application: str | None = None) -> int:
+    _nonempty("eval", algorithms=algorithms)
     instances = _instances(app, manifest, dataset, application)
     kinds = app.algorithms()
-    runners = []
+    runners = {}
     for entry in algorithms:
         kind = entry.get("kind")
         if kind not in kinds:
@@ -159,14 +170,17 @@ def _cmd_eval(app, manifest: dict, out: Path, /, dataset: str, algorithms: list,
         factory, *passed_on = kinds[kind]
         keys = model._read_config(f"{kind} entry", entry, _runner, factory, *passed_on,
                                   skip=app.entry_skip)
-        runners.append(_runner(factory, **keys))
+        name, run = _runner(factory, **keys)
+        if name in runners:
+            raise ValueError(f"two eval algorithms are named {name!r}")
+        runners[name] = run
     out.mkdir(parents=True, exist_ok=True)
 
     rows = manifest["instances"]
     # cost[name][i]; measured wall times go to the timings.json sidecar
     costs: dict[str, list[float]] = {}
     walls: dict[str, list[float]] = {}
-    for name, run in runners:
+    for name, run in runners.items():
         def timed(x):
             start = time.perf_counter()
             cost = float(run(x))
@@ -177,7 +191,7 @@ def _cmd_eval(app, manifest: dict, out: Path, /, dataset: str, algorithms: list,
         walls[name] = [t for _, t in results]
 
     references = [
-        app.reference(x, row, [costs[name][i] for name, _ in runners])
+        app.reference(x, row, [costs[name][i] for name in runners])
         for i, (x, row) in enumerate(zip(instances, rows))
     ]
 
@@ -186,9 +200,9 @@ def _cmd_eval(app, manifest: dict, out: Path, /, dataset: str, algorithms: list,
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["instance_id", "algorithm", "cost", "reference", "gap_pct", "time_s"])
-        gaps: dict[str, list[float]] = {name: [] for name, _ in runners}
+        gaps: dict[str, list[float]] = {name: [] for name in runners}
         for i, row in enumerate(rows):
-            for name, _ in runners:
+            for name in runners:
                 gap = _gap_pct(costs[name][i], references[i])
                 gaps[name].append(gap)
                 writer.writerow(
@@ -198,12 +212,12 @@ def _cmd_eval(app, manifest: dict, out: Path, /, dataset: str, algorithms: list,
         for bucket in [*sorted({row[bucket_key] for row in rows}), "all"]:
             idx = [i for i, row in enumerate(rows) if bucket == "all" or row[bucket_key] == bucket]
             label = f"{bucket_key}={bucket}" if bucket != "all" else "all"
-            for name, _ in runners:
+            for name in runners:
                 sel = [gaps[name][i] for i in idx]
                 for stat, agg in (("avg", np.mean), ("max", np.max)):
                     value = f"{float(agg(sel)):.6f}"
                     writer.writerow([f"delta_{stat}[{label}]", name, "", "", value, ""])
-    timings_out = {name: [round(t, 6) for t in walls[name]] for name, _ in runners}
+    timings_out = {name: [round(t, 6) for t in walls[name]] for name in runners}
     model._write_json(out / "timings.json", timings_out)
     print(f"wrote gap table -> {csv_path}")
     return 0
@@ -215,6 +229,7 @@ def _cmd_eval(app, manifest: dict, out: Path, /, dataset: str, algorithms: list,
 
 def _cmd_bounds(config: dict, out: Path | None, as_json: bool) -> int:
     # n may be a list of sample counts: one row per count
+    _nonempty("bounds", n=config.get("n"))
     grid = [{"n": n} for n in config["n"]] if isinstance(config.get("n"), list) else [{}]
     records = []
     for n in grid:

@@ -355,7 +355,7 @@ def fyl_learn(
         raise ValueError("epsilon must be >= 0")
     if n_z < 1 or steps < 0:
         raise ValueError("n_z must be >= 1 and steps >= 0")
-    phis = [np.asarray(features_of(x).values, dtype=float) for x, _ in pairs]
+    phis = [features_of(x) for x, _ in pairs]
     if not phis:
         raise ValueError("no training pairs")
     dim = phis[0].shape[1]

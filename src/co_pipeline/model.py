@@ -3,7 +3,9 @@
 The statistical model is linear: theta_i = <w, phi_i> for every decision
 dimension i of an instance, where phi_i is a fixed-length feature vector.
 The weight dimension therefore never depends on instance size, which is
-what lets one w generalize across instances.
+what lets one w generalize across instances.  Each application's
+features(x) returns Phi as a plain (rows, dim) array, and its pipeline
+computes theta = features(x) @ w.
 """
 
 from __future__ import annotations
@@ -16,41 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "FeatureMatrix",
     "WeightVector",
     "PerturbationConfig",
-    "predict_theta",
     "sample_gaussians",
     "save_weights",
     "load_weights",
 ]
-
-
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """Feature rows for one instance: one row per decision dimension.
-
-    kappa_phi is an upper bound on the 2-norm of every row, recorded at
-    feature time (it enters the theory constants).
-    """
-
-    values: np.ndarray
-    kappa_phi: float
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2:
-            raise ValueError("feature matrix must be 2-D")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("features must be finite")
-        object.__setattr__(self, "values", values)
-        row_norms = np.sqrt((values * values).sum(axis=1))
-        if row_norms.size and row_norms.max() > self.kappa_phi + 1e-9:
-            raise ValueError("kappa_phi does not bound the feature row norms")
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -152,16 +125,6 @@ def _write_json(path, payload) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def predict_theta(w, phi: FeatureMatrix) -> np.ndarray:
-    """theta = Phi w, one entry per feature row."""
-    wa = _as_weight_array(w)
-    if wa.shape[0] != phi.values.shape[1]:
-        raise ValueError(
-            f"weight dimension {wa.shape[0]} != feature dimension {phi.values.shape[1]}"
-        )
-    return phi.values @ wa
 
 
 def sample_gaussians(cfg: PerturbationConfig, dim: int) -> np.ndarray:

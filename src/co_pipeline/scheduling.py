@@ -20,9 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import learning, model
-from .model import (
-    FeatureMatrix, PerturbationConfig, _as_number, _as_weight_array, _read_json, _write_json,
-)
+from .model import PerturbationConfig, _as_number, _as_weight_array, _read_json, _write_json
 
 __all__ = [
     "SchedInstance",
@@ -197,8 +195,8 @@ def _group_mean(values: np.ndarray, group: np.ndarray) -> np.ndarray:
     return out
 
 
-def features(x: SchedInstance) -> FeatureMatrix:
-    """11 per-job features mixing raw data, ranks, and SRPT statistics.
+def features(x: SchedInstance) -> np.ndarray:
+    """(n, 11) per-job features mixing raw data, ranks, and SRPT statistics.
 
     All entries are normalized by instance quantities (max, sum, horizon),
     so no further standardization is applied.  SRPT statistics are averaged
@@ -209,7 +207,7 @@ def features(x: SchedInstance) -> FeatureMatrix:
     srpt = srpt_preemptive(x)
     horizon = srpt.completion.max()
     _, group = np.unique(np.column_stack([x.p, x.r]), axis=0, return_inverse=True)
-    cols = [
+    return np.column_stack([
         np.ones(x.n),
         x.p / x.p.max(),
         x.r / max(1.0, x.r.max()),
@@ -221,10 +219,7 @@ def features(x: SchedInstance) -> FeatureMatrix:
         _group_mean(srpt.preemptions.astype(float), group) / n,
         x.r / x.p.sum(),
         x.p / x.p.mean(),
-    ]
-    mat = np.column_stack(cols)
-    kappa = float(np.sqrt((mat * mat).sum(axis=1)).max())
-    return FeatureMatrix(values=mat, kappa_phi=kappa)
+    ])
 
 
 def local_search(x: SchedInstance, order) -> np.ndarray:
@@ -276,7 +271,7 @@ def pipeline_order(x: SchedInstance, w, post: str = "none") -> np.ndarray:
     """Pipeline at weights w: features -> theta -> SPT order -> post-processing
     (local search when post is 'ls')."""
     _check_post(post)
-    order = spt_layer(features(x).values @ _as_weight_array(w))
+    order = spt_layer(features(x) @ _as_weight_array(w))
     return local_search(x, order) if post == "ls" else order
 
 
@@ -303,7 +298,7 @@ def perturbed_decode(
     phi = features(x)
 
     def run(weights):
-        order = local_search(x, spt_layer(phi.values @ weights))
+        order = local_search(x, spt_layer(phi @ weights))
         return _total(x, order), order
 
     best_cost, best_order = run(w)
@@ -417,7 +412,7 @@ def experience_loss_config(
     def pipeline_cost(x: SchedInstance, w: np.ndarray) -> float:
         phi = feats.get(x)
         if phi is None:
-            phi = feats.setdefault(x, features(x).values)
+            phi = feats.setdefault(x, features(x))
         order = spt_layer(phi @ w)
         if post == "none":
             return _total(x, order)

@@ -22,15 +22,12 @@ import numpy as np
 
 from . import learning, model
 from .graphs import Graph, UnionFind, grid_graph, mst_constrained, mst_kruskal
-from .model import (
-    FeatureMatrix, PerturbationConfig, _as_number, _as_weight_array, _read_json, _write_json,
-)
+from .model import PerturbationConfig, _as_number, _as_weight_array, _read_json, _write_json
 
 __all__ = [
     "TwoStageInstance",
     "TwoStageSolution",
     "EasySolution",
-    "ThetaVector",
     "TWO_STAGE_FEATURE_DIM",
     "BRUTE_FORCE_EDGE_LIMIT",
     "evaluate_solution",
@@ -132,35 +129,6 @@ class EasySolution:
     second_stage: frozenset[int]
 
 
-@dataclass(frozen=True)
-class ThetaVector:
-    """Easy-problem parameters: one weight per (edge, stage)."""
-
-    cbar: np.ndarray
-    dbar: np.ndarray
-
-    def __post_init__(self):
-        cbar = np.asarray(self.cbar, dtype=float)
-        dbar = np.asarray(self.dbar, dtype=float)
-        if cbar.shape != dbar.shape or cbar.ndim != 1:
-            raise ValueError("cbar and dbar must be vectors of equal length")
-        if not (np.all(np.isfinite(cbar)) and np.all(np.isfinite(dbar))):
-            raise ValueError("theta must be finite")
-        object.__setattr__(self, "cbar", cbar)
-        object.__setattr__(self, "dbar", dbar)
-
-    def as_array(self) -> np.ndarray:
-        """Stacked layout: first-stage block then second-stage block."""
-        return np.concatenate([self.cbar, self.dbar])
-
-    @staticmethod
-    def from_array(theta, num_edges: int) -> "ThetaVector":
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (2 * num_edges,):
-            raise ValueError("theta must have 2*num_edges entries")
-        return ThetaVector(cbar=theta[:num_edges], dbar=theta[num_edges:])
-
-
 def evaluate_solution(x: TwoStageInstance, z: TwoStageSolution) -> float:
     """Hard-problem cost of z; raises if z is infeasible (names the scenario)."""
     if len(z.second_stage) != x.num_scenarios:
@@ -184,17 +152,22 @@ def evaluate_solution(x: TwoStageInstance, z: TwoStageSolution) -> float:
     return first + second / x.num_scenarios
 
 
-def easy_layer(x: TwoStageInstance, theta: ThetaVector) -> EasySolution:
+def easy_layer(x: TwoStageInstance, theta) -> EasySolution:
     """Minimize sum_{E1} cbar + sum_{E2} dbar over trees split in two stages.
 
-    One MST on the pointwise minimum weights; each tree edge goes to the
-    stage with the smaller parameter, ties toward the first stage.
+    theta is one parameter per (edge, stage), stacked like incidence_vector:
+    the first-stage block cbar, then the second-stage block dbar.  One MST
+    on the pointwise minimum weights; each tree edge goes to the stage with
+    the smaller parameter, ties toward the first stage.
     """
-    if theta.cbar.shape != (x.num_edges,):
-        raise ValueError("theta dimension does not match the instance")
-    weights = np.minimum(theta.cbar, theta.dbar)
-    tree = mst_kruskal(x.graph, weights)
-    first = frozenset(e for e in tree if theta.cbar[e] <= theta.dbar[e])
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (x.dim,):
+        raise ValueError("theta must have 2*num_edges entries")
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("theta must be finite")
+    cbar, dbar = theta[:x.num_edges], theta[x.num_edges:]
+    tree = mst_kruskal(x.graph, np.minimum(cbar, dbar))
+    first = frozenset(e for e in tree if cbar[e] <= dbar[e])
     return EasySolution(first_stage=first, second_stage=frozenset(tree) - first)
 
 
@@ -208,10 +181,9 @@ def incidence_vector(x: TwoStageInstance, y: EasySolution) -> np.ndarray:
     return vec
 
 
-def easy_incidence(x: TwoStageInstance, theta_array) -> np.ndarray:
-    """easy_layer on a stacked theta array, returned as an incidence vector."""
-    y = easy_layer(x, ThetaVector.from_array(theta_array, x.num_edges))
-    return incidence_vector(x, y)
+def easy_incidence(x: TwoStageInstance, theta) -> np.ndarray:
+    """easy_layer's solution as an incidence vector."""
+    return incidence_vector(x, easy_layer(x, theta))
 
 
 def _complete_or_empty(x: TwoStageInstance, first: frozenset[int]) -> TwoStageSolution:
@@ -238,9 +210,9 @@ def decode(x: TwoStageInstance, y: EasySolution) -> TwoStageSolution:
     return _complete_or_empty(x, y.first_stage)
 
 
-def theta_tilde(x: TwoStageInstance) -> ThetaVector:
+def theta_tilde(x: TwoStageInstance) -> np.ndarray:
     """Raw-cost parameters (c_e, mean_s d_es) - the approximation baseline's theta."""
-    return ThetaVector(cbar=x.c.copy(), dbar=x.d.mean(axis=1))
+    return np.concatenate([x.c, x.d.mean(axis=1)])
 
 
 def approx_baseline(x: TwoStageInstance) -> TwoStageSolution:
@@ -252,14 +224,29 @@ def _quantiles5(v: np.ndarray) -> np.ndarray:
     return np.quantile(v, _QS)
 
 
-def features(x: TwoStageInstance, standardize: bool = True) -> FeatureMatrix:
-    """Fixed 34-column feature matrix with one row per (edge, stage).
+def features(x: TwoStageInstance) -> np.ndarray:
+    """(2E, 34) feature array with one row per (edge, stage).
+
+    The columns of _raw_features, each but the constant bias shifted and
+    scaled to zero mean and unit deviation over the instance's rows;
+    constant columns become 0.
+    """
+    mat = _raw_features(x)
+    data = mat[:, 1:]
+    mu = data.mean(axis=0)
+    sd = data.std(axis=0)
+    keep = sd > 0
+    data[:, keep] = (data[:, keep] - mu[keep]) / sd[keep]
+    data[:, ~keep] = 0.0
+    return mat
+
+
+def _raw_features(x: TwoStageInstance) -> np.ndarray:
+    """The (2E, 34) features before standardization.
 
     Rows 0..E-1 are the first-stage rows, rows E..2E-1 the second-stage
     rows.  Quantile blocks are the 5-point (min, 25%, median, 75%, max)
-    summaries.  With standardize=True every column except the constant
-    bias is shifted/scaled to zero mean and unit deviation over the
-    instance's rows; constant columns become 0.
+    summaries.
     """
     graph, c, d = x.graph, x.c, x.d
     n_edges, n_scen = x.num_edges, x.num_scenarios
@@ -302,17 +289,7 @@ def features(x: TwoStageInstance, standardize: bool = True) -> FeatureMatrix:
     mat[snd, _COL_QMSTB] = q_mst
     mat[fst, _COL_QBF] = q_bf
     mat[snd, _COL_QBS] = q_bs
-
-    if standardize:
-        data = mat[:, 1:]
-        mu = data.mean(axis=0)
-        sd = data.std(axis=0)
-        keep = sd > 0
-        data[:, keep] = (data[:, keep] - mu[keep]) / sd[keep]
-        data[:, ~keep] = 0.0
-
-    kappa = float(np.sqrt((mat * mat).sum(axis=1)).max())
-    return FeatureMatrix(values=mat, kappa_phi=kappa)
+    return mat
 
 
 def _scenario_subproblems(x: TwoStageInstance, lam: np.ndarray):
@@ -481,8 +458,7 @@ def load_instance(path) -> TwoStageInstance:
 
 def pipeline_solution(x: TwoStageInstance, w):
     """Full pipeline at weights w: features -> theta -> easy layer -> decode."""
-    theta = features(x).values @ _as_weight_array(w)
-    return decode(x, easy_layer(x, ThetaVector.from_array(theta, x.num_edges)))
+    return decode(x, easy_layer(x, features(x) @ _as_weight_array(w)))
 
 
 def experience_loss_config(
@@ -504,8 +480,8 @@ def experience_loss_config(
     def pipeline_cost(x: TwoStageInstance, w: np.ndarray) -> float:
         phi = feats.get(x)
         if phi is None:
-            phi = feats.setdefault(x, features(x).values)
-        y = easy_layer(x, ThetaVector.from_array(phi @ w, x.num_edges))
+            phi = feats.setdefault(x, features(x))
+        y = easy_layer(x, phi @ w)
         key = (x, y.first_stage)
         cost = decoded.get(key)
         if cost is None:

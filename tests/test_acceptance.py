@@ -147,14 +147,13 @@ def test_criterion_02_perturbation_inequality():
     for _ in range(300):
         x = _random_two_stage(rng)
         opt, _ = two_stage.brute_force_optimum(x)
-        base = two_stage.theta_tilde(x).as_array()
+        base = two_stage.theta_tilde(x)
         for _ in range(10):
             p = rng.normal(size=2 * x.num_edges)
             scale = rng.uniform(0.0, 10.0)
             norm1 = float(np.abs(p).sum())
             p *= scale / max(norm1, 1e-12)
-            theta = two_stage.ThetaVector.from_array(base + p, x.num_edges)
-            z = two_stage.decode(x, two_stage.easy_layer(x, theta))
+            z = two_stage.decode(x, two_stage.easy_layer(x, base + p))
             slack = (
                 two_stage.evaluate_solution(x, z)
                 - opt

@@ -295,6 +295,12 @@ def test_cli_error_exits(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'two_stagee'" in err and "two_stage, scheduling" in err
     (ds / "manifest.json").write_text(json.dumps(manifest))
+    # two eval entries with one name would share one row of costs
+    dup = _write(tmp_path / "dup.json", {"dataset": str(ds), "algorithms": [
+        {"name": "a", "kind": "brute_force"}, {"name": "a", "kind": "spt"}]})
+    assert main(["eval", "--config", dup, "--out", str(tmp_path / "o_dup")]) == 1
+    assert "'a'" in capsys.readouterr().err
+    assert not (tmp_path / "o_dup").exists()
     tr = _write(tmp_path / "tr.json", {"application": "schedule", "dataset": str(ds)})
     assert main(["train", "--config", tr, "--out", str(tmp_path / "o4")]) == 1
     err = capsys.readouterr().err
@@ -337,18 +343,19 @@ def test_cli_error_exits(tmp_path, capsys):
 
 
 def _typo_case(block, two_stage_dataset, tmp_path):
-    """(argv, output directory, typo, nearest valid key) of one misspelled key in `block`."""
+    """(argv, output directory, key, nearest valid key) of one bad key in `block`: a
+    misspelled key has a nearest valid key, an empty list or count has None."""
     base, ds = two_stage_dataset
     weights = tmp_path / "w" / "weights.json"
-    if block in ("eval", "eval_entry"):
+    if block in ("eval", "eval_entry", "eval_empty"):
         train = _write(base / "t.json", {"dataset": str(ds), "learner": {"budget": 5, "seeds": [0]}})
         assert main(["train", "--config", train, "--out", str(weights.parent)]) == 0
     train = {"application": "two_stage", "dataset": str(ds)}
     entries = [{"name": "pipeline", "kind": "pipeline", "weights": str(weights)}]
+    two_stage_gen = {"application": "two_stage", "widths": [3], "K": [10], "scenarios": [2],
+                     "per_cell": 1, "seed": 0, "bound_iters": 5}
     configs = {
-        "generate": ("generate", {"application": "two_stage", "widths": [3], "K": [10],
-                                  "scenarios": [2], "per_cell": 1, "seed": 0, "bound_iter": 5},
-                     "bound_iter", "bound_iters"),
+        "generate": ("generate", {**two_stage_gen, "bound_iter": 5}, "bound_iter", "bound_iters"),
         "train": ("train", {**train, "methd": "fyl"}, "methd", "method"),
         "learner": ("train", {**train, "learner": {"bugdet": 50, "seeds": [0]}}, "bugdet", "budget"),
         "perturbation": ("train", {**train, "perturbation": {"sigma": 0.5, "nsample": 3}},
@@ -361,24 +368,33 @@ def _typo_case(block, two_stage_dataset, tmp_path):
         "bounds": ("bounds", {"M": 10.0, "d": 34, "n": [100, 400], "sigm": 0.5}, "sigm", "sigma"),
         # beta moves no bound, so it is not a bounds key
         "bounds_beta": ("bounds", {"M": 10.0, "d": 34, "beta": 2}, "beta", "delta"),
+        # a stage run over an empty list, or zero instances per cell, does nothing
+        "generate_empty_axis": ("generate", {**two_stage_gen, "widths": []}, "widths", None),
+        "generate_empty_n": ("generate", {"application": "scheduling", "n": [], "rho": [1.0],
+                                          "per_cell": 1, "seed": 0}, "n", None),
+        "generate_per_cell_0": ("generate", {**two_stage_gen, "per_cell": 0}, "per_cell", None),
+        "eval_empty": ("eval", {"dataset": str(ds), "algorithms": []}, "algorithms", None),
+        "bounds_empty_n": ("bounds", {"M": 10.0, "d": 34, "n": []}, "n", None),
     }
-    command, config, typo, nearest = configs[block]
+    command, config, key, nearest = configs[block]
     out = tmp_path / "out"
     argv = [command, "--config", _write(tmp_path / f"{block}.json", config), "--out", str(out)]
-    return argv, out, typo, nearest
+    return argv, out, key, nearest
 
 
 @pytest.mark.parametrize(
     "block",
     ["generate", "train", "learner", "perturbation", "fyl", "eval", "eval_entry", "bounds",
-     "bounds_beta"],
+     "bounds_beta", "generate_empty_axis", "generate_empty_n", "generate_per_cell_0",
+     "eval_empty", "bounds_empty_n"],
 )
 def test_config_typo_exits_before_writing(block, two_stage_dataset, tmp_path, capsys):
-    argv, out, typo, nearest = _typo_case(block, two_stage_dataset, tmp_path)
+    argv, out, key, nearest = _typo_case(block, two_stage_dataset, tmp_path)
     capsys.readouterr()
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert f"{typo!r}" in err and f"did you mean {nearest!r}" in err
+    assert f"{key!r}" in err
+    assert nearest is None or f"did you mean {nearest!r}" in err
     assert not out.exists() or not any(out.rglob("*"))
 
 

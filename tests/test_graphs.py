@@ -154,6 +154,25 @@ def test_mst_matches_enumeration_oracle():
         assert sum(w[e] for e in tree) == pytest.approx(best, abs=1e-9)
 
 
+def test_mst_matches_scipy_on_random_grids():
+    # scipy's csgraph is an independent implementation.  csgraph reads a
+    # weight of 0 as a missing edge, so weights lie in [1, 2); they are
+    # distinct, so the minimum spanning tree is unique.
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        g = grid_graph(int(rng.integers(1, 8)), int(rng.integers(2, 8)))
+        w = 1.0 + (rng.permutation(g.num_edges) + rng.random(g.num_edges)) / g.num_edges
+        dense = np.zeros((g.num_vertices, g.num_vertices))
+        eid = {}
+        for e, (u, v) in enumerate(g.edges):
+            dense[min(u, v), max(u, v)] = w[e]
+            eid[min(u, v), max(u, v)] = e
+        rows, cols = csgraph.minimum_spanning_tree(dense).nonzero()
+        want = {eid[min(u, v), max(u, v)] for u, v in zip(rows.tolist(), cols.tolist())}
+        assert mst_kruskal(g, w) == want
+
+
 def test_mst_tie_break_lowest_edge_ids():
     g = Graph(3, [(0, 1), (0, 2), (1, 2)])
     assert mst_kruskal(g, [1.0, 1.0, 1.0]) == frozenset({0, 1})

@@ -321,8 +321,7 @@ def test_fyl_learn_recovers_stage_choices_on_toy_set():
         target = two_stage.incidence_vector(
             x, two_stage.easy_layer(x, two_stage.theta_tilde(x))
         )
-        phi = two_stage.features(x)
-        got = two_stage.easy_incidence(x, phi.values @ wv.w)
+        got = two_stage.easy_incidence(x, two_stage.features(x) @ wv.w)
         agree += int(np.sum(got == target))
         total += target.size
     assert agree / total >= 0.95

@@ -5,26 +5,12 @@ import pytest
 
 from co_pipeline import scheduling, two_stage
 from co_pipeline.model import (
-    FeatureMatrix,
     PerturbationConfig,
     WeightVector,
     load_weights,
-    predict_theta,
     sample_gaussians,
     save_weights,
 )
-
-
-def test_feature_matrix_validates_kappa():
-    values = np.array([[3.0, 4.0], [0.0, 1.0]])
-    FeatureMatrix(values=values, kappa_phi=5.0)  # row norms 5 and 1
-    with pytest.raises(ValueError):
-        FeatureMatrix(values=values, kappa_phi=4.9)
-
-
-def test_feature_matrix_rejects_non_finite():
-    with pytest.raises(ValueError):
-        FeatureMatrix(values=np.array([[np.inf]]), kappa_phi=1.0)
 
 
 def test_weight_vector_box():
@@ -43,42 +29,20 @@ def test_perturbation_config_validation():
         PerturbationConfig(sigma=1.0, nsamples=0, seed=0)
 
 
-def test_predict_theta_coordinate_selection():
-    phi = FeatureMatrix(values=np.array([[1.0, 2.0], [3.0, 4.0]]), kappa_phi=5.0)
-    w0 = WeightVector(w=np.zeros(2), box_radius=1.0)
-    assert np.all(predict_theta(w0, phi) == 0.0)
-    e1 = WeightVector(w=np.array([0.0, 1.0]), box_radius=1.0)
-    assert predict_theta(e1, phi).tolist() == [2.0, 4.0]
-
-
-def test_predict_theta_is_linear():
-    rng = np.random.default_rng(0)
-    values = rng.normal(size=(6, 4))
-    phi = FeatureMatrix(values=values, kappa_phi=float(np.linalg.norm(values, axis=1).max()))
-    w1, w2 = rng.normal(size=4), rng.normal(size=4)
-    combo = predict_theta(WeightVector(2.0 * w1 - 0.5 * w2, 100.0), phi)
-    parts = 2.0 * predict_theta(WeightVector(w1, 100.0), phi) - 0.5 * predict_theta(
-        WeightVector(w2, 100.0), phi
-    )
-    assert np.allclose(combo, parts, rtol=1e-12, atol=1e-12)
-
-
-def test_predict_theta_dimension_mismatch():
-    phi = FeatureMatrix(values=np.eye(2), kappa_phi=1.0)
+def test_pipeline_rejects_weight_dimension_mismatch():
+    x = two_stage.generate_instance(2, 5, 1, seed=3)
     with pytest.raises(ValueError):
-        predict_theta(WeightVector(np.zeros(3), 1.0), phi)
+        two_stage.pipeline_solution(x, WeightVector(np.zeros(3), 1.0))
 
 
-def test_predict_theta_raw_cost_weights_recover_theta_tilde():
+def test_raw_cost_weights_recover_theta_tilde():
     # picking out the raw first-stage-cost and mean-second-stage-cost
     # columns must reproduce the hand-built baseline parameters
     x = two_stage.generate_instance(3, 15, 4, seed=9)
-    phi = two_stage.features(x, standardize=False)
-    w = np.zeros(phi.dim)
+    w = np.zeros(two_stage.TWO_STAGE_FEATURE_DIM)
     w[1] = 1.0  # first-stage cost column
     w[2] = 1.0  # mean second-stage cost column
-    theta = predict_theta(WeightVector(w, 10.0), phi)
-    assert np.allclose(theta, two_stage.theta_tilde(x).as_array())
+    assert np.allclose(two_stage._raw_features(x) @ w, two_stage.theta_tilde(x))
 
 
 def test_sample_gaussians_deterministic_and_nested():
@@ -101,7 +65,7 @@ def test_sample_gaussians_moments():
     assert np.linalg.norm(z, axis=1).mean() <= np.sqrt(4) + 0.02
 
 
-def test_kappa_bounds_row_norms_on_random_instances():
+def test_features_are_finite_with_one_row_per_decision_on_random_instances():
     rng = np.random.default_rng(19)
     for _ in range(40):
         if rng.random() < 0.5:
@@ -110,14 +74,17 @@ def test_kappa_bounds_row_norms_on_random_instances():
                 int(rng.integers(1, 5)), seed=int(rng.integers(10_000)),
             )
             phi = two_stage.features(x)
+            shape = (2 * x.num_edges, two_stage.TWO_STAGE_FEATURE_DIM)
         else:
-            xs = scheduling.generate_sched_instance(
+            x = scheduling.generate_sched_instance(
                 int(rng.integers(1, 15)), float(rng.uniform(0.2, 3.0)),
                 seed=int(rng.integers(10_000)),
             )
-            phi = scheduling.features(xs)
-        norms = np.linalg.norm(phi.values, axis=1)
-        assert np.all(norms <= phi.kappa_phi + 1e-9)
+            phi = scheduling.features(x)
+            shape = (x.n, scheduling.SCHED_FEATURE_DIM)
+        assert isinstance(phi, np.ndarray) and phi.dtype == float
+        assert phi.shape == shape
+        assert np.all(np.isfinite(phi))
 
 
 def test_weights_round_trip(tmp_path):

@@ -290,7 +290,7 @@ def test_perturbed_decode_deterministic():
 
 def test_features_shape_and_single_job():
     x = SchedInstance(p=np.array([5.0]), r=np.array([7.0]))
-    phi = features(x).values
+    phi = features(x)
     assert phi.shape == (1, SCHED_FEATURE_DIM)
     assert phi[0, 0] == 1.0  # bias
     assert phi[0, 1] == 1.0  # p / pmax
@@ -299,13 +299,13 @@ def test_features_shape_and_single_job():
 
 def test_features_identical_jobs_identical_rows():
     x = SchedInstance(p=np.array([4.0, 4.0, 2.0]), r=np.array([3.0, 3.0, 0.0]))
-    phi = features(x).values
+    phi = features(x)
     assert np.array_equal(phi[0], phi[1])
 
 
 def test_features_srpt_columns_from_hand_example():
     x = SchedInstance(p=np.array([4.0, 1.0]), r=np.array([0.0, 1.0]))
-    phi = features(x).values
+    phi = features(x)
     horizon = 5.0
     assert phi[:, 6].tolist() == [5.0 / horizon, 2.0 / horizon]
     assert phi[:, 7].tolist() == [0.0, 1.0 / horizon]

@@ -17,9 +17,9 @@ from co_pipeline.two_stage import (
     BRUTE_FORCE_EDGE_LIMIT,
     TWO_STAGE_FEATURE_DIM,
     EasySolution,
-    ThetaVector,
     TwoStageInstance,
     TwoStageSolution,
+    _raw_features,
     approx_baseline,
     brute_force_optimum,
     decode,
@@ -171,22 +171,39 @@ def test_evaluate_rejects_non_tree():
 
 def test_easy_layer_single_edge_prefers_cheaper_stage():
     x = _one_edge(-5, [-3])
-    y = easy_layer(x, ThetaVector(np.array([-5.0]), np.array([-3.0])))
+    y = easy_layer(x, np.array([-5.0, -3.0]))
     assert y.first_stage == frozenset({0})
     assert y.second_stage == frozenset()
 
 
+def test_easy_layer_rejects_theta_of_wrong_length():
+    x = _triangle([-1, -4, -2], [[-3], [-1], [-2]])
+    for size in (3, 5, 7):
+        with pytest.raises(ValueError, match="2\\*num_edges"):
+            easy_layer(x, np.full(size, -1.0))
+    with pytest.raises(ValueError, match="2\\*num_edges"):
+        easy_layer(x, np.full((2, 3), -1.0))
+
+
+def test_easy_layer_rejects_non_finite_theta():
+    x = _triangle([-1, -4, -2], [[-3], [-1], [-2]])
+    for bad in (np.nan, np.inf, -np.inf):
+        theta = np.full(6, -1.0)
+        theta[4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            easy_layer(x, theta)
+
+
 def test_easy_layer_tie_goes_first_stage():
     x = _triangle([-3, -3, -3], [[-3], [-3], [-3]])
-    theta = ThetaVector(np.array([-3.0, -3.0, -3.0]), np.array([-3.0, -3.0, -3.0]))
-    y = easy_layer(x, theta)
+    y = easy_layer(x, np.full(6, -3.0))
     assert y.second_stage == frozenset()
     assert len(y.first_stage) == 2
 
 
 def test_easy_layer_triangle_mixed_stages():
     x = _triangle([-1, -4, -2], [[-3], [-1], [-2]])
-    y = easy_layer(x, ThetaVector(np.array([-1.0, -4.0, -2.0]), np.array([-3.0, -1.0, -2.0])))
+    y = easy_layer(x, np.array([-1.0, -4.0, -2.0, -3.0, -1.0, -2.0]))
     # min-weights (-3, -4, -2): tree {0, 1}; edge 0 cheaper second stage
     assert y.first_stage == frozenset({1})
     assert y.second_stage == frozenset({0})
@@ -198,7 +215,7 @@ def test_easy_layer_objective_minimal_over_enumerated_splits():
         x = _random_small_instance(rng)
         cbar = -rng.random(x.num_edges) * 10
         dbar = -rng.random(x.num_edges) * 10
-        y = easy_layer(x, ThetaVector(cbar, dbar))
+        y = easy_layer(x, np.concatenate([cbar, dbar]))
         got = sum(cbar[e] for e in y.first_stage) + sum(dbar[e] for e in y.second_stage)
         # oracle: every spanning tree, every 2^{tree} stage split
         best = np.inf
@@ -257,8 +274,7 @@ def test_decode_always_feasible():
     rng = np.random.default_rng(13)
     for _ in range(30):
         x = _random_small_instance(rng)
-        theta = ThetaVector(-rng.random(x.num_edges), -rng.random(x.num_edges))
-        z = decode(x, easy_layer(x, theta))
+        z = decode(x, easy_layer(x, -rng.random(2 * x.num_edges)))
         evaluate_solution(x, z)  # raises if infeasible
 
 
@@ -345,12 +361,11 @@ def test_perturbed_baseline_inequality():
     for _ in range(15):
         x = _random_small_instance(rng)
         opt, _ = brute_force_optimum(x)
-        base = theta_tilde(x).as_array()
+        base = theta_tilde(x)
         for _ in range(5):
             p = rng.normal(size=2 * x.num_edges)
             p *= rng.uniform(0, 10) / max(np.abs(p).sum(), 1e-12)
-            theta = ThetaVector.from_array(base + p, x.num_edges)
-            z = decode(x, easy_layer(x, theta))
+            z = decode(x, easy_layer(x, base + p))
             cost = evaluate_solution(x, z)
             assert cost - opt <= 0.5 * abs(opt) + np.abs(p).sum() + 1e-9
 
@@ -441,13 +456,13 @@ def _quantiles5_ref(values):
 def test_features_shape_and_bias():
     x = generate_instance(3, 10, 3, seed=1)
     phi = features(x)
-    assert phi.values.shape == (2 * x.num_edges, TWO_STAGE_FEATURE_DIM)
-    assert np.all(phi.values[:, 0] == 1.0)
+    assert phi.shape == (2 * x.num_edges, TWO_STAGE_FEATURE_DIM)
+    assert np.all(phi[:, 0] == 1.0)
 
 
 def test_features_raw_one_edge_quantiles():
     x = _one_edge(-5, [-3, -1])
-    phi = features(x, standardize=False).values
+    phi = _raw_features(x)
     second = phi[1]
     assert second[2] == -2.0  # mean second-stage cost
     assert second[3:8].tolist() == _quantiles5_ref([-3.0, -1.0])
@@ -460,7 +475,7 @@ def test_features_raw_one_edge_quantiles():
 
 def test_features_quantiles_match_reference_interpolation():
     x = generate_instance(3, 18, 5, seed=77)
-    phi = features(x, standardize=False).values
+    phi = _raw_features(x)
     for e in range(x.num_edges):
         assert phi[x.num_edges + e, 3:8].tolist() == pytest.approx(
             _quantiles5_ref(x.d[e].tolist()), abs=1e-12
@@ -469,7 +484,7 @@ def test_features_quantiles_match_reference_interpolation():
 
 def test_features_constant_scenarios_quantiles_collapse():
     x = _triangle([-5, -2, -4], [[-3, -3, -3], [-3, -3, -3], [-3, -3, -3]])
-    phi = features(x, standardize=False).values
+    phi = _raw_features(x)
     assert np.all(phi[3:, 3:8] == -3.0)
 
 
@@ -479,13 +494,13 @@ def test_features_tree_graph_mst_indicator_all_ones():
         c=np.array([-1.0, -2.0, -3.0]),
         d=np.array([[-1.0], [-1.0], [-1.0]]),
     )
-    phi = features(x, standardize=False).values
+    phi = _raw_features(x)
     assert np.all(phi[:3, 18] == 1.0)
 
 
 def test_features_standardized_columns():
     x = generate_instance(4, 20, 4, seed=5)
-    phi = features(x).values
+    phi = features(x)
     mu = phi[:, 1:].mean(axis=0)
     sd = phi[:, 1:].std(axis=0)
     for j in range(mu.size):
