@@ -174,6 +174,7 @@ def _cmd_eval(app, manifest: dict, out: Path, /, dataset: str, algorithms: list,
         if name in runners:
             raise ValueError(f"two eval algorithms are named {name!r}")
         runners[name] = run
+    app.check_entries({entry.get("kind") for entry in algorithms}, instances)
     out.mkdir(parents=True, exist_ok=True)
 
     rows = manifest["instances"]

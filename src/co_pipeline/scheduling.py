@@ -102,8 +102,9 @@ def _check_permutation(x: SchedInstance, order) -> np.ndarray:
 def _totals(p_ord: np.ndarray, r_ord: np.ndarray) -> np.ndarray:
     # C_k = max(r_k, C_{k-1}) + p_k unrolls to a running maximum:
     # C_k = P_k + max_{t<=k} (r_t - P_{t-1}) with P the prefix sums of p.
-    pref = np.cumsum(p_ord)
-    return pref + np.maximum.accumulate(r_ord - (pref - p_ord))
+    # Applied along the last axis, so a matrix holds one order per row.
+    pref = np.cumsum(p_ord, axis=-1)
+    return pref + np.maximum.accumulate(r_ord - (pref - p_ord), axis=-1)
 
 
 def _total(x: SchedInstance, order: np.ndarray) -> float:
@@ -188,8 +189,10 @@ def _min_rank(key: np.ndarray) -> np.ndarray:
 
 
 def _group_mean(values: np.ndarray, group: np.ndarray) -> np.ndarray:
-    out = np.empty_like(values, dtype=float)
-    for g in np.unique(group):
+    # a group of one job averages to its own value, so only repeated
+    # (p, r) pairs are visited
+    out = values.astype(float)
+    for g in np.flatnonzero(np.bincount(group) > 1):
         mask = group == g
         out[mask] = values[mask].mean()
     return out
@@ -222,43 +225,49 @@ def features(x: SchedInstance) -> np.ndarray:
     ])
 
 
+def _swap_positions(n: int) -> np.ndarray:
+    # row i is the identity with positions i and i + 1 exchanged
+    q = np.arange(n)
+    i = np.arange(n - 1)[:, None]
+    return q + (q == i) - (q == i + 1)
+
+
+def _reinsert_positions(n: int) -> np.ndarray:
+    # block i, row j takes the job at position i out and puts it back at
+    # position k, where k runs over 0..n-1 without i in ascending order
+    i = np.arange(n)[:, None, None]
+    k = np.arange(n - 1)[None, :, None]
+    k = k + (k >= i)
+    q = np.arange(n)
+    rest = q - (q > k)
+    return np.where(q == k, i, rest + (rest >= i))
+
+
 def local_search(x: SchedInstance, order) -> np.ndarray:
     """First-improvement descent over adjacent swaps, then reinsertions.
 
     Both neighbourhoods are scanned left to right; the first strictly
     improving move is applied and the scan restarts.  Stops at a local
     optimum, so the total never increases.
+
+    Each neighbourhood is scored in one numpy pass: all n - 1 adjacent
+    swaps at once, then the reinsertions one block per removed position
+    (its n - 1 insertion points).  The move applied is the first strictly
+    improving one in the scan order above, so the result is the same as
+    scoring one candidate at a time.
     """
     order = _check_permutation(x, order).copy()
     total = _total(x, order)
-    n = x.n
+    blocks = [_swap_positions(x.n), *_reinsert_positions(x.n)]
     while True:
-        improved = False
-        for i in range(n - 1):
-            cand = order.copy()
-            cand[i], cand[i + 1] = cand[i + 1], cand[i]
-            cand_total = _total(x, cand)
-            if cand_total < total:
-                order, total = cand, cand_total
-                improved = True
+        for block in blocks:
+            cands = order[block]
+            totals = _totals(x.p[cands], x.r[cands]).sum(axis=1)
+            better = np.flatnonzero(totals < total)
+            if better.size:
+                order, total = cands[better[0]], float(totals[better[0]])
                 break
-        if improved:
-            continue
-        for i in range(n):
-            job = order[i]
-            rest = np.delete(order, i)
-            for k in range(n):
-                if k == i:
-                    continue
-                cand = np.insert(rest, k, job)
-                cand_total = _total(x, cand)
-                if cand_total < total:
-                    order, total = cand, cand_total
-                    improved = True
-                    break
-            if improved:
-                break
-        if not improved:
+        else:
             return order
 
 
@@ -477,6 +486,11 @@ class SchedulingApplication:
             "pipeline_pert_ls": (self._pipeline_pert_ls, perturbed_decode),
             "brute_force": (self._brute_force,),
         }
+
+    def check_entries(self, kinds, instances) -> None:
+        """Fail before anything runs when an eval entry cannot take a loaded instance."""
+        if "brute_force" in kinds and any(x.n > BRUTE_FORCE_JOB_LIMIT for x in instances):
+            raise ValueError(f"brute force limited to {BRUTE_FORCE_JOB_LIMIT} jobs")
 
     def _spt(self):
         return lambda x: evaluate_schedule(x, spt_layer(x.p))[0]

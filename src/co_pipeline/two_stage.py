@@ -560,6 +560,9 @@ class TwoStageApplication:
             "lagrangian_heuristic": (self._lagrangian_heuristic, lagrangian_bound),
         }
 
+    def check_entries(self, kinds, instances) -> None:
+        """Every eval kind takes every instance."""
+
     def _approx_baseline(self):
         return lambda x: evaluate_solution(x, approx_baseline(x))
 

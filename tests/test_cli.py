@@ -301,6 +301,17 @@ def test_cli_error_exits(tmp_path, capsys):
     assert main(["eval", "--config", dup, "--out", str(tmp_path / "o_dup")]) == 1
     assert "'a'" in capsys.readouterr().err
     assert not (tmp_path / "o_dup").exists()
+    # brute force takes at most 9 jobs: a larger instance fails before any
+    # entry runs or --out is created
+    big = tmp_path / "big"
+    big_gen = _write(tmp_path / "big_gen.json", {"application": "scheduling", "n": [3, 10],
+                                                 "rho": [1.0], "per_cell": 1, "seed": 0})
+    assert main(["generate", "--config", big_gen, "--out", str(big)]) == 0
+    brute = _write(tmp_path / "brute.json", {"dataset": str(big), "algorithms": [
+        {"name": "spt", "kind": "spt"}, {"name": "bf", "kind": "brute_force"}]})
+    assert main(["eval", "--config", brute, "--out", str(tmp_path / "o_brute")]) == 1
+    assert "brute force limited to 9 jobs" in capsys.readouterr().err
+    assert not (tmp_path / "o_brute").exists()
     tr = _write(tmp_path / "tr.json", {"application": "schedule", "dataset": str(ds)})
     assert main(["train", "--config", tr, "--out", str(tmp_path / "o4")]) == 1
     err = capsys.readouterr().err

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from co_pipeline import learning
 from co_pipeline.model import WeightVector
@@ -25,6 +27,7 @@ from co_pipeline.scheduling import (
     spt_layer,
     srpt_preemptive,
 )
+from co_pipeline.scheduling import _check_permutation, _total
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -223,18 +226,84 @@ def test_local_search_improves_hand_example():
     assert evaluate_schedule(x, out)[0] == 7.0
 
 
-def test_local_search_never_increases_and_is_idempotent():
-    rng = np.random.default_rng(37)
-    for _ in range(40):
-        x = _random_instance(rng, n_max=7)
-        start = rng.permutation(x.n)
-        out = local_search(x, start)
-        assert sorted(out.tolist()) == list(range(x.n))
-        assert (
-            evaluate_schedule(x, out)[0] <= evaluate_schedule(x, start)[0] + 1e-9
-        )
-        again = local_search(x, out)
-        assert np.array_equal(again, out)
+def _reference_local_search(x: SchedInstance, order) -> np.ndarray:
+    """Oracle: the same descent, scoring one candidate per numpy call."""
+    order = _check_permutation(x, order).copy()
+    total = _total(x, order)
+    n = x.n
+    while True:
+        improved = False
+        for i in range(n - 1):
+            cand = order.copy()
+            cand[i], cand[i + 1] = cand[i + 1], cand[i]
+            cand_total = _total(x, cand)
+            if cand_total < total:
+                order, total = cand, cand_total
+                improved = True
+                break
+        if improved:
+            continue
+        for i in range(n):
+            job = order[i]
+            rest = np.delete(order, i)
+            for k in range(n):
+                if k == i:
+                    continue
+                cand = np.insert(rest, k, job)
+                cand_total = _total(x, cand)
+                if cand_total < total:
+                    order, total = cand, cand_total
+                    improved = True
+                    break
+            if improved:
+                break
+        if not improved:
+            return order
+
+
+def _differential_instance(rng, n, kind):
+    if kind == "uniform":  # non-integer data, ties improbable
+        return SchedInstance(p=rng.uniform(1, 100, n), r=rng.uniform(0, 50 * n, n))
+    if kind == "ties":  # tiny integers, many equal totals
+        return SchedInstance(p=rng.integers(1, 4, n).astype(float),
+                             r=rng.integers(0, 3, n).astype(float))
+    # near-equal processing times under large releases
+    return SchedInstance(p=50 + rng.uniform(0, 1e-6, n), r=rng.uniform(0, 1e6, n))
+
+
+def test_local_search_matches_scalar_scan():
+    rng = np.random.default_rng(2024)
+    kinds = ("uniform", "ties", "near_equal")
+    cases = [(int(rng.integers(1, 31)), kinds[t % 3]) for t in range(1020)]
+    cases += [(1, kind) for kind in kinds] + [(2, kind) for kind in kinds]
+    cases += [(50, kind) for kind in kinds]
+    for n, kind in cases:
+        x = _differential_instance(rng, n, kind)
+        start = rng.permutation(n)
+        want = _reference_local_search(x, start)
+        assert np.array_equal(local_search(x, start), want), (n, kind, x.p, x.r, start)
+
+
+_jobs = st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(1, 20), min_size=n, max_size=n),
+    st.lists(st.integers(0, 30), min_size=n, max_size=n),
+    st.permutations(range(n)),
+))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_jobs)
+def test_local_search_never_increases_and_is_idempotent(jobs):
+    # the output is a permutation, costs no more than the start, is its own
+    # local optimum, and is bounded below by the preemptive relaxation
+    p, r, start = jobs
+    x = SchedInstance(p=np.array(p, dtype=float), r=np.array(r, dtype=float))
+    out = local_search(x, start)
+    assert sorted(out.tolist()) == list(range(x.n))
+    total = evaluate_schedule(x, out)[0]
+    assert total <= evaluate_schedule(x, start)[0]
+    assert np.array_equal(local_search(x, out), out)
+    assert srpt_preemptive(x).completion.sum() <= total
 
 
 def test_pipeline_order_posts():
