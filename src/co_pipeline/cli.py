@@ -56,6 +56,8 @@ def _cmd_generate(app, config: dict, out: Path, seed_override, /, application: s
     if per_cell < 1:
         raise ValueError("generate key 'per_cell' must be >= 1")
     master_seed = seed if seed_override is None else int(seed_override)
+    if master_seed < 0:
+        raise ValueError("generate key 'seed' (or --seed) must be >= 0")
     cells = app.cells(**axes)
     inst_dir = out / "instances"
     inst_dir.mkdir(parents=True, exist_ok=True)

@@ -74,6 +74,8 @@ class LearnerConfig:
             raise ValueError("budget must be >= 1")
         if len(self.seeds) < 1:
             raise ValueError("at least one seed is required")
+        if min(self.seeds) < 0:
+            raise ValueError("learner key 'seeds' must hold values >= 0")
 
 
 def parallel_map(fn, items) -> list:
@@ -131,32 +133,24 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _potentially_optimal(sizes: np.ndarray, values: np.ndarray) -> list[int]:
+def _potentially_optimal(sizes: list, values: list) -> list[int]:
     """Indices on the lower-right convex hull of (size, value) points.
 
-    A point k qualifies if some Lipschitz constant K >= 0 makes its bound
-    value_k - K*size_k minimal and improves the incumbent by at least
-    1e-4*|f_min| (the classic potential-optimality test).
+    sizes are distinct and ascending.  A point k qualifies if some
+    Lipschitz constant K >= 0 makes its bound value_k - K*size_k minimal
+    and improves the incumbent by at least 1e-4*|f_min| (the classic
+    potential-optimality test).  The slopes are Python floats: between two
+    +inf values they are a silent nan, which min and max skip.
     """
-    fmin = values.min()
+    fmin = min(values)
     selected = []
-    for k in range(sizes.shape[0]):
-        k_lo, k_hi = 0.0, np.inf
-        dominated = False
-        for j in range(sizes.shape[0]):
-            if j == k:
-                continue
-            gap = sizes[j] - sizes[k]
-            if gap > 0:
-                k_hi = min(k_hi, (values[j] - values[k]) / gap)
-            elif gap < 0:
-                k_lo = max(k_lo, (values[k] - values[j]) / -gap)
-            elif values[j] < values[k]:
-                dominated = True
-                break
-        if dominated or k_lo > k_hi * (1 + 1e-12) + 1e-15:
+    for k, (size, value) in enumerate(zip(sizes, values)):
+        smaller, larger = zip(sizes[:k], values[:k]), zip(sizes[k + 1:], values[k + 1:])
+        k_lo = max([0.0] + [(value - v) / (size - s) for s, v in smaller])
+        k_hi = min([math.inf] + [(v - value) / (s - size) for s, v in larger])
+        if k_lo > k_hi * (1 + 1e-12) + 1e-15:
             continue
-        if np.isfinite(k_hi) and values[k] - k_hi * sizes[k] > fmin - 1e-4 * abs(fmin):
+        if math.isfinite(k_hi) and value - k_hi * size > fmin - 1e-4 * abs(fmin):
             continue
         selected.append(k)
     return selected
@@ -182,91 +176,75 @@ def direct_minimize(objective, bounds, budget: int, seed: int = 0):
         raise ValueError("bounds must be finite with positive extent")
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    lo = bounds[:, 0]
-    span = bounds[:, 1] - bounds[:, 0]
-    dim = lo.shape[0]
+    lo, span = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
     rng = np.random.default_rng(seed)
 
-    state = {"evals": 0, "best": np.inf, "best_u": np.full(dim, 0.5)}
+    best, best_u = np.inf, np.full(len(lo), 0.5)
     trace: list[float] = []
 
     def evaluate(u: np.ndarray) -> float:
-        if state["evals"] >= budget:
+        nonlocal best, best_u
+        if len(trace) >= budget:
             raise _BudgetExhausted
         value = float(objective(lo + u * span))
         if not math.isfinite(value):
             value = np.inf
-        state["evals"] += 1
-        if value < state["best"]:
-            state["best"] = value
-            state["best_u"] = u.copy()
-        trace.append(state["best"])
+        if value < best:
+            best, best_u = value, u
+        trace.append(best)
         return value
-
-    centers = [np.full(dim, 0.5)]
-    levels = [np.zeros(dim, dtype=int)]
-    values = [evaluate(centers[0])]
 
     def rect_size(lv: np.ndarray) -> float:
         # summing in sorted order makes equal level-multisets bit-identical
         return 0.5 * float(np.sqrt((9.0 ** (-np.sort(lv).astype(float))).sum()))
 
-    def divide(idx: int) -> None:
-        lv = levels[idx]
+    # one entry per rectangle: [value, size, centre, levels]; centres and
+    # levels are never written to, so children may share them
+    levels = np.zeros(len(lo), dtype=int)
+    rects = [[evaluate(best_u), rect_size(levels), best_u, levels]]
+
+    def divide(rect: list) -> None:
+        _, _, centre, lv = rect
         lmin = lv.min()
-        dims = np.flatnonzero(lv == lmin)
         delta = 3.0 ** -(lmin + 1)
         children = []
-        for i in dims:
-            up = centers[idx].copy()
+        for i in np.flatnonzero(lv == lmin):
+            up, down = centre.copy(), centre.copy()
             up[i] += delta
-            down = centers[idx].copy()
             down[i] -= delta
-            v_up = evaluate(up)
-            v_down = evaluate(down)
+            v_up, v_down = evaluate(up), evaluate(down)
             children.append((min(v_up, v_down), int(i), up, v_up, down, v_down))
-        children.sort(key=lambda item: (item[0], item[1]))
-        current = lv.copy()
+        children.sort(key=lambda item: item[:2])
         for _, i, up, v_up, down, v_down in children:
-            current = current.copy()
-            current[i] += 1
-            centers.append(up)
-            levels.append(current)
-            values.append(v_up)
-            centers.append(down)
-            levels.append(current)
-            values.append(v_down)
-        levels[idx] = current
+            lv = lv.copy()
+            lv[i] += 1
+            size = rect_size(lv)
+            rects.extend(([v_up, size, up, lv], [v_down, size, down, lv]))
+        rect[1], rect[3] = size, lv
 
     try:
-        while state["evals"] < budget:
-            # group live rectangles into size classes, keep per-class minima
-            by_size: dict[float, list[int]] = {}
-            for idx in range(len(values)):
-                by_size.setdefault(rect_size(levels[idx]), []).append(idx)
-            sizes = np.array(sorted(by_size))
-            class_rects = []
-            class_values = np.empty(sizes.shape[0])
-            for pos, size in enumerate(sizes):
-                members = by_size[size]
-                vmin = min(values[i] for i in members)
-                ties = [i for i in members if values[i] == vmin]
+        while len(trace) < budget:
+            # size classes in ascending size; each keeps its minimal value and
+            # its rectangles at that value, in shuffled order
+            by_size: dict[float, list] = {}
+            for rect in rects:
+                by_size.setdefault(rect[1], []).append(rect)
+            sizes = sorted(by_size)
+            class_values, class_rects = [], []
+            for size in sizes:
+                vmin = min(rect[0] for rect in by_size[size])
+                ties = [rect for rect in by_size[size] if rect[0] == vmin]
                 if len(ties) > 1:
                     rng.shuffle(ties)
-                class_values[pos] = vmin
+                class_values.append(vmin)
                 class_rects.append(ties)
             for pos in _potentially_optimal(sizes, class_values):
-                for idx in class_rects[pos]:
-                    divide(idx)
+                for rect in class_rects[pos]:
+                    divide(rect)
     except _BudgetExhausted:
         pass
 
-    return DirectResult(
-        w=lo + state["best_u"] * span,
-        value=float(state["best"]),
-        trace=trace,
-        n_evals=state["evals"],
-    )
+    return DirectResult(w=lo + best_u * span, value=float(best), trace=trace, n_evals=len(trace))
 
 
 def config_hash(payload) -> str:

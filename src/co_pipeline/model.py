@@ -63,6 +63,8 @@ class PerturbationConfig:
             raise ValueError("sigma must be >= 0")
         if self.nsamples < 1:
             raise ValueError("nsamples must be >= 1")
+        if self.seed < 0:
+            raise ValueError("perturbation key 'seed' must be >= 0")
 
 
 def _as_weight_array(w) -> np.ndarray:

@@ -457,6 +457,10 @@ class SchedulingApplication:
 
     def cells(self, n, rho) -> list:
         """The manifest fields of each (n, rho) cell."""
+        if any(size < 1 for size in n):
+            raise ValueError("generate key 'n' must hold values >= 1")
+        if any(r <= 0 for r in rho):
+            raise ValueError("generate key 'rho' must hold values > 0")
         return [{"n": size, "rho": r} for size, r in itertools.product(n, rho)]
 
     def instance_id(self, cell: dict, index: int) -> str:

@@ -516,6 +516,9 @@ class TwoStageApplication:
     def cells(self, widths, K, scenarios, bound_iters: int = 500) -> list:
         """The manifest fields of each cell: its (width, K, scenarios) and the
         subgradient iterations of every stored lower bound."""
+        for key, values, least in (("widths", widths, 2), ("K", K, 0), ("scenarios", scenarios, 1)):
+            if any(v < least for v in values):
+                raise ValueError(f"generate key {key!r} must hold values >= {least}")
         return [
             {"width": width, "K": k, "num_scenarios": n_scen, "bound_iters": bound_iters}
             for width, k, n_scen in itertools.product(widths, K, scenarios)

@@ -346,6 +346,10 @@ def test_cli_error_exits(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"{method!r}" in err and f"{block!r}" in err
     assert not (tmp_path / "o7").exists()
+    # so does a negative master seed given as --seed
+    assert main(["generate", "--config", ts_gen, "--out", str(tmp_path / "o8"), "--seed", "-3"]) == 1
+    assert "'seed'" in capsys.readouterr().err
+    assert not (tmp_path / "o8").exists()
     # --seed exists on generate and train only
     for command in ("eval", "bounds"):
         with pytest.raises(SystemExit) as exc:
@@ -384,6 +388,13 @@ def _typo_case(block, two_stage_dataset, tmp_path):
         "generate_empty_n": ("generate", {"application": "scheduling", "n": [], "rho": [1.0],
                                           "per_cell": 1, "seed": 0}, "n", None),
         "generate_per_cell_0": ("generate", {**two_stage_gen, "per_cell": 0}, "per_cell", None),
+        # an out-of-range value fails before any instance is written
+        "generate_width_1": ("generate", {**two_stage_gen, "widths": [3, 1]}, "widths", None),
+        "generate_rho_0": ("generate", {"application": "scheduling", "n": [5], "rho": [1.0, 0],
+                                        "per_cell": 1, "seed": 0}, "rho", None),
+        "generate_seed_negative": ("generate", {**two_stage_gen, "seed": -2}, "seed", None),
+        "learner_seed_negative": ("train", {**train, "learner": {"budget": 5, "seeds": [-1]}},
+                                  "seeds", None),
         "eval_empty": ("eval", {"dataset": str(ds), "algorithms": []}, "algorithms", None),
         "bounds_empty_n": ("bounds", {"M": 10.0, "d": 34, "n": []}, "n", None),
     }
@@ -397,6 +408,7 @@ def _typo_case(block, two_stage_dataset, tmp_path):
     "block",
     ["generate", "train", "learner", "perturbation", "fyl", "eval", "eval_entry", "bounds",
      "bounds_beta", "generate_empty_axis", "generate_empty_n", "generate_per_cell_0",
+     "generate_width_1", "generate_rho_0", "generate_seed_negative", "learner_seed_negative",
      "eval_empty", "bounds_empty_n"],
 )
 def test_config_typo_exits_before_writing(block, two_stage_dataset, tmp_path, capsys):

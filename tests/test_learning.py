@@ -3,15 +3,19 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from co_pipeline import scheduling, two_stage
 from co_pipeline.model import PerturbationConfig, sample_gaussians
 from co_pipeline.learning import (
     BoundParams,
+    DirectResult,
     LearnerConfig,
     LossConfig,
     config_hash,
@@ -194,6 +198,256 @@ def test_direct_invalid_inputs():
         direct_minimize(lambda w: 0.0, bounds=[(1.0, -1.0)], budget=10)
     with pytest.raises(ValueError):
         direct_minimize(lambda w: 0.0, bounds=[(-1.0, 1.0)], budget=0)
+
+
+def test_direct_all_nan_objective_returns_center_without_warning():
+    # every class minimum is +inf; inf - inf in the hull test used to warn,
+    # and the suite turns warnings into errors
+    res = direct_minimize(lambda w: float("nan"), [(-1, 1)] * 2, 20)
+    assert res.value == math.inf
+    assert res.n_evals == 20
+    assert res.w.tolist() == [0.0, 0.0]
+
+
+def _objective(kind, target):
+    """A test objective around target (a point of the box): smooth,
+    constant, piecewise constant, integer valued, or a sphere with a NaN
+    region and a +inf region."""
+    if kind == "sphere":
+        return lambda w: float(np.sum((w - target) ** 2))
+    if kind == "wavy":
+        return lambda w: float(np.cos(3 * w[0]) + np.sin(2 * w[-1]) + w[0] ** 2)
+    if kind == "constant":
+        return lambda w: float(target[0] > 0)
+    if kind == "floor_step":
+        return lambda w: float(np.floor(3 * np.sum(w - target)))
+    if kind == "integer":
+        return lambda w: float(np.round(4 * np.abs(w - target).sum()))
+
+    def holes(w):
+        if w[0] > target[0]:
+            return float("nan")
+        if w[-1] < -abs(target[-1]) - 0.5:
+            return float("inf")
+        return float(np.sum((w - target) ** 2))
+
+    return holes
+
+
+_KINDS = ("sphere", "wavy", "constant", "floor_step", "integer", "holes")
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.floats(-5, 5), st.floats(0.1, 5)), min_size=1, max_size=6),
+    st.integers(1, 200),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(_KINDS),
+)
+def test_direct_spends_its_budget_inside_the_box(box, budget, seed, kind):
+    # the whole budget is spent, every point is in the box, and the
+    # incumbent trace never increases and ends at the returned value
+    bounds = np.array([(lo, lo + extent) for lo, extent in box])
+    f = _objective(kind, bounds.mean(axis=1) + 0.3 * (bounds[:, 1] - bounds[:, 0]) / 2)
+    seen = []
+
+    def recording(w):
+        seen.append(np.array(w))
+        return f(w)
+
+    res = direct_minimize(recording, bounds, budget, seed=seed)
+    assert res.n_evals == budget == len(res.trace) == len(seen)
+    for w in [*seen, res.w]:
+        assert np.all(bounds[:, 0] <= w) and np.all(w <= bounds[:, 1])
+    assert all(b <= a for a, b in zip(res.trace, res.trace[1:]))
+    assert res.value == res.trace[-1]
+
+
+def _evals_to_reach(trace, level=1e-3):
+    hits = np.flatnonzero(np.asarray(trace) <= level)
+    return int(hits[0]) + 1 if hits.size else math.inf
+
+
+def test_direct_matches_or_beats_scipy_direct():
+    # the criterion 7 functions: ours ends at or below scipy's value and
+    # reaches 1e-3 in no more evaluations
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(70_007)
+    for d in (2, 3, 5):
+        for _ in range(10):
+            target = rng.uniform(-1.0, 1.0, size=d)
+            values = []
+
+            def f(w):
+                values.append(float(np.sum((w - target) ** 2)))
+                return values[-1]
+
+            theirs = optimize.direct(f, [(-1.0, 1.0)] * d, maxfun=1000, locally_biased=False,
+                                     vol_tol=0, len_tol=0)
+            theirs_reach = _evals_to_reach(np.minimum.accumulate(values))
+            ours = direct_minimize(f, [(-1.0, 1.0)] * d, budget=1000)
+            assert ours.value <= theirs.fun
+            assert _evals_to_reach(ours.trace) <= min(theirs_reach, 1000)
+
+
+class _ReferenceBudgetExhausted(Exception):
+    pass
+
+
+def _reference_potentially_optimal(sizes: np.ndarray, values: np.ndarray) -> list[int]:
+    """Oracle: the hull test on numpy scalars, with an equal-size branch."""
+    fmin = values.min()
+    selected = []
+    for k in range(sizes.shape[0]):
+        k_lo, k_hi = 0.0, np.inf
+        dominated = False
+        for j in range(sizes.shape[0]):
+            if j == k:
+                continue
+            gap = sizes[j] - sizes[k]
+            if gap > 0:
+                k_hi = min(k_hi, (values[j] - values[k]) / gap)
+            elif gap < 0:
+                k_lo = max(k_lo, (values[k] - values[j]) / -gap)
+            elif values[j] < values[k]:
+                dominated = True
+                break
+        if dominated or k_lo > k_hi * (1 + 1e-12) + 1e-15:
+            continue
+        if np.isfinite(k_hi) and values[k] - k_hi * sizes[k] > fmin - 1e-4 * abs(fmin):
+            continue
+        selected.append(k)
+    return selected
+
+
+def _reference_direct_minimize(objective, bounds, budget: int, seed: int = 0):
+    """Oracle: DIRECT on parallel lists, re-sizing every rectangle each round."""
+    bounds = np.asarray(bounds, dtype=float)
+    if bounds.ndim != 2 or bounds.shape[1] != 2:
+        raise ValueError("bounds must be (d, 2)")
+    if not np.all(np.isfinite(bounds)) or np.any(bounds[:, 1] <= bounds[:, 0]):
+        raise ValueError("bounds must be finite with positive extent")
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    lo = bounds[:, 0]
+    span = bounds[:, 1] - bounds[:, 0]
+    dim = lo.shape[0]
+    rng = np.random.default_rng(seed)
+
+    state = {"evals": 0, "best": np.inf, "best_u": np.full(dim, 0.5)}
+    trace: list[float] = []
+
+    def evaluate(u: np.ndarray) -> float:
+        if state["evals"] >= budget:
+            raise _ReferenceBudgetExhausted
+        value = float(objective(lo + u * span))
+        if not math.isfinite(value):
+            value = np.inf
+        state["evals"] += 1
+        if value < state["best"]:
+            state["best"] = value
+            state["best_u"] = u.copy()
+        trace.append(state["best"])
+        return value
+
+    centers = [np.full(dim, 0.5)]
+    levels = [np.zeros(dim, dtype=int)]
+    values = [evaluate(centers[0])]
+
+    def rect_size(lv: np.ndarray) -> float:
+        # summing in sorted order makes equal level-multisets bit-identical
+        return 0.5 * float(np.sqrt((9.0 ** (-np.sort(lv).astype(float))).sum()))
+
+    def divide(idx: int) -> None:
+        lv = levels[idx]
+        lmin = lv.min()
+        dims = np.flatnonzero(lv == lmin)
+        delta = 3.0 ** -(lmin + 1)
+        children = []
+        for i in dims:
+            up = centers[idx].copy()
+            up[i] += delta
+            down = centers[idx].copy()
+            down[i] -= delta
+            v_up = evaluate(up)
+            v_down = evaluate(down)
+            children.append((min(v_up, v_down), int(i), up, v_up, down, v_down))
+        children.sort(key=lambda item: (item[0], item[1]))
+        current = lv.copy()
+        for _, i, up, v_up, down, v_down in children:
+            current = current.copy()
+            current[i] += 1
+            centers.append(up)
+            levels.append(current)
+            values.append(v_up)
+            centers.append(down)
+            levels.append(current)
+            values.append(v_down)
+        levels[idx] = current
+
+    try:
+        while state["evals"] < budget:
+            # group live rectangles into size classes, keep per-class minima
+            by_size: dict[float, list[int]] = {}
+            for idx in range(len(values)):
+                by_size.setdefault(rect_size(levels[idx]), []).append(idx)
+            sizes = np.array(sorted(by_size))
+            class_rects = []
+            class_values = np.empty(sizes.shape[0])
+            for pos, size in enumerate(sizes):
+                members = by_size[size]
+                vmin = min(values[i] for i in members)
+                ties = [i for i in members if values[i] == vmin]
+                if len(ties) > 1:
+                    rng.shuffle(ties)
+                class_values[pos] = vmin
+                class_rects.append(ties)
+            for pos in _reference_potentially_optimal(sizes, class_values):
+                for idx in class_rects[pos]:
+                    divide(idx)
+    except _ReferenceBudgetExhausted:
+        pass
+
+    return DirectResult(
+        w=lo + state["best_u"] * span,
+        value=float(state["best"]),
+        trace=trace,
+        n_evals=state["evals"],
+    )
+
+
+def test_direct_matches_parallel_list_reference():
+    # every evaluated point in order, the trace, w, the value and the count
+    # agree with the oracle, on 1080 (objective, box, budget, seed) cases
+    rng = np.random.default_rng(2024)
+    cases = 0
+    for d in (1, 2, 3, 5, 11, 34):
+        for seed in (0, 1, 2, 7):
+            for kind in ("sphere", "constant", "floor_step", "integer", "holes"):
+                for budget in (1, *rng.integers(2, 401, size=8)):
+                    lo = rng.uniform(-3.0, 0.0, d)
+                    bounds = np.column_stack([lo, lo + rng.uniform(0.5, 4.0, d)])
+                    f = _objective(kind, rng.uniform(bounds[:, 0], bounds[:, 1]))
+                    runs = []
+                    for minimize in (direct_minimize, _reference_direct_minimize):
+                        seen = []
+
+                        def recording(w):
+                            seen.append(np.array(w))
+                            return f(w)
+
+                        with warnings.catch_warnings():
+                            # the oracle warns on inf - inf
+                            warnings.simplefilter("ignore", RuntimeWarning)
+                            res = minimize(recording, bounds, int(budget), seed=seed)
+                        runs.append((np.array(seen), res))
+                    (seen, res), (want_seen, want) = runs
+                    assert np.array_equal(seen, want_seen), (d, seed, kind, budget)
+                    assert res.trace == want.trace
+                    assert np.array_equal(res.w, want.w)
+                    assert res.value == want.value and res.n_evals == want.n_evals
+                    cases += 1
+    assert cases == 1080
 
 
 # ---------------------------------------------------------------------------
