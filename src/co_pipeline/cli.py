@@ -133,6 +133,8 @@ def _cmd_train(app, manifest: dict, out: Path, seed_override, /, dataset: str,
                                  skip=("pairs", "argmin_vec", "features_of"))
         if seed_override is not None:
             fyl["seed"] = int(seed_override)
+        if fyl["seed"] < 0:
+            raise ValueError("fyl key 'seed' (or --seed) must be >= 0")
         weights = app.fyl_train(instances, **fyl)
         report = {"per_seed": [], "best_w": [float(v) for v in weights.w],
                   "config_hash": learning.config_hash(fyl)}

@@ -7,13 +7,12 @@ this module is a pure deterministic map from its inputs.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
 __all__ = [
     "Graph",
-    "UnionFind",
     "mst_kruskal",
     "mst_constrained",
     "enumerate_spanning_trees",
@@ -23,34 +22,21 @@ __all__ = [
 ENUMERATION_EDGE_LIMIT = 20
 
 
-class UnionFind:
-    """Disjoint sets over {0..n-1} with path compression and union by rank."""
+def _joining(parent: list, edges, ids):
+    """Yield, in order, each id in `ids` whose edge joins two trees of the
+    forest `parent` (a parent list; roots point at themselves), linking them.
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-        self.num_components = n
-
-    def find(self, v: int) -> int:
-        root = v
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[v] != root:
-            self.parent[v], v = root, self.parent[v]
-        return root
-
-    def union(self, u: int, v: int) -> bool:
-        """Merge the sets of u and v; returns False if already joined."""
-        ru, rv = self.find(u), self.find(v)
-        if ru == rv:
-            return False
-        if self.rank[ru] < self.rank[rv]:
-            ru, rv = rv, ru
-        self.parent[rv] = ru
-        if self.rank[ru] == self.rank[rv]:
-            self.rank[ru] += 1
-        self.num_components -= 1
-        return True
+    Path halving keeps the trees shallow; which root is linked under which
+    does not matter, because callers only use the edges that join."""
+    for eid in ids:
+        u, v = edges[eid]
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+            yield eid
 
 
 class Graph:
@@ -80,10 +66,8 @@ class Graph:
             if key in seen:
                 raise ValueError(f"duplicate edge {key}")
             seen.add(key)
-        uf = UnionFind(self.num_vertices)
-        for u, v in self.edges:
-            uf.union(u, v)
-        if uf.num_components != 1:
+        joined = _joining(list(range(self.num_vertices)), self.edges, range(self.num_edges))
+        if len(list(joined)) != self.num_vertices - 1:
             raise ValueError("graph is not connected")
 
     @property
@@ -108,16 +92,12 @@ def _check_weights(graph: Graph, weights) -> np.ndarray:
     return w
 
 
-def _kruskal(graph: Graph, w: np.ndarray, uf: UnionFind, tree: list) -> frozenset[int]:
-    """Extend the forest `tree` (already merged in uf) to a spanning tree by
-    adding edges in (weight, edge id) order; stops at |V| - 1 edges."""
+def _kruskal(graph: Graph, w: np.ndarray, parent: list, tree: list) -> frozenset[int]:
+    """Extend the forest `tree` (already linked in parent) to a spanning tree
+    by adding edges in (weight, edge id) order; stops at |V| - 1 edges."""
     size = graph.num_vertices - 1
-    for eid in np.argsort(w, kind="stable"):
-        u, v = graph.edges[eid]
-        if uf.union(u, v):
-            tree.append(int(eid))
-            if len(tree) == size:
-                break
+    order = np.argsort(w, kind="stable").tolist()
+    tree += islice(_joining(parent, graph.edges, order), size - len(tree))
     if len(tree) != size:
         raise ValueError("edge set is not spanning")
     return frozenset(tree)
@@ -129,26 +109,25 @@ def mst_kruskal(graph: Graph, weights) -> frozenset[int]:
     Ties are broken by ascending edge id (stable sort on weight), so the
     returned tree is unique given (graph, weights).
     """
-    return _kruskal(graph, _check_weights(graph, weights), UnionFind(graph.num_vertices), [])
+    return _kruskal(graph, _check_weights(graph, weights), list(range(graph.num_vertices)), [])
 
 
 def mst_constrained(graph: Graph, weights, forced) -> frozenset[int]:
     """Minimum spanning tree among trees containing every edge in `forced`.
 
-    Seeds the union-find with the forced edges (error if they close a
+    Seeds the forest with the forced edges (error if they close a
     cycle) and completes greedily with the same (weight, edge id) order
     as mst_kruskal.  With forced = ∅ the output equals mst_kruskal.
     """
     w = _check_weights(graph, weights)
     forced = sorted(int(e) for e in forced)
-    uf = UnionFind(graph.num_vertices)
     for eid in forced:
         if not (0 <= eid < graph.num_edges):
             raise ValueError(f"forced edge id {eid} out of range")
-        u, v = graph.edges[eid]
-        if not uf.union(u, v):
-            raise ValueError("forced edges contain a cycle")
-    return _kruskal(graph, w, uf, forced)
+    parent = list(range(graph.num_vertices))
+    if len(list(_joining(parent, graph.edges, forced))) != len(forced):
+        raise ValueError("forced edges contain a cycle")
+    return _kruskal(graph, w, parent, forced)
 
 
 def enumerate_spanning_trees(graph: Graph) -> list[frozenset[int]]:
@@ -160,14 +139,7 @@ def enumerate_spanning_trees(graph: Graph) -> list[frozenset[int]]:
     size = graph.num_vertices - 1
     trees = []
     for combo in combinations(range(graph.num_edges), size):
-        uf = UnionFind(graph.num_vertices)
-        ok = True
-        for eid in combo:
-            u, v = graph.edges[eid]
-            if not uf.union(u, v):
-                ok = False
-                break
-        if ok and uf.num_components == 1:
+        if len(list(_joining(list(range(graph.num_vertices)), graph.edges, combo))) == size:
             trees.append(frozenset(combo))
     return trees
 

@@ -78,10 +78,6 @@ class SchedInstance:
     def n(self) -> int:
         return self.p.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.n
-
 
 @dataclass(frozen=True)
 class SrptStats:
@@ -140,7 +136,7 @@ def srpt_preemptive(x: SchedInstance) -> SrptStats:
     displaced while unfinished.
     """
     n = x.n
-    remaining = x.p.astype(float).copy()
+    remaining = x.p.copy()
     completion = np.zeros(n)
     first_start = np.zeros(n)
     started = np.zeros(n, dtype=bool)
@@ -150,16 +146,18 @@ def srpt_preemptive(x: SchedInstance) -> SrptStats:
     ptr = 0
     t = 0.0
     ready: list[tuple[float, int]] = []
-    done = 0
-    while done < n:
+    prev = -1
+    while ptr < n or ready:
+        if not ready:
+            t = float(x.r[release_order[ptr]])
         while ptr < n and x.r[release_order[ptr]] <= t:
             j = int(release_order[ptr])
             heapq.heappush(ready, (remaining[j], j))
             ptr += 1
-        if not ready:
-            t = float(x.r[release_order[ptr]])
-            continue
         rem, j = heapq.heappop(ready)
+        if j != prev and prev >= 0 and remaining[prev] > 0:
+            preemptions[prev] += 1
+        prev = j
         if not started[j]:
             started[j] = True
             first_start[j] = t
@@ -168,18 +166,10 @@ def srpt_preemptive(x: SchedInstance) -> SrptStats:
             t += rem
             remaining[j] = 0.0
             completion[j] = t
-            done += 1
         else:
-            rem -= next_release - t
-            remaining[j] = rem
+            remaining[j] = rem - (next_release - t)
             t = next_release
-            while ptr < n and x.r[release_order[ptr]] <= t:
-                k = int(release_order[ptr])
-                heapq.heappush(ready, (remaining[k], k))
-                ptr += 1
-            if ready and ready[0] < (rem, j):
-                preemptions[j] += 1
-            heapq.heappush(ready, (rem, j))
+            heapq.heappush(ready, (remaining[j], j))
     return SrptStats(completion=completion, first_start=first_start, preemptions=preemptions)
 
 

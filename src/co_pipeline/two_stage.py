@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import learning, model
-from .graphs import Graph, UnionFind, grid_graph, mst_constrained, mst_kruskal
+from .graphs import Graph, _joining, grid_graph, mst_constrained, mst_kruskal
 from .model import PerturbationConfig, _as_number, _as_weight_array, _read_json, _write_json
 
 __all__ = [
@@ -140,13 +140,9 @@ def evaluate_solution(x: TwoStageInstance, z: TwoStageSolution) -> float:
         if z.first_stage & es:
             raise ValueError(f"scenario {s}: first and second stage overlap")
         union = z.first_stage | es
-        if len(union) != graph.num_vertices - 1:
+        joined = _joining(list(range(graph.num_vertices)), graph.edges, union)
+        if len(union) != graph.num_vertices - 1 or len(list(joined)) != len(union):
             raise ValueError(f"scenario {s}: edge set is not a spanning tree")
-        uf = UnionFind(graph.num_vertices)
-        for eid in union:
-            u, v = graph.edges[eid]
-            if not uf.union(u, v):
-                raise ValueError(f"scenario {s}: edge set is not a spanning tree")
     first = float(sum(x.c[e] for e in z.first_stage))
     second = sum(sum(x.d[e, s] for e in es) for s, es in enumerate(z.second_stage))
     return first + second / x.num_scenarios
@@ -189,8 +185,7 @@ def easy_incidence(x: TwoStageInstance, theta) -> np.ndarray:
 def _complete_or_empty(x: TwoStageInstance, first: frozenset[int]) -> TwoStageSolution:
     """The decode rule (see decode) for a given first stage."""
     second = tuple(
-        frozenset(mst_constrained(x.graph, x.d[:, s], first)) - first
-        for s in range(x.num_scenarios)
+        mst_constrained(x.graph, x.d[:, s], first) - first for s in range(x.num_scenarios)
     )
     cand = TwoStageSolution(first_stage=first, second_stage=second)
     cost = evaluate_solution(x, cand)
@@ -361,13 +356,8 @@ def lagrangian_heuristic(x: TwoStageInstance, duals: np.ndarray) -> TwoStageSolu
         raise ValueError("duals must be (num_edges, num_scenarios)")
     _, ybar = _scenario_subproblems(x, lam)
     score = ybar.mean(axis=1)
-    order = sorted(np.flatnonzero(score >= 0.5), key=lambda e: (-score[e], e))
-    uf = UnionFind(x.graph.num_vertices)
-    forest = []
-    for e in order:
-        u, v = x.graph.edges[e]
-        if uf.union(u, v):
-            forest.append(int(e))
+    order = sorted(np.flatnonzero(score >= 0.5).tolist(), key=lambda e: (-score[e], e))
+    forest = _joining(list(range(x.graph.num_vertices)), x.graph.edges, order)
     return _complete_or_empty(x, frozenset(forest))
 
 
@@ -384,20 +374,18 @@ def brute_force_optimum(x: TwoStageInstance):
         raise ValueError(f"brute force limited to {BRUTE_FORCE_EDGE_LIMIT} edges")
     best_cost = np.inf
     best = None
-    max_first = x.graph.num_vertices - 1
+    n_vertices = x.graph.num_vertices
     for mask in range(1 << n_edges):
         edges = [e for e in range(n_edges) if mask >> e & 1]
-        if len(edges) > max_first:
-            continue
-        uf = UnionFind(x.graph.num_vertices)
-        if not all(uf.union(*x.graph.edges[e]) for e in edges):
+        forest = _joining(list(range(n_vertices)), x.graph.edges, edges)
+        if len(edges) >= n_vertices or len(list(forest)) != len(edges):
             continue
         first = frozenset(edges)
         cost = sum(x.c[e] for e in edges)
         second = []
         acc = 0.0
         for s in range(x.num_scenarios):
-            es = frozenset(mst_constrained(x.graph, x.d[:, s], first)) - first
+            es = mst_constrained(x.graph, x.d[:, s], first) - first
             second.append(es)
             acc += sum(x.d[e, s] for e in es)
         cost += acc / x.num_scenarios
@@ -551,7 +539,7 @@ class TwoStageApplication:
         for x in instances:
             _, duals, _ = lagrangian_bound(x, iters=bound_iters)
             first = lagrangian_heuristic(x, duals).first_stage
-            second = frozenset(mst_constrained(x.graph, x.d.mean(axis=1), first)) - first
+            second = mst_constrained(x.graph, x.d.mean(axis=1), first) - first
             pairs.append((x, incidence_vector(x, EasySolution(first, second))))
         return learning.fyl_learn(pairs, argmin_vec=easy_incidence, features_of=features, **fyl)
 

@@ -346,10 +346,14 @@ def test_cli_error_exits(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"{method!r}" in err and f"{block!r}" in err
     assert not (tmp_path / "o7").exists()
-    # so does a negative master seed given as --seed
+    # so does a negative master seed given as --seed, or a negative fyl seed
     assert main(["generate", "--config", ts_gen, "--out", str(tmp_path / "o8"), "--seed", "-3"]) == 1
     assert "'seed'" in capsys.readouterr().err
     assert not (tmp_path / "o8").exists()
+    tr = _write(tmp_path / "tr_fyl.json", {"dataset": str(ok), "method": "fyl"})
+    assert main(["train", "--config", tr, "--out", str(tmp_path / "o9"), "--seed", "-4"]) == 1
+    assert "fyl key 'seed'" in capsys.readouterr().err
+    assert not (tmp_path / "o9").exists()
     # --seed exists on generate and train only
     for command in ("eval", "bounds"):
         with pytest.raises(SystemExit) as exc:
@@ -395,6 +399,7 @@ def _typo_case(block, two_stage_dataset, tmp_path):
         "generate_seed_negative": ("generate", {**two_stage_gen, "seed": -2}, "seed", None),
         "learner_seed_negative": ("train", {**train, "learner": {"budget": 5, "seeds": [-1]}},
                                   "seeds", None),
+        "fyl_seed_negative": ("train", {**train, "method": "fyl", "fyl": {"seed": -1}}, "seed", None),
         "eval_empty": ("eval", {"dataset": str(ds), "algorithms": []}, "algorithms", None),
         "bounds_empty_n": ("bounds", {"M": 10.0, "d": 34, "n": []}, "n", None),
     }
@@ -409,7 +414,7 @@ def _typo_case(block, two_stage_dataset, tmp_path):
     ["generate", "train", "learner", "perturbation", "fyl", "eval", "eval_entry", "bounds",
      "bounds_beta", "generate_empty_axis", "generate_empty_n", "generate_per_cell_0",
      "generate_width_1", "generate_rho_0", "generate_seed_negative", "learner_seed_negative",
-     "eval_empty", "bounds_empty_n"],
+     "fyl_seed_negative", "eval_empty", "bounds_empty_n"],
 )
 def test_config_typo_exits_before_writing(block, two_stage_dataset, tmp_path, capsys):
     argv, out, key, nearest = _typo_case(block, two_stage_dataset, tmp_path)

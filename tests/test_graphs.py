@@ -4,11 +4,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from co_pipeline.graphs import (
     ENUMERATION_EDGE_LIMIT,
     Graph,
-    UnionFind,
+    _joining,
     enumerate_spanning_trees,
     grid_graph,
     mst_constrained,
@@ -43,6 +46,26 @@ def _trees_brute(graph):
         if _connected(graph.num_vertices, chosen):
             out.append(frozenset(combo))
     return out
+
+
+@st.composite
+def connected_graphs(draw, max_vertices=8):
+    """A random spanning tree on shuffled vertex labels plus random extra
+    edges, in shuffled edge order."""
+    n = draw(st.integers(2, max_vertices))
+    label = draw(st.permutations(range(n)))
+    tree = {tuple(sorted((label[v], label[draw(st.integers(0, v - 1))]))) for v in range(1, n)}
+    extra = [pair for pair in itertools.combinations(range(n), 2) if pair not in tree]
+    keep = draw(st.lists(st.booleans(), min_size=len(extra), max_size=len(extra)))
+    return Graph(n, draw(st.permutations(sorted(tree) + list(itertools.compress(extra, keep)))))
+
+
+def components(num_vertices, pairs):
+    """Number of connected components of ({0..num_vertices-1}, pairs), by scipy."""
+    adj = np.zeros((num_vertices, num_vertices))
+    for u, v in pairs:
+        adj[u, v] = 1.0
+    return connected_components(adj, directed=False)[0]
 
 
 def random_connected_graph(rng, max_vertices=6):
@@ -80,14 +103,25 @@ def test_graph_rejects_disconnected():
         Graph(4, [(0, 1), (2, 3)])
 
 
-def test_union_find_never_merges_same_component():
-    uf = UnionFind(4)
-    assert uf.union(0, 1)
-    assert uf.union(1, 2)
-    assert not uf.union(0, 2)  # would close a cycle
-    assert uf.num_components == 2
-    assert uf.union(2, 3)
-    assert uf.num_components == 1
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(connected_graphs(), st.data())
+def test_graph_rejects_exactly_the_disconnected_edge_sets(g, data):
+    keep = data.draw(st.lists(st.booleans(), min_size=g.num_edges, max_size=g.num_edges))
+    pairs = list(itertools.compress(g.edges, keep))
+    if components(g.num_vertices, pairs) > 1:
+        with pytest.raises(ValueError, match="not connected"):
+            Graph(g.num_vertices, pairs)
+    else:
+        assert Graph(g.num_vertices, pairs).edges == pairs
+
+
+def test_joining_never_merges_same_component():
+    edges = [(0, 1), (1, 2), (0, 2), (2, 3)]
+    parent = list(range(4))
+    # (0, 2) would close a cycle, so it is refused and the forest is unchanged
+    assert list(_joining(parent, edges, [0, 1, 2])) == [0, 1]
+    assert list(_joining(parent, edges, [2, 3, 1])) == [3]
+    assert list(_joining(parent, edges, range(4))) == []  # one tree: nothing joins
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +247,23 @@ def test_mst_constrained_rejects_forced_cycle():
     g = Graph(3, [(0, 1), (0, 2), (1, 2)])
     with pytest.raises(ValueError, match="cycle"):
         mst_constrained(g, [1.0, 1.0, 1.0], {0, 1, 2})
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(connected_graphs(), st.data())
+def test_mst_constrained_rejects_exactly_the_cyclic_forced_sets(g, data):
+    # a forced set is a forest iff |F| = |V| - (components of (V, F))
+    n = g.num_vertices
+    keep = data.draw(st.lists(st.booleans(), min_size=g.num_edges, max_size=g.num_edges))
+    forced = set(itertools.compress(range(g.num_edges), keep))
+    w = data.draw(st.lists(st.integers(-3, 3), min_size=g.num_edges, max_size=g.num_edges))
+    if len(forced) > n - components(n, [g.edges[e] for e in forced]):
+        with pytest.raises(ValueError, match="cycle"):
+            mst_constrained(g, w, forced)
+    else:
+        tree = mst_constrained(g, w, forced)
+        assert forced <= tree and len(tree) == n - 1
+        assert components(n, [g.edges[e] for e in tree]) == 1
 
 
 def test_weight_validation():

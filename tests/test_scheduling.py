@@ -1,5 +1,6 @@
 """Single-machine scheduling against step-by-step simulation oracles."""
 
+import heapq
 import itertools
 import json
 
@@ -14,6 +15,7 @@ from co_pipeline.scheduling import (
     BRUTE_FORCE_JOB_LIMIT,
     SCHED_FEATURE_DIM,
     SchedInstance,
+    SrptStats,
     brute_force_schedule,
     evaluate_schedule,
     experience_loss_config,
@@ -182,6 +184,79 @@ def test_srpt_lower_bounds_brute_force():
         srpt_total = float(srpt_preemptive(x).completion.sum())
         best, _ = brute_force_schedule(x)
         assert srpt_total <= best + 1e-9
+
+
+def _reference_srpt(x: SchedInstance) -> SrptStats:
+    """Event-driven preemptive SRPT (optimal for the preemptive relaxation).
+
+    At every release or completion the job with the least remaining time
+    among released unfinished jobs runs; remaining-time ties go to the
+    lower job index.  A job is counted as preempted each time it is
+    displaced while unfinished.
+    """
+    n = x.n
+    remaining = x.p.astype(float).copy()
+    completion = np.zeros(n)
+    first_start = np.zeros(n)
+    started = np.zeros(n, dtype=bool)
+    preemptions = np.zeros(n, dtype=int)
+
+    release_order = np.argsort(x.r, kind="stable")
+    ptr = 0
+    t = 0.0
+    ready: list[tuple[float, int]] = []
+    done = 0
+    while done < n:
+        while ptr < n and x.r[release_order[ptr]] <= t:
+            j = int(release_order[ptr])
+            heapq.heappush(ready, (remaining[j], j))
+            ptr += 1
+        if not ready:
+            t = float(x.r[release_order[ptr]])
+            continue
+        rem, j = heapq.heappop(ready)
+        if not started[j]:
+            started[j] = True
+            first_start[j] = t
+        next_release = float(x.r[release_order[ptr]]) if ptr < n else np.inf
+        if t + rem <= next_release:
+            t += rem
+            remaining[j] = 0.0
+            completion[j] = t
+            done += 1
+        else:
+            rem -= next_release - t
+            remaining[j] = rem
+            t = next_release
+            while ptr < n and x.r[release_order[ptr]] <= t:
+                k = int(release_order[ptr])
+                heapq.heappush(ready, (remaining[k], k))
+                ptr += 1
+            if ready and ready[0] < (rem, j):
+                preemptions[j] += 1
+            heapq.heappush(ready, (rem, j))
+    return SrptStats(completion=completion, first_start=first_start, preemptions=preemptions)
+
+
+def test_srpt_matches_two_push_reference():
+    # the single event loop against the previous implementation, which
+    # pushed releases in two places and peeked the heap for preemptions
+    rng = np.random.default_rng(37)
+    cases = [
+        SchedInstance(p=rng.integers(1, 5, size=n).astype(float),
+                      r=rng.integers(0, 6, size=n).astype(float))
+        for n in rng.integers(1, 13, size=1000)
+    ]
+    cases += [
+        generate_sched_instance(int(n), rho, seed=k)
+        for k, (n, rho) in enumerate(zip(rng.integers(1, 40, size=2000),
+                                         itertools.cycle([0.05, 0.2, 1.0, 3.0])))
+    ]
+    for x in cases:
+        got, want = srpt_preemptive(x), _reference_srpt(x)
+        assert np.array_equal(got.completion, want.completion), (x.p, x.r)
+        assert np.array_equal(got.first_start, want.first_start), (x.p, x.r)
+        assert np.array_equal(got.preemptions, want.preemptions), (x.p, x.r)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import minimum_spanning_tree
+from test_graphs import components, connected_graphs
 
 from co_pipeline.graphs import Graph, grid_graph
 from co_pipeline.model import WeightVector
@@ -270,12 +274,74 @@ def _all_trees(x):
     ]
 
 
-def test_decode_always_feasible():
-    rng = np.random.default_rng(13)
-    for _ in range(30):
-        x = _random_small_instance(rng)
-        z = decode(x, easy_layer(x, -rng.random(2 * x.num_edges)))
-        evaluate_solution(x, z)  # raises if infeasible
+@st.composite
+def small_instances(draw):
+    """A random connected graph on at most 8 vertices, 1-3 scenarios, and
+    integer costs in [-20, 0]."""
+    g = draw(connected_graphs())
+    m, n_scen = g.num_edges, draw(st.integers(1, 3))
+    size = m * (1 + n_scen)
+    costs = np.array(draw(st.lists(st.integers(-20, 0), min_size=size, max_size=size)), dtype=float)
+    return TwoStageInstance(graph=g, c=costs[:m], d=costs[m:].reshape(m, n_scen))
+
+
+def _spans(x, edge_ids):
+    """Whether the edge ids form a spanning tree, by scipy."""
+    n = x.graph.num_vertices
+    return len(edge_ids) == n - 1 and components(n, [x.graph.edges[e] for e in edge_ids]) == 1
+
+
+def _scipy_tree(graph, weights):
+    """Edge ids of scipy's minimum spanning tree (weights positive and distinct)."""
+    dense = np.zeros((graph.num_vertices, graph.num_vertices))
+    eid = {}
+    for e, (u, v) in enumerate(graph.edges):
+        dense[min(u, v), max(u, v)] = weights[e]
+        eid[min(u, v), max(u, v)] = e
+    rows, cols = minimum_spanning_tree(dense).nonzero()
+    return frozenset(eid[min(u, v), max(u, v)] for u, v in zip(rows.tolist(), cols.tolist()))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(small_instances(), st.data())
+def test_evaluate_solution_accepts_exactly_the_spanning_trees(x, data):
+    # the first stage is part of one scipy tree; each scenario adds either
+    # another scipy tree through it (its edges made the lightest) or a
+    # random edge set
+    m = x.num_edges
+
+    def distinct_weights():
+        return 2.0 + np.array(data.draw(st.permutations(range(m)))) / m
+
+    tree = _scipy_tree(x.graph, distinct_weights())
+    first = frozenset(e for e in tree if data.draw(st.booleans()))
+    second = []
+    for _ in range(x.num_scenarios):
+        if data.draw(st.booleans()):
+            w = distinct_weights()
+            w[list(first)] -= 1.0
+            es = _scipy_tree(x.graph, w)
+        else:
+            es = frozenset(data.draw(st.sets(st.integers(0, m - 1))))
+        second.append(es - first)
+    z = TwoStageSolution(first, tuple(second))
+    if all(_spans(x, first | es) for es in second):
+        acc = sum(x.d[e, s] for s, es in enumerate(second) for e in es)
+        want = sum(x.c[e] for e in first) + acc / x.num_scenarios
+        assert evaluate_solution(x, z) == pytest.approx(want, abs=1e-9)
+    else:
+        with pytest.raises(ValueError, match="not a spanning tree"):
+            evaluate_solution(x, z)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(small_instances(), st.data())
+def test_decode_always_feasible(x, data):
+    theta = data.draw(st.lists(st.floats(-10, 10), min_size=2 * x.num_edges,
+                               max_size=2 * x.num_edges))
+    z = decode(x, easy_layer(x, np.array(theta)))
+    evaluate_solution(x, z)  # raises if infeasible
+    assert all(_spans(x, z.first_stage | es) for es in z.second_stage)
 
 
 # ---------------------------------------------------------------------------
