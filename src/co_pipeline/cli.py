@@ -129,8 +129,7 @@ def _cmd_train(app, manifest: dict, out: Path, seed_override, /, dataset: str,
             instances, learning.LearnerConfig(**learner), loss_cfg
         )
     else:
-        fyl = model._read_config("fyl", fyl or {}, app.fyl_train, learning.fyl_learn,
-                                 skip=("pairs", "argmin_vec", "features_of"))
+        fyl = model._read_config("fyl", fyl or {}, app.fyl_train, learning.fyl_learn)
         if seed_override is not None:
             fyl["seed"] = int(seed_override)
         if fyl["seed"] < 0:
@@ -172,8 +171,7 @@ def _cmd_eval(app, manifest: dict, out: Path, /, dataset: str, algorithms: list,
         if kind not in kinds:
             raise ValueError(f"unknown {manifest['application']} algorithm kind {kind!r}")
         factory, *passed_on = kinds[kind]
-        keys = model._read_config(f"{kind} entry", entry, _runner, factory, *passed_on,
-                                  skip=app.entry_skip)
+        keys = model._read_config(f"{kind} entry", entry, _runner, factory, *passed_on)
         name, run = _runner(factory, **keys)
         if name in runners:
             raise ValueError(f"two eval algorithms are named {name!r}")

@@ -47,14 +47,13 @@ __all__ = [
 class LossConfig:
     """Application plug-in for the generic learner.
 
-    pipeline_cost(x, w) runs the full pipeline (features, linear model,
-    optimization layer, post-processing) and returns the hard-problem
-    cost; normalize(x, cost) maps it to a size-comparable non-negative
-    loss.  When perturbation is set, the smoothed loss is used.
+    pipeline_loss(x, w) runs the full pipeline (features, linear model,
+    optimization layer, post-processing) and returns its hard-problem cost
+    normalized to a size-comparable non-negative loss.  When perturbation
+    is set, the smoothed loss is used.
     """
 
-    pipeline_cost: Callable
-    normalize: Callable
+    pipeline_loss: Callable
     dim: int
     perturbation: PerturbationConfig | None = None
 
@@ -85,8 +84,7 @@ def parallel_map(fn, items) -> list:
 
 def loss(x, w, cfg: LossConfig) -> float:
     """Normalized pipeline cost at weights w (deterministic in (x, w))."""
-    w = np.asarray(w, dtype=float)
-    return float(cfg.normalize(x, cfg.pipeline_cost(x, w)))
+    return float(cfg.pipeline_loss(x, np.asarray(w, dtype=float)))
 
 
 def perturbed_loss_saa(x, w, cfg: LossConfig) -> float:
@@ -103,7 +101,7 @@ def perturbed_loss_saa(x, w, cfg: LossConfig) -> float:
     gaussians = sample_gaussians(pert, w.shape[0])
     total = 0.0
     for z in gaussians:
-        total += cfg.normalize(x, cfg.pipeline_cost(x, w + pert.sigma * z))
+        total += cfg.pipeline_loss(x, w + pert.sigma * z)
     return float(total / pert.nsamples)
 
 
@@ -313,6 +311,7 @@ def fyl_learn(
     pairs,
     argmin_vec,
     features_of,
+    /,
     epsilon: float = 1.0,
     n_z: int = 20,
     steps: int = 500,

@@ -83,18 +83,26 @@ def _read_json(path):
         return json.load(fh)
 
 
-_CASTS = {"int": int, "float": float, "tuple[int, ...]": lambda v: tuple(int(s) for s in v)}
+def _whole(v) -> int:
+    """int(v), refusing to truncate a fraction (an integral float such as 2.0 passes)."""
+    if isinstance(v, float) and not v.is_integer():
+        raise ValueError(f"{v!r} is not an integer")
+    return int(v)
 
 
-def _read_config(block: str, config, *consumers, skip=()) -> dict:
+_CASTS = {"int": _whole, "float": float, "tuple[int, ...]": lambda v: tuple(map(_whole, v))}
+
+
+def _read_config(block: str, config, *consumers) -> dict:
     """The settings of one config block, keyed, typed and defaulted by its consumers.
 
     The keys of a block are the parameters of its consumers (functions,
-    methods or dataclasses) that can be passed by keyword, less those
-    named in skip.  A given value is cast to its parameter's annotated
-    int, float or tuple[int, ...]; an omitted key takes its parameter's
-    default and is an error if there is none.  Any other key is an error
-    that names the block, the key and the nearest valid key.
+    methods or dataclasses) that can be passed by keyword: every parameter
+    but the positional-only ones.  A given value is cast to its parameter's
+    annotated int, float or tuple[int, ...], and a value the cast refuses
+    is an error that names the block and the key; an omitted key takes its
+    parameter's default and is an error if there is none.  Any other key is
+    an error that names the block, the key and the nearest valid key.
     """
     if not isinstance(config, dict):
         raise ValueError(f"the {block} block must be a JSON object")
@@ -102,7 +110,7 @@ def _read_config(block: str, config, *consumers, skip=()) -> dict:
         name: param
         for consumer in consumers
         for name, param in inspect.signature(consumer).parameters.items()
-        if param.kind in (param.POSITIONAL_OR_KEYWORD, param.KEYWORD_ONLY) and name not in skip
+        if param.kind in (param.POSITIONAL_OR_KEYWORD, param.KEYWORD_ONLY)
     }
     for key in config:
         if key not in params:
@@ -113,8 +121,11 @@ def _read_config(block: str, config, *consumers, skip=()) -> dict:
     settings = {}
     for name, param in params.items():
         if name in config:
-            cast = _CASTS.get(param.annotation)
-            settings[name] = config[name] if cast is None else cast(config[name])
+            cast = _CASTS.get(param.annotation, lambda v: v)
+            try:
+                settings[name] = cast(config[name])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{block} key {name!r}: {exc}") from None
         elif param.default is param.empty:
             raise ValueError(f"missing {block} key {name!r}")
         else:

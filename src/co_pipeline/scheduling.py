@@ -215,13 +215,6 @@ def features(x: SchedInstance) -> np.ndarray:
     ])
 
 
-def _swap_positions(n: int) -> np.ndarray:
-    # row i is the identity with positions i and i + 1 exchanged
-    q = np.arange(n)
-    i = np.arange(n - 1)[:, None]
-    return q + (q == i) - (q == i + 1)
-
-
 def _reinsert_positions(n: int) -> np.ndarray:
     # block i, row j takes the job at position i out and puts it back at
     # position k, where k runs over 0..n-1 without i in ascending order
@@ -248,7 +241,9 @@ def local_search(x: SchedInstance, order) -> np.ndarray:
     """
     order = _check_permutation(x, order).copy()
     total = _total(x, order)
-    blocks = [_swap_positions(x.n), *_reinsert_positions(x.n)]
+    # row i of reinsertion block i moves position i to i + 1: the swap of i and i + 1
+    table, d = _reinsert_positions(x.n), np.arange(x.n - 1)
+    blocks = [table[d, d], *table]
     while True:
         for block in blocks:
             cands = order[block]
@@ -277,6 +272,7 @@ def pipeline_order(x: SchedInstance, w, post: str = "none") -> np.ndarray:
 def perturbed_decode(
     x: SchedInstance,
     w,
+    /,
     sigma: float = 1.0,
     nsamples: int = 150,
     seed: int = 0,
@@ -392,44 +388,26 @@ def load_sched_instance(path) -> SchedInstance:
 
 
 def experience_loss_config(
-    instances,
-    post: str,
-    perturbation: PerturbationConfig | None = None,
+    post: str, perturbation: PerturbationConfig | None = None
 ) -> learning.LossConfig:
     """Loss for learning by experience: pipeline total normalized by n(n+1).
 
     The normalizer keeps instances of different sizes on one scale (the
     worst total grows quadratically in n).  Features are computed once
-    per instance and local-search results are memoized by starting order.
+    per instance and local-search totals are memoized by starting order.
     The caches are keyed by the instance, which hashes by identity and
     stays alive as long as the loss does.
     """
     _check_post(post)
-    feats: dict[SchedInstance, np.ndarray] = {}
-    searched: dict[tuple[SchedInstance, tuple], float] = {}
+    phi_of = functools.cache(features)
+    searched = functools.cache(lambda x, order: _total(x, local_search(x, order)))
 
-    def pipeline_cost(x: SchedInstance, w: np.ndarray) -> float:
-        phi = feats.get(x)
-        if phi is None:
-            phi = feats.setdefault(x, features(x))
-        order = spt_layer(phi @ w)
-        if post == "none":
-            return _total(x, order)
-        key = (x, tuple(order.tolist()))
-        cost = searched.get(key)
-        if cost is None:
-            cost = searched.setdefault(key, _total(x, local_search(x, order)))
-        return cost
-
-    def normalize(x: SchedInstance, cost: float) -> float:
+    def pipeline_loss(x: SchedInstance, w: np.ndarray) -> float:
+        order = spt_layer(phi_of(x) @ w)
+        cost = _total(x, order) if post == "none" else searched(x, tuple(order.tolist()))
         return cost / (x.n * (x.n + 1))
 
-    return learning.LossConfig(
-        pipeline_cost=pipeline_cost,
-        normalize=normalize,
-        dim=SCHED_FEATURE_DIM,
-        perturbation=perturbation,
-    )
+    return learning.LossConfig(pipeline_loss, SCHED_FEATURE_DIM, perturbation)
 
 
 class SchedulingApplication:
@@ -442,13 +420,11 @@ class SchedulingApplication:
 
     bucket_key = "n"
     row_keys = ()
-    # arguments of perturbed_decode that are not eval entry keys
-    entry_skip = ("x", "w")
 
     def cells(self, n, rho) -> list:
         """The manifest fields of each (n, rho) cell."""
-        if any(size < 1 for size in n):
-            raise ValueError("generate key 'n' must hold values >= 1")
+        if any(size < 1 or not float(size).is_integer() for size in n):
+            raise ValueError("generate key 'n' must hold integers >= 1")
         if any(r <= 0 for r in rho):
             raise ValueError("generate key 'rho' must hold values > 0")
         return [{"n": size, "rho": r} for size, r in itertools.product(n, rho)]
@@ -466,7 +442,7 @@ class SchedulingApplication:
         return load_sched_instance(path)
 
     def loss_config(self, instances, rows, perturbation, /, post: str = "ls"):
-        return experience_loss_config(instances, post=post, perturbation=perturbation)
+        return experience_loss_config(post, perturbation)
 
     def fyl_train(self, instances, /, **fyl):
         raise ValueError("fyl training is implemented for the two_stage application")

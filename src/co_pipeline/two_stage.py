@@ -15,6 +15,7 @@ everything in the second stage.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -301,7 +302,7 @@ def _scenario_subproblems(x: TwoStageInstance, lam: np.ndarray):
     return value / x.num_scenarios, ybar
 
 
-def lagrangian_bound(x: TwoStageInstance, iters: int = 500):
+def lagrangian_bound(x: TwoStageInstance, /, iters: int = 500):
     """Lower bound by relaxing nonanticipativity of the first stage.
 
     Scenario copies of the first-stage choice are priced by multipliers
@@ -456,36 +457,25 @@ def experience_loss_config(
 
     The pipeline cost is normalized to the shifted relative gap
     (cost - LB) / max(1, |LB|) so instances of different sizes are
-    comparable.  Features are computed once per instance and decoded
-    candidates are cached by first-stage set, which keeps the black-box
-    evaluations cheap.  The caches are keyed by the instance, which hashes
-    by identity and stays alive as long as the loss does.
+    comparable; an instance outside the pairs raises KeyError.  Features
+    are computed once per instance and gaps are stored by first-stage set,
+    so decode runs once per distinct first stage.  Both caches are keyed by
+    the instance, which hashes by identity and stays alive as long as the
+    loss does.
     """
     lower = {x: float(lb) for x, lb in pairs}
-    feats: dict[TwoStageInstance, np.ndarray] = {}
-    decoded: dict[tuple[TwoStageInstance, frozenset[int]], float] = {}
+    phi_of = functools.cache(features)
+    gaps: dict[tuple[TwoStageInstance, frozenset[int]], float] = {}
 
-    def pipeline_cost(x: TwoStageInstance, w: np.ndarray) -> float:
-        phi = feats.get(x)
-        if phi is None:
-            phi = feats.setdefault(x, features(x))
-        y = easy_layer(x, phi @ w)
-        key = (x, y.first_stage)
-        cost = decoded.get(key)
-        if cost is None:
-            cost = decoded.setdefault(key, evaluate_solution(x, decode(x, y)))
-        return cost
-
-    def normalize(x: TwoStageInstance, cost: float) -> float:
+    def pipeline_loss(x: TwoStageInstance, w: np.ndarray) -> float:
         lb = lower[x]
-        return (cost - lb) / max(1.0, abs(lb))
+        y = easy_layer(x, phi_of(x) @ w)
+        key = (x, y.first_stage)
+        if key not in gaps:
+            gaps[key] = (evaluate_solution(x, decode(x, y)) - lb) / max(1.0, abs(lb))
+        return gaps[key]
 
-    return learning.LossConfig(
-        pipeline_cost=pipeline_cost,
-        normalize=normalize,
-        dim=TWO_STAGE_FEATURE_DIM,
-        perturbation=perturbation,
-    )
+    return learning.LossConfig(pipeline_loss, TWO_STAGE_FEATURE_DIM, perturbation)
 
 
 class TwoStageApplication:
@@ -498,15 +488,13 @@ class TwoStageApplication:
 
     bucket_key = "width"
     row_keys = ("lower_bound",)
-    # arguments of lagrangian_bound that are not eval entry keys
-    entry_skip = ("x",)
 
     def cells(self, widths, K, scenarios, bound_iters: int = 500) -> list:
         """The manifest fields of each cell: its (width, K, scenarios) and the
         subgradient iterations of every stored lower bound."""
         for key, values, least in (("widths", widths, 2), ("K", K, 0), ("scenarios", scenarios, 1)):
-            if any(v < least for v in values):
-                raise ValueError(f"generate key {key!r} must hold values >= {least}")
+            if any(v < least or not float(v).is_integer() for v in values):
+                raise ValueError(f"generate key {key!r} must hold integers >= {least}")
         return [
             {"width": width, "K": k, "num_scenarios": n_scen, "bound_iters": bound_iters}
             for width, k, n_scen in itertools.product(widths, K, scenarios)
@@ -541,7 +529,7 @@ class TwoStageApplication:
             first = lagrangian_heuristic(x, duals).first_stage
             second = mst_constrained(x.graph, x.d.mean(axis=1), first) - first
             pairs.append((x, incidence_vector(x, EasySolution(first, second))))
-        return learning.fyl_learn(pairs, argmin_vec=easy_incidence, features_of=features, **fyl)
+        return learning.fyl_learn(pairs, easy_incidence, features, **fyl)
 
     def algorithms(self) -> dict:
         """Each eval kind's factory, then the library functions it passes keys on to."""

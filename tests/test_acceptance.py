@@ -305,7 +305,7 @@ def test_criterion_09_sigma_sensitivity_ordering():
 def test_criterion_10_scheduling_desk_scale():
     train = _sched_desk_set(11)
     test = _sched_desk_set(22)
-    cfg = scheduling.experience_loss_config(list(train), post="ls")
+    cfg = scheduling.experience_loss_config(post="ls")
     learner = learning.LearnerConfig(
         box_radius=10.0, budget=1000, seeds=tuple(range(10))
     )

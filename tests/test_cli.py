@@ -384,6 +384,10 @@ def _typo_case(block, two_stage_dataset, tmp_path):
                  "aplication", "application"),
         "eval_entry": ("eval", {"dataset": str(ds), "algorithms": [
             *entries, {"name": "lagr", "kind": "lagrangian_heuristic", "iter": 5}]}, "iter", "iters"),
+        # a positional-only parameter of a consumer is not a key
+        "eval_entry_x": ("eval", {"dataset": str(ds), "algorithms": [
+            {"name": "lagr", "kind": "lagrangian_heuristic", "x": 5}]}, "x", None),
+        "fyl_pairs": ("train", {**train, "method": "fyl", "fyl": {"pairs": []}}, "pairs", None),
         "bounds": ("bounds", {"M": 10.0, "d": 34, "n": [100, 400], "sigm": 0.5}, "sigm", "sigma"),
         # beta moves no bound, so it is not a bounds key
         "bounds_beta": ("bounds", {"M": 10.0, "d": 34, "beta": 2}, "beta", "delta"),
@@ -402,6 +406,19 @@ def _typo_case(block, two_stage_dataset, tmp_path):
         "fyl_seed_negative": ("train", {**train, "method": "fyl", "fyl": {"seed": -1}}, "seed", None),
         "eval_empty": ("eval", {"dataset": str(ds), "algorithms": []}, "algorithms", None),
         "bounds_empty_n": ("bounds", {"M": 10.0, "d": 34, "n": []}, "n", None),
+        # an integer setting refuses a fraction instead of truncating it
+        "generate_per_cell_fraction": ("generate", {**two_stage_gen, "per_cell": 1.5},
+                                       "per_cell", None),
+        "generate_bound_iters_fraction": ("generate", {**two_stage_gen, "bound_iters": 5.5},
+                                          "bound_iters", None),
+        "generate_width_fraction": ("generate", {**two_stage_gen, "widths": [3.5]}, "widths", None),
+        "generate_n_fraction": ("generate", {"application": "scheduling", "n": [5.7], "rho": [1.0],
+                                             "per_cell": 1, "seed": 0}, "n", None),
+        "learner_budget_fraction": ("train", {**train, "learner": {"budget": 5.9, "seeds": [0]}},
+                                    "budget", None),
+        "learner_seeds_fraction": ("train", {**train, "learner": {"budget": 5, "seeds": [0.7]}},
+                                   "seeds", None),
+        "bounds_n_fraction": ("bounds", {"M": 10.0, "d": 34, "n": [100, 100.9]}, "n", None),
     }
     command, config, key, nearest = configs[block]
     out = tmp_path / "out"
@@ -414,7 +431,10 @@ def _typo_case(block, two_stage_dataset, tmp_path):
     ["generate", "train", "learner", "perturbation", "fyl", "eval", "eval_entry", "bounds",
      "bounds_beta", "generate_empty_axis", "generate_empty_n", "generate_per_cell_0",
      "generate_width_1", "generate_rho_0", "generate_seed_negative", "learner_seed_negative",
-     "fyl_seed_negative", "eval_empty", "bounds_empty_n"],
+     "fyl_seed_negative", "eval_empty", "bounds_empty_n", "eval_entry_x", "fyl_pairs",
+     "generate_per_cell_fraction", "generate_bound_iters_fraction", "generate_width_fraction",
+     "generate_n_fraction", "learner_budget_fraction", "learner_seeds_fraction",
+     "bounds_n_fraction"],
 )
 def test_config_typo_exits_before_writing(block, two_stage_dataset, tmp_path, capsys):
     argv, out, key, nearest = _typo_case(block, two_stage_dataset, tmp_path)

@@ -37,14 +37,12 @@ from co_pipeline.learning import (
 
 
 def _toy_loss_config():
-    """Loss = ||theta(w)||^2 on a fake 2-dim pipeline (quadratic, easy math)."""
+    """Loss = ||w - x||^2 / 2 on a fake 2-dim pipeline (quadratic, easy math)."""
 
-    def cost(x, w):
-        return float(np.sum((np.asarray(w) - x) ** 2))
+    def pipeline_loss(x, w):
+        return float(np.sum((np.asarray(w) - x) ** 2)) / 2.0
 
-    return LossConfig(
-        pipeline_cost=cost, normalize=lambda x, c: c / 2.0, dim=2, perturbation=None
-    )
+    return LossConfig(pipeline_loss, dim=2, perturbation=None)
 
 
 def test_loss_applies_normalizer():
@@ -66,12 +64,7 @@ def test_loss_two_stage_selector_hits_bound_on_one_edge():
 
 def test_perturbed_loss_sigma_zero_equals_loss():
     cfg = _toy_loss_config()
-    pert = LossConfig(
-        pipeline_cost=cfg.pipeline_cost,
-        normalize=cfg.normalize,
-        dim=2,
-        perturbation=PerturbationConfig(sigma=0.0, nsamples=7, seed=1),
-    )
+    pert = LossConfig(cfg.pipeline_loss, 2, PerturbationConfig(sigma=0.0, nsamples=7, seed=1))
     w = np.array([0.3, -0.4])
     assert perturbed_loss_saa(np.zeros(2), w, pert) == loss(np.zeros(2), w, cfg)
 
@@ -79,9 +72,7 @@ def test_perturbed_loss_sigma_zero_equals_loss():
 def test_perturbed_loss_is_mean_over_fixed_samples():
     cfg = _toy_loss_config()
     pcfg = PerturbationConfig(sigma=0.5, nsamples=4, seed=9)
-    pert = LossConfig(
-        pipeline_cost=cfg.pipeline_cost, normalize=cfg.normalize, dim=2, perturbation=pcfg
-    )
+    pert = LossConfig(cfg.pipeline_loss, 2, pcfg)
     w = np.array([1.0, 2.0])
     z = sample_gaussians(pcfg, 2)
     want = np.mean([loss(np.zeros(2), w + 0.5 * zk, cfg) for zk in z])
@@ -560,8 +551,8 @@ def test_fyl_learn_recovers_stage_choices_on_toy_set():
         pairs.append((x, two_stage.incidence_vector(x, y)))
     wv = fyl_learn(
         pairs,
-        argmin_vec=two_stage.easy_incidence,
-        features_of=two_stage.features,
+        two_stage.easy_incidence,
+        two_stage.features,
         epsilon=0.5,
         n_z=15,
         steps=400,
@@ -586,8 +577,8 @@ def test_fyl_learn_respects_box():
     y = two_stage.easy_layer(x, two_stage.theta_tilde(x))
     wv = fyl_learn(
         [(x, two_stage.incidence_vector(x, y))],
-        argmin_vec=two_stage.easy_incidence,
-        features_of=two_stage.features,
+        two_stage.easy_incidence,
+        two_stage.features,
         epsilon=1.0,
         n_z=5,
         steps=50,
@@ -650,7 +641,7 @@ def test_bound_params_validation():
 
 def test_scheduling_loss_config_dimension():
     xs = [scheduling.generate_sched_instance(5, 1.0, seed=s) for s in range(3)]
-    cfg = scheduling.experience_loss_config(xs, post="ls")
+    cfg = scheduling.experience_loss_config(post="ls")
     assert cfg.dim == scheduling.SCHED_FEATURE_DIM
     risk = empirical_risk(xs, np.zeros(cfg.dim), cfg)
     assert risk > 0.0

@@ -497,23 +497,22 @@ def test_experience_loss_spt_selector_reaches_optimum_over_u():
     for _ in range(10):
         n = int(rng.integers(2, 8))
         x = SchedInstance(p=rng.integers(1, 80, size=n).astype(float), r=np.zeros(n))
-        cfg = experience_loss_config([x], post="none")
+        cfg = experience_loss_config(post="none")
         w = np.zeros(SCHED_FEATURE_DIM)
         w[1] = 1.0
-        cost = cfg.pipeline_cost(x, w)
         best, _ = brute_force_schedule(x)
-        assert cfg.normalize(x, cost) == pytest.approx(best / (n * (n + 1)), abs=1e-12)
+        assert cfg.pipeline_loss(x, w) == pytest.approx(best / (n * (n + 1)), abs=1e-12)
 
 
 def test_loss_cache_never_serves_a_freed_instance():
     # Each instance is scored once and dropped, so CPython hands its id()
     # to the next one; an id-keyed cache must not take it for the old one.
-    shared = experience_loss_config([], post="none")
+    shared = experience_loss_config(post="none")
     w = np.linspace(-1.0, 1.0, SCHED_FEATURE_DIM)
     stale = 0
     for seed in range(200):
         x = generate_sched_instance(8, 1.0, seed=seed)
-        fresh = experience_loss_config([], post="none")
+        fresh = experience_loss_config(post="none")
         stale += learning.loss(x, w, shared) != learning.loss(x, w, fresh)
         del x
     assert stale == 0

@@ -651,35 +651,34 @@ def test_experience_loss_normalized_gap():
     x = _one_edge(-5, [-3])
     lb, _, _ = lagrangian_bound(x, iters=1)
     assert lb == -5.0  # single scenario: tight
+    assert evaluate_solution(x, approx_baseline(x)) == lb
     cfg = experience_loss_config([(x, lb)], None)
-    # raw-cost selector weights reach the optimum here -> zero gap
-    w = np.zeros(TWO_STAGE_FEATURE_DIM)
-    loss_at_zero = cfg.pipeline_cost(x, w)
-    assert cfg.normalize(x, loss_at_zero) >= 0.0
-    best = evaluate_solution(x, approx_baseline(x))
-    assert cfg.normalize(x, best) == 0.0
+    # one edge: the pipeline reaches the optimum at any weights -> zero gap
+    for w in (np.zeros(TWO_STAGE_FEATURE_DIM), np.linspace(-3.0, 3.0, TWO_STAGE_FEATURE_DIM)):
+        assert cfg.pipeline_loss(x, w) == 0.0
 
 
 def test_experience_loss_gap_formula():
+    rng = np.random.default_rng(44)
     x = generate_instance(3, 20, 3, seed=44)
     lb, _, _ = lagrangian_bound(x, iters=200)
     cfg = experience_loss_config([(x, lb)], None)
-    cost = evaluate_solution(x, approx_baseline(x))
-    assert cfg.normalize(x, cost) == pytest.approx(
-        (cost - lb) / max(1.0, abs(lb)), abs=1e-12
-    )
+    for _ in range(5):
+        w = rng.uniform(-10, 10, size=TWO_STAGE_FEATURE_DIM)
+        cost = evaluate_solution(x, pipeline_solution(x, w))
+        assert cfg.pipeline_loss(x, w) == pytest.approx(
+            (cost - lb) / max(1.0, abs(lb)), abs=1e-12
+        )
 
 
-def test_loss_cache_never_serves_a_freed_instance():
-    # Each instance is scored once and dropped, so CPython hands its id()
-    # to the next one; the feature and decode caches must not take it for
-    # the old one.
-    shared = experience_loss_config([], None)
+def test_loss_rejects_an_instance_outside_its_pairs():
+    # the gap needs the instance's lower bound, so the loss scores only
+    # its own pairs; a lookalike instance is another key
+    x = generate_instance(3, 20, 2, seed=5)
+    cfg = experience_loss_config([(x, lagrangian_bound(x, iters=20)[0])], None)
     w = np.linspace(-1.0, 1.0, TWO_STAGE_FEATURE_DIM)
-    stale = 0
-    for seed in range(100):
-        x = generate_instance(3, 20, 2, seed=seed)
-        fresh = experience_loss_config([], None)
-        stale += shared.pipeline_cost(x, w) != fresh.pipeline_cost(x, w)
-        del x
-    assert stale == 0
+    assert cfg.pipeline_loss(x, w) >= 0.0
+    with pytest.raises(KeyError):
+        cfg.pipeline_loss(generate_instance(3, 20, 2, seed=5), w)
+    with pytest.raises(KeyError):
+        experience_loss_config([], None).pipeline_loss(x, w)
