@@ -121,8 +121,9 @@ def mst_constrained(graph: Graph, weights, forced) -> frozenset[int]:
     """
     w = _check_weights(graph, weights)
     forced = sorted(int(e) for e in forced)
+    n_edges = graph.num_edges
     for eid in forced:
-        if not (0 <= eid < graph.num_edges):
+        if not (0 <= eid < n_edges):
             raise ValueError(f"forced edge id {eid} out of range")
     parent = list(range(graph.num_vertices))
     if len(list(_joining(parent, graph.edges, forced))) != len(forced):

@@ -434,7 +434,7 @@ class SchedulingApplication:
 
     def generate(self, cell: dict, seed: int, path) -> dict:
         """Sample one instance of a cell into path; returns its manifest fields."""
-        x = generate_sched_instance(cell["n"], cell["rho"], seed=seed)
+        x = generate_sched_instance(int(cell["n"]), cell["rho"], seed=seed)
         save_sched_instance(path, x)
         return {**cell, "seed": x.seed}
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,8 +131,20 @@ class EasySolution:
     second_stage: frozenset[int]
 
 
+def _sum_in_order(values) -> float:
+    """Left-to-right sum with plain +.  The builtin sum compensates Python
+    floats on 3.12+ and np.sum adds pairwise; either can move the last bit."""
+    return functools.reduce(operator.add, values, 0)
+
+
 def evaluate_solution(x: TwoStageInstance, z: TwoStageSolution) -> float:
-    """Hard-problem cost of z; raises if z is infeasible (names the scenario)."""
+    """Hard-problem cost of z; raises if z is infeasible (names the scenario).
+
+    Each scenario is checked for overlap, then for a spanning tree.  The
+    costs are gathered from one list per stage and per scenario and summed
+    in each set's iteration order with plain +, the scenario sums in
+    scenario order, so the result is the same on every Python version.
+    """
     if len(z.second_stage) != x.num_scenarios:
         raise ValueError(
             f"expected {x.num_scenarios} second-stage sets, got {len(z.second_stage)}"
@@ -144,8 +157,11 @@ def evaluate_solution(x: TwoStageInstance, z: TwoStageSolution) -> float:
         joined = _joining(list(range(graph.num_vertices)), graph.edges, union)
         if len(union) != graph.num_vertices - 1 or len(list(joined)) != len(union):
             raise ValueError(f"scenario {s}: edge set is not a spanning tree")
-    first = float(sum(x.c[e] for e in z.first_stage))
-    second = sum(sum(x.d[e, s] for e in es) for s, es in enumerate(z.second_stage))
+    c, d_cols = x.c.tolist(), x.d.T.tolist()
+    first = float(_sum_in_order([c[e] for e in z.first_stage]))
+    second = _sum_in_order(
+        [_sum_in_order([col[e] for e in es]) for col, es in zip(d_cols, z.second_stage)]
+    )
     return first + second / x.num_scenarios
 
 
@@ -164,7 +180,8 @@ def easy_layer(x: TwoStageInstance, theta) -> EasySolution:
         raise ValueError("theta must be finite")
     cbar, dbar = theta[:x.num_edges], theta[x.num_edges:]
     tree = mst_kruskal(x.graph, np.minimum(cbar, dbar))
-    first = frozenset(e for e in tree if cbar[e] <= dbar[e])
+    take = (cbar <= dbar).tolist()
+    first = frozenset(e for e in tree if take[e])
     return EasySolution(first_stage=first, second_stage=frozenset(tree) - first)
 
 
@@ -216,10 +233,6 @@ def approx_baseline(x: TwoStageInstance) -> TwoStageSolution:
     return decode(x, easy_layer(x, theta_tilde(x)))
 
 
-def _quantiles5(v: np.ndarray) -> np.ndarray:
-    return np.quantile(v, _QS)
-
-
 def features(x: TwoStageInstance) -> np.ndarray:
     """(2E, 34) feature array with one row per (edge, stage).
 
@@ -242,7 +255,10 @@ def _raw_features(x: TwoStageInstance) -> np.ndarray:
 
     Rows 0..E-1 are the first-stage rows, rows E..2E-1 the second-stage
     rows.  Quantile blocks are the 5-point (min, 25%, median, 75%, max)
-    summaries.
+    summaries.  An edge's neighbours are the edges that share a vertex with
+    it, itself included; the neighbour quantiles are computed per
+    neighbour-count group, one np.quantile call over all edges of a group,
+    which gives each edge the same values as a call of its own.
     """
     graph, c, d = x.graph, x.c, x.d
     n_edges, n_scen = x.num_edges, x.num_scenarios
@@ -265,12 +281,19 @@ def _raw_features(x: TwoStageInstance) -> np.ndarray:
     q_bf = np.quantile(best_first, _QS, axis=1).T
     q_bs = np.quantile(best_second, _QS, axis=1).T
 
-    q_nc = np.empty((n_edges, 5))
-    q_nd = np.empty((n_edges, 5))
+    groups: dict[int, tuple[list[int], list[list[int]]]] = {}
     for e, (u, v) in enumerate(graph.edges):
         nb = sorted(set(inc[u]) | set(inc[v]))
-        q_nc[e] = _quantiles5(c[nb])
-        q_nd[e] = _quantiles5(d[nb, :].ravel())
+        ids, rows = groups.setdefault(len(nb), ([], []))
+        ids.append(e)
+        rows.append(nb)
+    q_nc = np.empty((n_edges, 5))
+    q_nd = np.empty((n_edges, 5))
+    for ids, rows in groups.values():
+        rows = np.array(rows)
+        q_nc[ids] = np.quantile(c[rows], _QS, axis=1).T
+        # d[rows] is (k, len(nb), S); each row flattens like d[nb, :].ravel()
+        q_nd[ids] = np.quantile(d[rows].reshape(len(ids), -1), _QS, axis=1).T
 
     mat = np.zeros((2 * n_edges, TWO_STAGE_FEATURE_DIM))
     fst = slice(0, n_edges)
@@ -505,7 +528,9 @@ class TwoStageApplication:
 
     def generate(self, cell: dict, seed: int, path) -> dict:
         """Sample one instance of a cell into path; returns its manifest fields."""
-        x = generate_instance(cell["width"], cell["K"], cell["num_scenarios"], seed=seed)
+        x = generate_instance(
+            int(cell["width"]), cell["K"], int(cell["num_scenarios"]), seed=seed
+        )
         save_instance(path, x)
         lb, _, _ = lagrangian_bound(x, iters=cell["bound_iters"])
         return {**cell, "seed": x.seed, "lower_bound": lb}

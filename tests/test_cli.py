@@ -71,6 +71,26 @@ def test_generate_counts_desk_grids(tmp_path):
     assert len(manifest["instances"]) == 18
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"application": "two_stage", "widths": [3.0], "K": [10.0], "scenarios": [2.0],
+         "per_cell": 1, "seed": 0, "bound_iters": 5},
+        {"application": "scheduling", "n": [5.0], "rho": [1.0], "per_cell": 1, "seed": 0},
+    ],
+    ids=["two_stage", "scheduling"],
+)
+def test_generate_takes_integral_floats_on_integer_axes(tmp_path, config):
+    out = tmp_path / "ds"
+    assert main(["generate", "--config", _write(tmp_path / "gen.json", config),
+                 "--out", str(out)]) == 0
+    [row] = json.loads((out / "manifest.json").read_text())["instances"]
+    assert (out / row["file"]).exists()
+    if config["application"] == "two_stage":
+        # K is not cast: the manifest row and the instance id keep the given value
+        assert row["K"] == 10.0 and "_K10.0_" in row["id"]
+
+
 def test_train_eval_round_trip(two_stage_dataset, tmp_path):
     base, ds = two_stage_dataset
     train_cfg = _write(

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import minimum_spanning_tree
 from test_graphs import components, connected_graphs
 
-from co_pipeline.graphs import Graph, grid_graph
+from co_pipeline.graphs import Graph, _joining, grid_graph, mst_constrained, mst_kruskal
 from co_pipeline.model import WeightVector
 from co_pipeline.two_stage import (
     BRUTE_FORCE_EDGE_LIMIT,
@@ -344,6 +344,119 @@ def test_decode_always_feasible(x, data):
     assert all(_spans(x, z.first_stage | es) for es in z.second_stage)
 
 
+# evaluate_solution against its per-edge form
+
+
+def _same_bits(a, b):
+    """Equal values with equal sign bits, so -0.0 and 0.0 differ."""
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@st.composite
+def float_cost_instances(draw, max_scenarios=4):
+    """A random connected graph on at most 8 vertices, 1-4 scenarios, and
+    non-integer costs in [-20, 0], signed zeros included."""
+    g = draw(connected_graphs())
+    m, n_scen = g.num_edges, draw(st.integers(1, max_scenarios))
+    size = m * (1 + n_scen)
+    costs = np.array(draw(st.lists(st.floats(-20, 0), min_size=size, max_size=size)))
+    return TwoStageInstance(graph=g, c=costs[:m], d=costs[m:].reshape(m, n_scen))
+
+
+def _evaluate_per_edge(x, z):
+    """Oracle: evaluate_solution with one numpy scalar lookup per edge.  The
+    builtin sum over numpy scalars adds with plain + on every Python version."""
+    if len(z.second_stage) != x.num_scenarios:
+        raise ValueError(
+            f"expected {x.num_scenarios} second-stage sets, got {len(z.second_stage)}"
+        )
+    graph = x.graph
+    for s, es in enumerate(z.second_stage):
+        if z.first_stage & es:
+            raise ValueError(f"scenario {s}: first and second stage overlap")
+        union = z.first_stage | es
+        joined = _joining(list(range(graph.num_vertices)), graph.edges, union)
+        if len(union) != graph.num_vertices - 1 or len(list(joined)) != len(union):
+            raise ValueError(f"scenario {s}: edge set is not a spanning tree")
+    first = float(sum(x.c[e] for e in z.first_stage))
+    second = sum(sum(x.d[e, s] for e in es) for s, es in enumerate(z.second_stage))
+    return first + second / x.num_scenarios
+
+
+def _outcome(evaluate, x, z):
+    """(cost, None) for a feasible z, (None, message) for an infeasible one."""
+    try:
+        return evaluate(x, z), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+def _assert_evaluations_match(x, z):
+    got, got_error = _outcome(evaluate_solution, x, z)
+    want, want_error = _outcome(_evaluate_per_edge, x, z)
+    assert got_error == want_error
+    if want_error is None:
+        assert _same_bits(got, want)
+
+
+def _random_solution(rng, x):
+    """A feasible solution: a random part of one MST as the first stage,
+    completed per scenario by an MST on random weights through it."""
+    tree = sorted(mst_kruskal(x.graph, rng.random(x.num_edges)))
+    first = frozenset(e for e in tree if rng.random() < 0.5)
+    second = tuple(
+        mst_constrained(x.graph, rng.random(x.num_edges), first) - first
+        for _ in range(x.num_scenarios)
+    )
+    return TwoStageSolution(first, second)
+
+
+def _broken(rng, x, z, s, kinds):
+    """z with each of kinds applied in turn to scenario s's set: "overlap"
+    adds a first-stage edge, "cycle" an edge outside the union, "drop"
+    removes an edge; a kind that cannot apply is skipped."""
+    es = z.second_stage[s]
+    for kind in kinds:
+        outside = sorted(set(range(x.num_edges)) - z.first_stage - es)
+        if kind == "overlap" and z.first_stage:
+            es = es | {rng.choice(sorted(z.first_stage))}
+        elif kind == "cycle" and outside:
+            es = es | {rng.choice(outside)}
+        elif kind == "drop" and es:
+            es = es - {rng.choice(sorted(es))}
+    return TwoStageSolution(z.first_stage, z.second_stage[:s] + (es,) + z.second_stage[s + 1:])
+
+
+@pytest.mark.parametrize("width", range(2, 9))
+def test_evaluate_solution_equals_per_edge_sum_on_grids(width):
+    # non-integer costs and 10 scenarios, so the order of the additions shows
+    rng = np.random.default_rng(width)
+    graph = grid_graph(width, width)
+    x = TwoStageInstance(graph=graph, c=-rng.uniform(0, 20, graph.num_edges),
+                         d=-rng.uniform(0, 20, (graph.num_edges, 10)))
+    for _ in range(20):
+        z = _random_solution(rng, x)
+        _assert_evaluations_match(x, z)
+        for kinds in (["overlap"], ["cycle"], ["drop"], ["drop", "overlap"], ["overlap", "cycle"]):
+            _assert_evaluations_match(x, _broken(rng, x, z, int(rng.integers(10)), kinds))
+    empty = TwoStageSolution(frozenset(), tuple(mst_kruskal(graph, x.d[:, s]) for s in range(10)))
+    _assert_evaluations_match(x, empty)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(float_cost_instances(), st.data())
+def test_evaluate_solution_equals_per_edge_sum(x, data):
+    # the same cost bits on feasible solutions; on broken ones the same
+    # message, naming the same first failing scenario
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    z = _random_solution(rng, x)
+    for s in range(x.num_scenarios):
+        z = _broken(rng, x, z, s, data.draw(st.lists(st.sampled_from(["overlap", "cycle", "drop"]),
+                                                     max_size=2)))
+    _assert_evaluations_match(x, z)
+
+
 # ---------------------------------------------------------------------------
 # brute force vs the independent oracle
 
@@ -575,6 +688,43 @@ def test_features_standardized_columns():
             assert sd[j] == pytest.approx(1.0, abs=1e-9)
         else:
             assert np.all(phi[:, 1 + j] == 0.0)
+
+
+def _neighbour_quantiles_per_edge(x):
+    """Oracle: the neighbour quantile blocks by two np.quantile calls per edge."""
+    qs = [0.0, 0.25, 0.5, 0.75, 1.0]
+    inc = x.graph.incident_edges()
+    q_nc = np.empty((x.num_edges, 5))
+    q_nd = np.empty((x.num_edges, 5))
+    for e, (u, v) in enumerate(x.graph.edges):
+        nb = sorted(set(inc[u]) | set(inc[v]))
+        q_nc[e] = np.quantile(x.c[nb], qs)
+        q_nd[e] = np.quantile(x.d[nb, :].ravel(), qs)
+    return q_nc, q_nd
+
+
+def _assert_neighbour_quantiles_match(x):
+    phi = _raw_features(x)
+    q_nc, q_nd = _neighbour_quantiles_per_edge(x)
+    m = x.num_edges
+    assert _same_bits(phi[:m, 8:13], q_nc)
+    assert _same_bits(phi[m:, 13:18], q_nd)
+
+
+@pytest.mark.parametrize("width", range(2, 13))
+def test_features_neighbour_quantiles_equal_per_edge_loop_on_grids(width):
+    x = generate_instance(width, 20, 3, seed=width)
+    _assert_neighbour_quantiles_match(x)
+    rng = np.random.default_rng(width)
+    _assert_neighbour_quantiles_match(TwoStageInstance(
+        graph=x.graph, c=-rng.uniform(0, 20, x.num_edges), d=-rng.uniform(0, 20, x.d.shape)
+    ))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(float_cost_instances())
+def test_features_neighbour_quantiles_equal_per_edge_loop(x):
+    _assert_neighbour_quantiles_match(x)
 
 
 def test_incidence_vector_layout():
