@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -154,14 +155,22 @@ def _gap_pct(cost: float, reference: float) -> float:
     return 100.0 * (cost - reference) / (1.0 if den < 1e-12 else den)
 
 
-def _runner(factory, /, name: str, kind: str, **keys):
-    """(name, cost function) of one eval entry: the factory its kind picked
-    takes the other keys and returns the cost as a function of the instance."""
-    return name, factory(**keys)
+def _runner(cost, dim: int, /, name: str, kind: str, **keys):
+    """(name, cost function) of one eval entry: the other keys bound to its kind's
+    cost, with a weights file read once and checked against the weight dimension."""
+    if "weights" in keys:
+        path = keys["weights"]
+        keys["weights"] = w = model.load_weights(path)
+        if w.dim != dim:
+            raise ValueError(f"{kind} entry key 'weights': {path} holds {w.dim} weights, "
+                             f"the application takes {dim}")
+    return name, functools.partial(cost, **keys)
 
 
 def _cmd_eval(app, manifest: dict, out: Path, /, dataset: str, algorithms: list,
               application: str | None = None) -> int:
+    if not isinstance(algorithms, list) or not all(isinstance(e, dict) for e in algorithms):
+        raise ValueError("eval key 'algorithms' must be a list of objects")
     _nonempty("eval", algorithms=algorithms)
     instances = _instances(app, manifest, dataset, application)
     kinds = app.algorithms()
@@ -170,9 +179,9 @@ def _cmd_eval(app, manifest: dict, out: Path, /, dataset: str, algorithms: list,
         kind = entry.get("kind")
         if kind not in kinds:
             raise ValueError(f"unknown {manifest['application']} algorithm kind {kind!r}")
-        factory, *passed_on = kinds[kind]
-        keys = model._read_config(f"{kind} entry", entry, _runner, factory, *passed_on)
-        name, run = _runner(factory, **keys)
+        cost, *passed_on = kinds[kind]
+        keys = model._read_config(f"{kind} entry", entry, _runner, cost, *passed_on)
+        name, run = _runner(cost, app.dim, **keys)
         if name in runners:
             raise ValueError(f"two eval algorithms are named {name!r}")
         runners[name] = run

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import learning, model
+from . import learning
 from .model import PerturbationConfig, _as_number, _as_weight_array, _read_json, _write_json
 
 __all__ = [
@@ -289,21 +289,16 @@ def perturbed_decode(
         raise ValueError("sigma must be >= 0")
     if nsamples < 0:
         raise ValueError("nsamples must be >= 0")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     w = _as_weight_array(w)
     phi = features(x)
-
-    def run(weights):
-        order = local_search(x, spt_layer(phi @ weights))
-        return _total(x, order), order
-
-    best_cost, best_order = run(w)
+    samples = [w]
     if sigma > 0 and nsamples > 0:
         gaussians = np.random.default_rng(seed).standard_normal((nsamples, w.shape[0]))
-        for k in range(nsamples):
-            cost, order = run(w + sigma * gaussians[k])
-            if cost < best_cost:
-                best_cost, best_order = cost, order
-    return best_order
+        samples += [w + sigma * g for g in gaussians]
+    orders = [local_search(x, spt_layer(phi @ v)) for v in samples]
+    return min(orders, key=lambda order: _total(x, order))
 
 
 def brute_force_schedule(x: SchedInstance):
@@ -420,6 +415,7 @@ class SchedulingApplication:
 
     bucket_key = "n"
     row_keys = ()
+    dim = SCHED_FEATURE_DIM
 
     def cells(self, n, rho) -> list:
         """The manifest fields of each (n, rho) cell."""
@@ -448,33 +444,22 @@ class SchedulingApplication:
         raise ValueError("fyl training is implemented for the two_stage application")
 
     def algorithms(self) -> dict:
-        """Each eval kind's factory, then the library functions it passes keys on to."""
+        """Each eval kind's cost, then the library functions it passes keys on to."""
         return {
-            "spt": (self._spt,),
-            "pipeline": (functools.partial(self._pipeline, "none"),),
-            "pipeline_ls": (functools.partial(self._pipeline, "ls"),),
-            "pipeline_pert_ls": (self._pipeline_pert_ls, perturbed_decode),
-            "brute_force": (self._brute_force,),
+            "spt": (lambda x, /: evaluate_schedule(x, spt_layer(x.p))[0],),
+            "pipeline": (lambda x, /, weights: evaluate_schedule(
+                x, pipeline_order(x, weights, post="none"))[0],),
+            "pipeline_ls": (lambda x, /, weights: evaluate_schedule(
+                x, pipeline_order(x, weights, post="ls"))[0],),
+            "pipeline_pert_ls": (lambda x, /, weights, **decode: evaluate_schedule(
+                x, perturbed_decode(x, weights, **decode))[0], perturbed_decode),
+            "brute_force": (lambda x, /: brute_force_schedule(x)[0],),
         }
 
     def check_entries(self, kinds, instances) -> None:
         """Fail before anything runs when an eval entry cannot take a loaded instance."""
         if "brute_force" in kinds and any(x.n > BRUTE_FORCE_JOB_LIMIT for x in instances):
             raise ValueError(f"brute force limited to {BRUTE_FORCE_JOB_LIMIT} jobs")
-
-    def _spt(self):
-        return lambda x: evaluate_schedule(x, spt_layer(x.p))[0]
-
-    def _pipeline(self, post: str, weights: str):
-        w = model.load_weights(weights)
-        return lambda x: evaluate_schedule(x, pipeline_order(x, w, post=post))[0]
-
-    def _pipeline_pert_ls(self, weights: str, **decode):
-        w = model.load_weights(weights)
-        return lambda x: evaluate_schedule(x, perturbed_decode(x, w, **decode))[0]
-
-    def _brute_force(self):
-        return lambda x: brute_force_schedule(x)[0]
 
     def reference(self, x: SchedInstance, row: dict, costs) -> float:
         """Best evaluated total, sharpened by branch-and-bound on small instances."""

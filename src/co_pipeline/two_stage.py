@@ -511,6 +511,7 @@ class TwoStageApplication:
 
     bucket_key = "width"
     row_keys = ("lower_bound",)
+    dim = TWO_STAGE_FEATURE_DIM
 
     def cells(self, widths, K, scenarios, bound_iters: int = 500) -> list:
         """The manifest fields of each cell: its (width, K, scenarios) and the
@@ -557,27 +558,17 @@ class TwoStageApplication:
         return learning.fyl_learn(pairs, easy_incidence, features, **fyl)
 
     def algorithms(self) -> dict:
-        """Each eval kind's factory, then the library functions it passes keys on to."""
+        """Each eval kind's cost, then the library functions it passes keys on to."""
         return {
-            "approx_baseline": (self._approx_baseline,),
-            "pipeline": (self._pipeline,),
-            "lagrangian_heuristic": (self._lagrangian_heuristic, lagrangian_bound),
+            "approx_baseline": (lambda x, /: evaluate_solution(x, approx_baseline(x)),),
+            "pipeline": (lambda x, /, weights: evaluate_solution(
+                x, pipeline_solution(x, weights)),),
+            "lagrangian_heuristic": (lambda x, /, **bound: evaluate_solution(
+                x, lagrangian_heuristic(x, lagrangian_bound(x, **bound)[1])), lagrangian_bound),
         }
 
     def check_entries(self, kinds, instances) -> None:
         """Every eval kind takes every instance."""
-
-    def _approx_baseline(self):
-        return lambda x: evaluate_solution(x, approx_baseline(x))
-
-    def _pipeline(self, weights: str):
-        w = model.load_weights(weights)
-        return lambda x: evaluate_solution(x, pipeline_solution(x, w))
-
-    def _lagrangian_heuristic(self, **bound):
-        return lambda x: evaluate_solution(
-            x, lagrangian_heuristic(x, lagrangian_bound(x, **bound)[1])
-        )
 
     def reference(self, x: TwoStageInstance, row: dict, costs) -> float:
         return float(row["lower_bound"])

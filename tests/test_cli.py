@@ -6,7 +6,7 @@ import shutil
 
 import pytest
 
-from co_pipeline import learning
+from co_pipeline import learning, model
 from co_pipeline.cli import main
 
 
@@ -425,6 +425,15 @@ def _typo_case(block, two_stage_dataset, tmp_path):
                                   "seeds", None),
         "fyl_seed_negative": ("train", {**train, "method": "fyl", "fyl": {"seed": -1}}, "seed", None),
         "eval_empty": ("eval", {"dataset": str(ds), "algorithms": []}, "algorithms", None),
+        # algorithms is a list of entry objects
+        "eval_algorithms_strings": ("eval", {"dataset": str(ds), "algorithms": ["spt"]},
+                                    "algorithms", None),
+        "eval_algorithms_object": ("eval", {"dataset": str(ds), "algorithms": entries[0]},
+                                   "algorithms", None),
+        # scheduling weights (11) on a two-stage dataset (34)
+        "eval_weights_length": ("eval", {"dataset": str(ds), "algorithms": [
+            {"name": "p", "kind": "pipeline", "weights": _write(
+                tmp_path / "w11.json", {"d": 11, "M": 10.0, "w": [0.0] * 11})}]}, "weights", None),
         "bounds_empty_n": ("bounds", {"M": 10.0, "d": 34, "n": []}, "n", None),
         # an integer setting refuses a fraction instead of truncating it
         "generate_per_cell_fraction": ("generate", {**two_stage_gen, "per_cell": 1.5},
@@ -454,7 +463,8 @@ def _typo_case(block, two_stage_dataset, tmp_path):
      "fyl_seed_negative", "eval_empty", "bounds_empty_n", "eval_entry_x", "fyl_pairs",
      "generate_per_cell_fraction", "generate_bound_iters_fraction", "generate_width_fraction",
      "generate_n_fraction", "learner_budget_fraction", "learner_seeds_fraction",
-     "bounds_n_fraction"],
+     "bounds_n_fraction", "eval_algorithms_strings", "eval_algorithms_object",
+     "eval_weights_length"],
 )
 def test_config_typo_exits_before_writing(block, two_stage_dataset, tmp_path, capsys):
     argv, out, key, nearest = _typo_case(block, two_stage_dataset, tmp_path)
@@ -463,6 +473,69 @@ def test_config_typo_exits_before_writing(block, two_stage_dataset, tmp_path, ca
     err = capsys.readouterr().err
     assert f"{key!r}" in err
     assert nearest is None or f"did you mean {nearest!r}" in err
+    assert not out.exists() or not any(out.rglob("*"))
+    if block == "eval_weights_length":
+        assert f"{tmp_path / 'w11.json'} holds 11 weights, the application takes 34" in err
+        assert not out.exists()
+
+
+_KINDS = [
+    ("two_stage", "approx_baseline", "name, kind"),
+    ("two_stage", "pipeline", "name, kind, weights"),
+    ("two_stage", "lagrangian_heuristic", "name, kind, iters"),
+    ("scheduling", "spt", "name, kind"),
+    ("scheduling", "pipeline", "name, kind, weights"),
+    ("scheduling", "pipeline_ls", "name, kind, weights"),
+    ("scheduling", "pipeline_pert_ls", "name, kind, weights, sigma, nsamples, seed"),
+    ("scheduling", "brute_force", "name, kind"),
+]
+
+
+@pytest.mark.parametrize("application, kind, valid", _KINDS)
+def test_eval_kind_keys_and_one_weights_read_per_entry(application, kind, valid, tmp_path,
+                                                       capsys, monkeypatch):
+    gen = ({"application": "two_stage", "widths": [2], "K": [5], "scenarios": [2],
+            "per_cell": 3, "seed": 0, "bound_iters": 5} if application == "two_stage" else
+           {"application": "scheduling", "n": [4], "rho": [1.0], "per_cell": 3, "seed": 0})
+    ds = tmp_path / "ds"
+    assert main(["generate", "--config", _write(tmp_path / "gen.json", gen), "--out", str(ds)]) == 0
+    # every key of the kind, in its order
+    bad = _write(tmp_path / "bad.json", {"dataset": str(ds), "algorithms": [
+        {"name": "a", "kind": kind, "zzz": 1}]})
+    capsys.readouterr()
+    assert main(["eval", "--config", bad, "--out", str(tmp_path / "bad")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: unknown {kind} entry key 'zzz'; valid: {valid}\n")
+    # a weights file is read once for its entry, not once per instance
+    dim = 34 if application == "two_stage" else 11
+    entry = {"name": "a", "kind": kind}
+    if "weights" in valid:
+        entry["weights"] = _write(tmp_path / "w.json", {"d": dim, "M": 10.0, "w": [0.5] * dim})
+    entry.update({"iters": 5} if "iters" in valid else {"nsamples": 2} if "nsamples" in valid else {})
+    reads, load = [], model.load_weights
+
+    def counted(path):
+        reads.append(path)
+        return load(path)
+
+    monkeypatch.setattr(model, "load_weights", counted)
+    ev = _write(tmp_path / "ev.json", {"dataset": str(ds), "algorithms": [entry]})
+    assert main(["eval", "--config", ev, "--out", str(tmp_path / "ev")]) == 0
+    assert reads == ([entry["weights"]] if "weights" in valid else [])
+
+
+def test_eval_negative_decode_seed_names_the_key(tmp_path, capsys):
+    gen = {"application": "scheduling", "n": [4], "rho": [1.0], "per_cell": 2, "seed": 0}
+    ds = tmp_path / "ds"
+    assert main(["generate", "--config", _write(tmp_path / "gen.json", gen), "--out", str(ds)]) == 0
+    weights = _write(tmp_path / "w.json", {"d": 11, "M": 10.0, "w": [0.5] * 11})
+    ev = _write(tmp_path / "ev.json", {"dataset": str(ds), "algorithms": [
+        {"name": "spt", "kind": "spt"},
+        {"name": "pert", "kind": "pipeline_pert_ls", "weights": weights, "seed": -1}]})
+    out = tmp_path / "ev"
+    capsys.readouterr()
+    assert main(["eval", "--config", ev, "--out", str(out)]) == 1
+    assert "seed must be >= 0" in capsys.readouterr().err
     assert not out.exists() or not any(out.rglob("*"))
 
 

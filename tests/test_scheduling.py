@@ -428,6 +428,56 @@ def test_perturbed_decode_deterministic():
     assert np.array_equal(a, b)
 
 
+def _reference_perturbed_decode(x, w, sigma, nsamples, seed):
+    """The running-best loop perturbed_decode replaced: sample k wins only by a
+    strictly lower total, so ties go to the lowest sample index."""
+    w = np.asarray(w.w, dtype=float)
+    phi = features(x)
+
+    def run(weights):
+        order = local_search(x, spt_layer(phi @ weights))
+        return _total(x, order), order
+
+    best_cost, best_order = run(w)
+    if sigma > 0 and nsamples > 0:
+        gaussians = np.random.default_rng(seed).standard_normal((nsamples, w.shape[0]))
+        for k in range(nsamples):
+            cost, order = run(w + sigma * gaussians[k])
+            if cost < best_cost:
+                best_cost, best_order = cost, order
+    return best_order
+
+
+def test_perturbed_decode_matches_running_best_loop():
+    rng = np.random.default_rng(71)
+    for case in range(300):
+        n = int(rng.integers(1, 10))
+        if case % 3 == 0:
+            # repeated (p, r) pairs: identical jobs tie in every sample
+            p = rng.integers(1, 4, size=n).astype(float)
+            r = rng.integers(0, 3, size=n).astype(float)
+            x = SchedInstance(p=p, r=r)
+        else:
+            x = generate_sched_instance(n, float(rng.choice([0.2, 1.0, 3.0])), int(rng.integers(999)))
+        w = WeightVector(rng.uniform(-1, 1, SCHED_FEATURE_DIM), 10.0)
+        sigma = float(rng.choice([0.0, 0.1, 1.0, 5.0]))
+        nsamples = int(rng.integers(0, 8))
+        seed = int(rng.integers(50))
+        got = perturbed_decode(x, w, sigma=sigma, nsamples=nsamples, seed=seed)
+        want = _reference_perturbed_decode(x, w, sigma, nsamples, seed)
+        assert np.array_equal(got, want), (case, sigma, nsamples, seed)
+
+
+def test_perturbed_decode_rejects_bad_settings():
+    x = generate_sched_instance(4, 1.0, seed=0)
+    w = WeightVector(np.ones(SCHED_FEATURE_DIM), 10.0)
+    for bad, message in (({"sigma": -0.1}, "sigma must be >= 0"),
+                         ({"nsamples": -1}, "nsamples must be >= 0"),
+                         ({"seed": -1}, "seed must be >= 0")):
+        with pytest.raises(ValueError, match=message):
+            perturbed_decode(x, w, **bad)
+
+
 # ---------------------------------------------------------------------------
 # features
 
