@@ -181,11 +181,11 @@ def _cmd_eval(app, manifest: dict, out: Path, /, dataset: str, algorithms: list,
             raise ValueError(f"unknown {manifest['application']} algorithm kind {kind!r}")
         cost, *passed_on = kinds[kind]
         keys = model._read_config(f"{kind} entry", entry, _runner, cost, *passed_on)
+        app.check_entry(kind, keys, instances)
         name, run = _runner(cost, app.dim, **keys)
         if name in runners:
             raise ValueError(f"two eval algorithms are named {name!r}")
         runners[name] = run
-    app.check_entries({entry.get("kind") for entry in algorithms}, instances)
     out.mkdir(parents=True, exist_ok=True)
 
     rows = manifest["instances"]

@@ -87,7 +87,7 @@ def _check_weights(graph: Graph, weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.shape != (graph.num_edges,):
         raise ValueError(f"expected {graph.num_edges} edge weights, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise ValueError("edge weights must be finite")
     return w
 

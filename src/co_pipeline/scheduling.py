@@ -269,6 +269,14 @@ def pipeline_order(x: SchedInstance, w, post: str = "none") -> np.ndarray:
     return local_search(x, order) if post == "ls" else order
 
 
+def _check_decode(sigma: float, nsamples: int, seed: int, block: str | None = None) -> None:
+    """perturbed_decode's settings check; with block, the message names them as its keys."""
+    for key, value in (("sigma", sigma), ("nsamples", nsamples), ("seed", seed)):
+        if value < 0:
+            name = key if block is None else f"{block} key {key!r}"
+            raise ValueError(f"{name} must be >= 0")
+
+
 def perturbed_decode(
     x: SchedInstance,
     w,
@@ -285,12 +293,7 @@ def perturbed_decode(
     nsamples can only improve the result).  The winner is the
     deterministic (cost, sample index) minimum.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    if nsamples < 0:
-        raise ValueError("nsamples must be >= 0")
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
+    _check_decode(sigma, nsamples, seed)
     w = _as_weight_array(w)
     phi = features(x)
     samples = [w]
@@ -456,9 +459,12 @@ class SchedulingApplication:
             "brute_force": (lambda x, /: brute_force_schedule(x)[0],),
         }
 
-    def check_entries(self, kinds, instances) -> None:
-        """Fail before anything runs when an eval entry cannot take a loaded instance."""
-        if "brute_force" in kinds and any(x.n > BRUTE_FORCE_JOB_LIMIT for x in instances):
+    def check_entry(self, kind: str, keys: dict, instances) -> None:
+        """Fail before anything runs when an eval entry's settings are out of range
+        or it cannot take a loaded instance."""
+        if kind == "pipeline_pert_ls":
+            _check_decode(keys["sigma"], keys["nsamples"], keys["seed"], f"{kind} entry")
+        if kind == "brute_force" and any(x.n > BRUTE_FORCE_JOB_LIMIT for x in instances):
             raise ValueError(f"brute force limited to {BRUTE_FORCE_JOB_LIMIT} jobs")
 
     def reference(self, x: SchedInstance, row: dict, costs) -> float:

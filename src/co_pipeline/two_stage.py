@@ -312,17 +312,33 @@ def _raw_features(x: TwoStageInstance) -> np.ndarray:
 
 
 def _scenario_subproblems(x: TwoStageInstance, lam: np.ndarray):
-    """Per-scenario relaxed MSTs at multipliers lam; value and stage picks."""
-    value = 0.0
-    ybar = np.zeros((x.num_edges, x.num_scenarios))
-    for s in range(x.num_scenarios):
-        reduced = x.c + lam[:, s]
-        weights = np.minimum(reduced, x.d[:, s])
-        tree = np.fromiter(mst_kruskal(x.graph, weights), dtype=int)
-        value += weights[tree].sum()
-        take_first = tree[reduced[tree] <= x.d[tree, s]]
-        ybar[take_first, s] = 1.0
-    return value / x.num_scenarios, ybar
+    """Per-scenario relaxed MSTs at multipliers lam; value and stage picks.
+
+    One MST per scenario, in scenario order, on min(c + lam, d); the rest
+    runs once over all scenarios.  Each tree is read in its set iteration
+    order and its weights summed pairwise, and the scenario sums are added
+    in scenario order, so the value (an np.float64) has the bits of one
+    numpy pass per scenario.
+    """
+    d = x.d
+    n_edges, n_scen = d.shape
+    reduced = x.c[:, None] + lam
+    weights = np.minimum(reduced, d)
+    trees = [mst_kruskal(x.graph, col) for col in weights.T]
+    # position e * S + s of each tree edge in the flat (E, S) arrays
+    size = x.graph.num_vertices - 1
+    at = np.fromiter(itertools.chain.from_iterable(trees), dtype=np.intp, count=n_scen * size)
+    at = at.reshape(n_scen, size) * n_scen + np.arange(n_scen)[:, None]
+    value = _sum_in_order(weights.ravel()[at].sum(axis=1).tolist())
+    ybar = np.zeros(n_edges * n_scen)
+    ybar[at] = (reduced <= d).ravel()[at]
+    return np.float64(value) / n_scen, ybar.reshape(n_edges, n_scen)
+
+
+def _check_iters(iters: int, name: str = "iters") -> None:
+    """lagrangian_bound's iteration check; name is the setting as the message names it."""
+    if iters < 1:
+        raise ValueError(f"{name} must be >= 1")
 
 
 def lagrangian_bound(x: TwoStageInstance, /, iters: int = 500):
@@ -339,9 +355,9 @@ def lagrangian_bound(x: TwoStageInstance, /, iters: int = 500):
 
     Returns (best bound, final multipliers, best-so-far trace).
     """
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    lam = np.zeros((x.num_edges, x.num_scenarios))
+    _check_iters(iters)
+    n_scen = x.num_scenarios
+    lam = np.zeros((x.num_edges, n_scen))
     best = -np.inf
     trace = []
     s0 = 1.0
@@ -357,13 +373,14 @@ def lagrangian_bound(x: TwoStageInstance, /, iters: int = 500):
                 s0 /= 2.0
                 stall = 0
         trace.append(best)
-        g = ybar - ybar.mean(axis=1, keepdims=True)
+        # sum / S is ndarray.mean's arithmetic without its Python overhead
+        g = ybar - ybar.sum(axis=1, keepdims=True) / n_scen
         g_sq = float((g * g).sum())
         if g_sq <= 1e-12:
             break  # consensus across scenarios: no ascent direction left
         scale = abs(best) if best != 0.0 else 1.0
         lam = lam + (s0 * scale / (g_sq + 1e-12)) * g
-        lam -= lam.mean(axis=1, keepdims=True)
+        lam -= lam.sum(axis=1, keepdims=True) / n_scen
     return best, lam, trace
 
 
@@ -519,6 +536,7 @@ class TwoStageApplication:
         for key, values, least in (("widths", widths, 2), ("K", K, 0), ("scenarios", scenarios, 1)):
             if any(v < least or not float(v).is_integer() for v in values):
                 raise ValueError(f"generate key {key!r} must hold integers >= {least}")
+        _check_iters(bound_iters, "generate key 'bound_iters'")
         return [
             {"width": width, "K": k, "num_scenarios": n_scen, "bound_iters": bound_iters}
             for width, k, n_scen in itertools.product(widths, K, scenarios)
@@ -549,6 +567,7 @@ class TwoStageApplication:
         An instance's target is the heuristic's first stage plus its
         completion on the mean scenario costs, as an easy-layer incidence.
         """
+        _check_iters(bound_iters, "fyl key 'bound_iters'")
         pairs = []
         for x in instances:
             _, duals, _ = lagrangian_bound(x, iters=bound_iters)
@@ -567,8 +586,10 @@ class TwoStageApplication:
                 x, lagrangian_heuristic(x, lagrangian_bound(x, **bound)[1])), lagrangian_bound),
         }
 
-    def check_entries(self, kinds, instances) -> None:
-        """Every eval kind takes every instance."""
+    def check_entry(self, kind: str, keys: dict, instances) -> None:
+        """Every eval kind takes every instance; the heuristic's bound iterations are checked."""
+        if kind == "lagrangian_heuristic":
+            _check_iters(keys["iters"], f"{kind} entry key 'iters'")
 
     def reference(self, x: TwoStageInstance, row: dict, costs) -> float:
         return float(row["lower_bound"])

@@ -6,6 +6,7 @@ Desk-scale learning runs (criteria 8-10) pin their dataset master seeds
 and learner budgets; every run of this file reproduces the same numbers.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -104,6 +105,16 @@ def _sched_desk_set(master_seed):
             )
             pos += 1
     return out
+
+
+def test_desk_lower_bounds_are_pinned():
+    # every bit of the 48 stored bounds behind criteria 8-9 (500 iterations
+    # each); the digest was recorded with the per-scenario subgradient step
+    digest = hashlib.sha256()
+    for master_seed in (7, 4):
+        for _, lb in _two_stage_desk_set(master_seed):
+            digest.update(float(lb).hex().encode() + b"\n")
+    assert digest.hexdigest() == "3ab5fb18d3574b97d24e87ad8aaa2bacf1360f1f62f245f834cd104412aebefa"
 
 
 def _ts_gap(x, lb, z):

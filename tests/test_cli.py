@@ -424,6 +424,8 @@ def _typo_case(block, two_stage_dataset, tmp_path):
         "learner_seed_negative": ("train", {**train, "learner": {"budget": 5, "seeds": [-1]}},
                                   "seeds", None),
         "fyl_seed_negative": ("train", {**train, "method": "fyl", "fyl": {"seed": -1}}, "seed", None),
+        "fyl_bound_iters_0": ("train", {**train, "method": "fyl", "fyl": {"bound_iters": 0}},
+                              "bound_iters", None),
         "eval_empty": ("eval", {"dataset": str(ds), "algorithms": []}, "algorithms", None),
         # algorithms is a list of entry objects
         "eval_algorithms_strings": ("eval", {"dataset": str(ds), "algorithms": ["spt"]},
@@ -440,6 +442,8 @@ def _typo_case(block, two_stage_dataset, tmp_path):
                                        "per_cell", None),
         "generate_bound_iters_fraction": ("generate", {**two_stage_gen, "bound_iters": 5.5},
                                           "bound_iters", None),
+        "generate_bound_iters_0": ("generate", {**two_stage_gen, "bound_iters": 0},
+                                   "bound_iters", None),
         "generate_width_fraction": ("generate", {**two_stage_gen, "widths": [3.5]}, "widths", None),
         "generate_n_fraction": ("generate", {"application": "scheduling", "n": [5.7], "rho": [1.0],
                                              "per_cell": 1, "seed": 0}, "n", None),
@@ -464,7 +468,7 @@ def _typo_case(block, two_stage_dataset, tmp_path):
      "generate_per_cell_fraction", "generate_bound_iters_fraction", "generate_width_fraction",
      "generate_n_fraction", "learner_budget_fraction", "learner_seeds_fraction",
      "bounds_n_fraction", "eval_algorithms_strings", "eval_algorithms_object",
-     "eval_weights_length"],
+     "eval_weights_length", "generate_bound_iters_0", "fyl_bound_iters_0"],
 )
 def test_config_typo_exits_before_writing(block, two_stage_dataset, tmp_path, capsys):
     argv, out, key, nearest = _typo_case(block, two_stage_dataset, tmp_path)
@@ -535,8 +539,34 @@ def test_eval_negative_decode_seed_names_the_key(tmp_path, capsys):
     out = tmp_path / "ev"
     capsys.readouterr()
     assert main(["eval", "--config", ev, "--out", str(out)]) == 1
-    assert "seed must be >= 0" in capsys.readouterr().err
-    assert not out.exists() or not any(out.rglob("*"))
+    assert capsys.readouterr().err == "error: pipeline_pert_ls entry key 'seed' must be >= 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("application, kind, key, value, least", [
+    ("two_stage", "lagrangian_heuristic", "iters", 0, 1),
+    ("scheduling", "pipeline_pert_ls", "sigma", -0.5, 0),
+    ("scheduling", "pipeline_pert_ls", "nsamples", -1, 0),
+])
+def test_eval_entry_setting_out_of_range_fails_before_out(application, kind, key, value, least,
+                                                          tmp_path, capsys):
+    # the library's own check, run when the entry is read: nothing runs and
+    # --out is not created
+    gen = ({"application": "two_stage", "widths": [2], "K": [5], "scenarios": [2],
+            "per_cell": 2, "seed": 0, "bound_iters": 5} if application == "two_stage" else
+           {"application": "scheduling", "n": [4], "rho": [1.0], "per_cell": 2, "seed": 0})
+    ds = tmp_path / "ds"
+    assert main(["generate", "--config", _write(tmp_path / "gen.json", gen), "--out", str(ds)]) == 0
+    entry = {"name": "a", "kind": kind, key: value}
+    if kind == "pipeline_pert_ls":
+        entry["weights"] = _write(tmp_path / "w.json", {"d": 11, "M": 10.0, "w": [0.5] * 11})
+    first = {"name": "base", "kind": "approx_baseline" if application == "two_stage" else "spt"}
+    ev = _write(tmp_path / "ev.json", {"dataset": str(ds), "algorithms": [first, entry]})
+    out = tmp_path / "ev"
+    capsys.readouterr()
+    assert main(["eval", "--config", ev, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {kind} entry key {key!r} must be >= {least}\n"
+    assert not out.exists()
 
 
 def test_fyl_config_hash_ignores_the_dataset_path(two_stage_dataset, tmp_path):

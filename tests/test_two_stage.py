@@ -23,7 +23,9 @@ from co_pipeline.two_stage import (
     EasySolution,
     TwoStageInstance,
     TwoStageSolution,
+    _complete_or_empty,
     _raw_features,
+    _scenario_subproblems,
     approx_baseline,
     brute_force_optimum,
     decode,
@@ -614,6 +616,103 @@ def test_heuristic_cost_at_least_bound():
         lb, lam, _ = lagrangian_bound(x, iters=60)
         z = lagrangian_heuristic(x, lam)
         assert evaluate_solution(x, z) >= lb - 1e-9
+
+
+# the subgradient step against its per-scenario form
+
+
+def _scenario_subproblems_per_scenario(x, lam):
+    """Oracle: the relaxed MSTs with one numpy pass per scenario."""
+    value = 0.0
+    ybar = np.zeros((x.num_edges, x.num_scenarios))
+    for s in range(x.num_scenarios):
+        reduced = x.c + lam[:, s]
+        weights = np.minimum(reduced, x.d[:, s])
+        tree = np.fromiter(mst_kruskal(x.graph, weights), dtype=int)
+        value += weights[tree].sum()
+        take_first = tree[reduced[tree] <= x.d[tree, s]]
+        ybar[take_first, s] = 1.0
+    return value / x.num_scenarios, ybar
+
+
+def _lagrangian_bound_per_scenario(x, iters):
+    """Oracle: lagrangian_bound on the per-scenario step, means by ndarray.mean."""
+    lam = np.zeros((x.num_edges, x.num_scenarios))
+    best = -np.inf
+    trace = []
+    s0 = 1.0
+    stall = 0
+    for _ in range(iters):
+        value, ybar = _scenario_subproblems_per_scenario(x, lam)
+        if value > best:
+            best = value
+            stall = 0
+        else:
+            stall += 1
+            if stall >= 50:
+                s0 /= 2.0
+                stall = 0
+        trace.append(best)
+        g = ybar - ybar.mean(axis=1, keepdims=True)
+        g_sq = float((g * g).sum())
+        if g_sq <= 1e-12:
+            break
+        scale = abs(best) if best != 0.0 else 1.0
+        lam = lam + (s0 * scale / (g_sq + 1e-12)) * g
+        lam -= lam.mean(axis=1, keepdims=True)
+    return best, lam, trace
+
+
+def _lagrangian_heuristic_per_scenario(x, lam):
+    _, ybar = _scenario_subproblems_per_scenario(x, lam)
+    score = ybar.mean(axis=1)
+    order = sorted(np.flatnonzero(score >= 0.5).tolist(), key=lambda e: (-score[e], e))
+    forest = _joining(list(range(x.graph.num_vertices)), x.graph.edges, order)
+    return _complete_or_empty(x, frozenset(forest))
+
+
+def _assert_bound_matches_per_scenario(x, iters):
+    best, lam, trace = lagrangian_bound(x, iters=iters)
+    want_best, want_lam, want_trace = _lagrangian_bound_per_scenario(x, iters)
+    assert type(best) is type(want_best) is np.float64 and _same_bits(best, want_best)
+    assert np.array_equal(lam, want_lam) and _same_bits(lam, want_lam)
+    assert len(trace) == len(want_trace)
+    assert all(type(a) is np.float64 and _same_bits(a, b) for a, b in zip(trace, want_trace))
+    value, ybar = _scenario_subproblems(x, lam)
+    want_value, want_ybar = _scenario_subproblems_per_scenario(x, lam)
+    assert type(value) is np.float64 and _same_bits(value, want_value)
+    assert ybar.flags.c_contiguous and _same_bits(ybar, want_ybar)
+    assert lagrangian_heuristic(x, lam) == _lagrangian_heuristic_per_scenario(x, lam)
+
+
+@pytest.mark.parametrize("width", range(2, 13))
+def test_bound_equals_per_scenario_loop_on_grids(width):
+    # K = 0 makes every weight tie; S >= 8 sums the scenarios' (E, S) rows
+    # with numpy's unrolled pairwise loop; non-integer costs show the order
+    # of every addition
+    for K in (0, 10):
+        for n_scen in (1, 3, 4, 8, 10):
+            _assert_bound_matches_per_scenario(generate_instance(width, K, n_scen, seed=width), 60)
+    rng = np.random.default_rng(width)
+    graph = grid_graph(width, width)
+    for n_scen in (3, 10):
+        x = TwoStageInstance(graph=graph, c=-rng.uniform(0, 20, graph.num_edges),
+                             d=-rng.uniform(0, 20, (graph.num_edges, n_scen)))
+        _assert_bound_matches_per_scenario(x, 60)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(float_cost_instances(max_scenarios=10))
+def test_bound_equals_per_scenario_loop(x):
+    _assert_bound_matches_per_scenario(x, 40)
+
+
+def test_bound_on_one_vertex_without_edges():
+    for n_scen in (1, 3):
+        x = TwoStageInstance(graph=Graph(1, []), c=np.zeros(0), d=np.zeros((0, n_scen)))
+        _assert_bound_matches_per_scenario(x, 5)
+        best, lam, trace = lagrangian_bound(x, iters=5)
+        assert best == 0.0 and lam.shape == (0, n_scen) and len(trace) == 1
 
 
 # ---------------------------------------------------------------------------
