@@ -54,11 +54,9 @@ def _nonempty(block: str, **lists) -> None:
 def _cmd_generate(app, config: dict, out: Path, seed_override, /, application: str, seed: int,
                   per_cell: int, **axes) -> int:
     _nonempty("generate", **axes)
-    if per_cell < 1:
-        raise ValueError("generate key 'per_cell' must be >= 1")
+    model._at_least(per_cell, 1, "generate key 'per_cell'")
     master_seed = seed if seed_override is None else int(seed_override)
-    if master_seed < 0:
-        raise ValueError("generate key 'seed' (or --seed) must be >= 0")
+    model._at_least(master_seed, 0, "generate key 'seed' (or --seed)")
     cells = app.cells(**axes)
     inst_dir = out / "instances"
     inst_dir.mkdir(parents=True, exist_ok=True)
@@ -81,15 +79,19 @@ def _cmd_generate(app, config: dict, out: Path, seed_override, /, application: s
 
 
 def _dataset(dataset) -> tuple:
-    """(application, manifest) of a dataset; every row must name its file and the
-    fields its application reads."""
+    """(application, manifest) of a dataset; the manifest must name its application
+    and instances, and every row its id, its file and the fields its application reads."""
     path = Path(dataset) / "manifest.json"
     manifest = model._read_json(path)
+    for key in ("application", "instances"):
+        if key not in manifest:
+            raise ValueError(f"{path} has no {key!r}")
+    _nonempty(str(path), instances=manifest["instances"])
     app = _application(manifest["application"])
-    for row in manifest["instances"]:
-        for key in ("file", *app.row_keys):
+    for i, row in enumerate(manifest["instances"]):
+        for key in ("id", "file", app.bucket_key, *app.row_keys):
             if key not in row:
-                raise ValueError(f"instance {row.get('id')!r} in {path} has no {key!r}")
+                raise ValueError(f"instance {row.get('id', i)!r} in {path} has no {key!r}")
     return app, manifest
 
 
@@ -133,8 +135,8 @@ def _cmd_train(app, manifest: dict, out: Path, seed_override, /, dataset: str,
         fyl = model._read_config("fyl", fyl or {}, app.fyl_train, learning.fyl_learn)
         if seed_override is not None:
             fyl["seed"] = int(seed_override)
-        if fyl["seed"] < 0:
-            raise ValueError("fyl key 'seed' (or --seed) must be >= 0")
+        model._at_least(fyl["seed"], 0, "fyl key 'seed' (or --seed)")
+        learning._check_fyl(fyl["epsilon"], fyl["n_z"], fyl["steps"], fyl["box_radius"])
         weights = app.fyl_train(instances, **fyl)
         report = {"per_seed": [], "best_w": [float(v) for v in weights.w],
                   "config_hash": learning.config_hash(fyl)}
@@ -202,8 +204,9 @@ def _cmd_eval(app, manifest: dict, out: Path, /, dataset: str, algorithms: list,
         costs[name] = [c for c, _ in results]
         walls[name] = [t for _, t in results]
 
+    # a feasible cost bounds the optimum from above; on a tie the bound is kept
     references = [
-        app.reference(x, row, [costs[name][i] for name in runners])
+        min(app.lower_bound(x, row), *(costs[name][i] for name in runners))
         for i, (x, row) in enumerate(zip(instances, rows))
     ]
 

@@ -1,4 +1,4 @@
-"""Undirected graphs, deterministic Kruskal MSTs, and spanning-tree utilities.
+"""Undirected graphs, deterministic Kruskal MSTs, and grid graphs.
 
 Edges are identified by their position in the edge list.  All tree
 computations break weight ties by ascending edge id, so every function in
@@ -7,7 +7,7 @@ this module is a pure deterministic map from its inputs.
 
 from __future__ import annotations
 
-from itertools import combinations, islice
+from itertools import islice
 
 import numpy as np
 
@@ -15,11 +15,8 @@ __all__ = [
     "Graph",
     "mst_kruskal",
     "mst_constrained",
-    "enumerate_spanning_trees",
     "grid_graph",
 ]
-
-ENUMERATION_EDGE_LIMIT = 20
 
 
 def _joining(parent: list, edges, ids):
@@ -129,20 +126,6 @@ def mst_constrained(graph: Graph, weights, forced) -> frozenset[int]:
     if len(list(_joining(parent, graph.edges, forced))) != len(forced):
         raise ValueError("forced edges contain a cycle")
     return _kruskal(graph, w, parent, forced)
-
-
-def enumerate_spanning_trees(graph: Graph) -> list[frozenset[int]]:
-    """All spanning trees, as sets of edge ids (exhaustive; |E| <= 20)."""
-    if graph.num_edges > ENUMERATION_EDGE_LIMIT:
-        raise ValueError(
-            f"enumeration limited to {ENUMERATION_EDGE_LIMIT} edges, got {graph.num_edges}"
-        )
-    size = graph.num_vertices - 1
-    trees = []
-    for combo in combinations(range(graph.num_edges), size):
-        if len(list(_joining(list(range(graph.num_vertices)), graph.edges, combo))) == size:
-            trees.append(frozenset(combo))
-    return trees
 
 
 def grid_graph(width: int, height: int) -> Graph:

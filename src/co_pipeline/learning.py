@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import PerturbationConfig, WeightVector, sample_gaussians
+from .model import PerturbationConfig, WeightVector, _at_least, sample_gaussians
 
 __all__ = [
     "LossConfig",
@@ -68,11 +68,10 @@ class LearnerConfig:
 
     def __post_init__(self):
         if self.box_radius <= 0:
-            raise ValueError("box_radius must be positive")
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
+            raise ValueError("learner key 'box_radius' must be positive")
+        _at_least(self.budget, 1, "learner key 'budget'")
         if len(self.seeds) < 1:
-            raise ValueError("at least one seed is required")
+            raise ValueError("learner key 'seeds' must hold at least one seed")
         if min(self.seeds) < 0:
             raise ValueError("learner key 'seeds' must hold values >= 0")
 
@@ -172,8 +171,7 @@ def direct_minimize(objective, bounds, budget: int, seed: int = 0):
         raise ValueError("bounds must be (d, 2)")
     if not np.all(np.isfinite(bounds)) or np.any(bounds[:, 1] <= bounds[:, 0]):
         raise ValueError("bounds must be finite with positive extent")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    _at_least(budget, 1, "budget")
     lo, span = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
     rng = np.random.default_rng(seed)
 
@@ -307,6 +305,14 @@ def perturbed_expected_solution(argmin_vec, theta: np.ndarray, epsilon: float, g
     return acc / count
 
 
+def _check_fyl(epsilon: float, n_z: int, steps: int, box_radius: float) -> None:
+    """fyl_learn's settings check; the message names each setting as its fyl key."""
+    for key, value, least in (("epsilon", epsilon, 0), ("n_z", n_z, 1), ("steps", steps, 0)):
+        _at_least(value, least, f"fyl key {key!r}")
+    if box_radius <= 0:
+        raise ValueError("fyl key 'box_radius' must be positive")
+
+
 def fyl_learn(
     pairs,
     argmin_vec,
@@ -328,10 +334,7 @@ def fyl_learn(
     pulled back through the feature matrix and followed downhill; w stays
     projected on the box.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
-    if n_z < 1 or steps < 0:
-        raise ValueError("n_z must be >= 1 and steps >= 0")
+    _check_fyl(epsilon, n_z, steps, box_radius)
     phis = [features_of(x) for x, _ in pairs]
     if not phis:
         raise ValueError("no training pairs")

@@ -59,12 +59,14 @@ class PerturbationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
-        if self.nsamples < 1:
-            raise ValueError("nsamples must be >= 1")
-        if self.seed < 0:
-            raise ValueError("perturbation key 'seed' must be >= 0")
+        for key, least in (("sigma", 0), ("nsamples", 1), ("seed", 0)):
+            _at_least(getattr(self, key), least, f"perturbation key {key!r}")
+
+
+def _at_least(value, least, name: str) -> None:
+    """The lower limit of a setting; name is the setting as the message names it."""
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
 
 
 def _as_weight_array(w) -> np.ndarray:
@@ -146,8 +148,7 @@ def sample_gaussians(cfg: PerturbationConfig, dim: int) -> np.ndarray:
     Row k of the matrix is sample k; requesting more samples with the
     same seed extends the matrix without changing earlier rows.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    _at_least(dim, 1, "dim")
     rng = np.random.default_rng(cfg.seed)
     return rng.standard_normal((cfg.nsamples, dim))
 

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import learning
-from .model import PerturbationConfig, _as_number, _as_weight_array, _read_json, _write_json
+from .model import (PerturbationConfig, _as_number, _as_weight_array, _at_least, _read_json,
+                    _write_json)
 
 __all__ = [
     "SchedInstance",
@@ -272,9 +273,7 @@ def pipeline_order(x: SchedInstance, w, post: str = "none") -> np.ndarray:
 def _check_decode(sigma: float, nsamples: int, seed: int, block: str | None = None) -> None:
     """perturbed_decode's settings check; with block, the message names them as its keys."""
     for key, value in (("sigma", sigma), ("nsamples", nsamples), ("seed", seed)):
-        if value < 0:
-            name = key if block is None else f"{block} key {key!r}"
-            raise ValueError(f"{name} must be >= 0")
+        _at_least(value, 0, key if block is None else f"{block} key {key!r}")
 
 
 def perturbed_decode(
@@ -307,17 +306,17 @@ def perturbed_decode(
 def brute_force_schedule(x: SchedInstance):
     """Exact minimum for n <= 9 as (total, permutation).
 
-    Depth-first search over permutations in lexicographic order with a
-    sound lower-bound prune (remaining jobs in SPT order, releases
-    relaxed), so the returned permutation is exactly the lexicographically
-    first optimal one that plain enumeration would select.
+    Depth-first search over permutations in lexicographic order with a sound
+    lower-bound prune (remaining jobs in SPT order, releases relaxed), so the
+    returned permutation is the lexicographically first optimal one that
+    plain enumeration would select.  Its total is priced like evaluate_schedule.
     """
     n = x.n
     if n > BRUTE_FORCE_JOB_LIMIT:
         raise ValueError(f"brute force limited to {BRUTE_FORCE_JOB_LIMIT} jobs")
     p, r = x.p, x.r
     best_total = np.inf
-    best: list[int] | None = None
+    best: np.ndarray | None = None
     seq: list[int] = []
 
     def lower_bound(mask: int, t: float) -> float:
@@ -336,7 +335,7 @@ def brute_force_schedule(x: SchedInstance):
         if mask == (1 << n) - 1:
             if acc < best_total:
                 best_total = acc
-                best = seq.copy()
+                best = np.array(seq)
             return
         if acc + lower_bound(mask, t) >= best_total:
             return
@@ -349,13 +348,12 @@ def brute_force_schedule(x: SchedInstance):
             seq.pop()
 
     search(0, 0.0, 0.0)
-    return float(best_total), np.asarray(best, dtype=int)
+    return _total(x, best), best
 
 
 def generate_sched_instance(n: int, rho: float, seed: int) -> SchedInstance:
     """Random instance: p ~ U{1..100}, r ~ U{1..floor(50.5*n*rho)}."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _at_least(n, 1, "n")
     if rho <= 0:
         raise ValueError("rho must be positive")
     rng = np.random.default_rng(seed)
@@ -467,11 +465,9 @@ class SchedulingApplication:
         if kind == "brute_force" and any(x.n > BRUTE_FORCE_JOB_LIMIT for x in instances):
             raise ValueError(f"brute force limited to {BRUTE_FORCE_JOB_LIMIT} jobs")
 
-    def reference(self, x: SchedInstance, row: dict, costs) -> float:
-        """Best evaluated total, sharpened by branch-and-bound on small instances."""
-        if x.n > BRUTE_FORCE_JOB_LIMIT:
-            return min(costs)
-        return min(min(costs), brute_force_schedule(x)[0])
+    def lower_bound(self, x: SchedInstance, row: dict) -> float:
+        """The branch-and-bound optimum on small instances; inf otherwise."""
+        return brute_force_schedule(x)[0] if x.n <= BRUTE_FORCE_JOB_LIMIT else np.inf
 
 
 APPLICATION = SchedulingApplication()

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import learning, model
 from .graphs import Graph, _joining, grid_graph, mst_constrained, mst_kruskal
-from .model import PerturbationConfig, _as_number, _as_weight_array, _read_json, _write_json
+from .model import (PerturbationConfig, _as_number, _as_weight_array, _at_least, _read_json,
+                    _write_json)
 
 __all__ = [
     "TwoStageInstance",
@@ -137,13 +138,25 @@ def _sum_in_order(values) -> float:
     return functools.reduce(operator.add, values, 0)
 
 
-def evaluate_solution(x: TwoStageInstance, z: TwoStageSolution) -> float:
-    """Hard-problem cost of z; raises if z is infeasible (names the scenario).
+def _price(x: TwoStageInstance, z: TwoStageSolution) -> float:
+    """Hard-problem cost of a solution known to be feasible.
 
-    Each scenario is checked for overlap, then for a spanning tree.  The
-    costs are gathered from one list per stage and per scenario and summed
-    in each set's iteration order with plain +, the scenario sums in
+    The costs are gathered from one list per stage and per scenario and
+    summed in each set's iteration order with plain +, the scenario sums in
     scenario order, so the result is the same on every Python version.
+    """
+    c, d_cols = x.c.tolist(), x.d.T.tolist()
+    first = float(_sum_in_order([c[e] for e in z.first_stage]))
+    second = _sum_in_order(
+        [_sum_in_order([col[e] for e in es]) for col, es in zip(d_cols, z.second_stage)]
+    )
+    return first + second / x.num_scenarios
+
+
+def evaluate_solution(x: TwoStageInstance, z: TwoStageSolution) -> float:
+    """Hard-problem cost of z (see _price); raises if z is infeasible.
+
+    Each scenario is checked for overlap, then for a spanning tree.
     """
     if len(z.second_stage) != x.num_scenarios:
         raise ValueError(
@@ -157,12 +170,7 @@ def evaluate_solution(x: TwoStageInstance, z: TwoStageSolution) -> float:
         joined = _joining(list(range(graph.num_vertices)), graph.edges, union)
         if len(union) != graph.num_vertices - 1 or len(list(joined)) != len(union):
             raise ValueError(f"scenario {s}: edge set is not a spanning tree")
-    c, d_cols = x.c.tolist(), x.d.T.tolist()
-    first = float(_sum_in_order([c[e] for e in z.first_stage]))
-    second = _sum_in_order(
-        [_sum_in_order([col[e] for e in es]) for col, es in zip(d_cols, z.second_stage)]
-    )
-    return first + second / x.num_scenarios
+    return _price(x, z)
 
 
 def easy_layer(x: TwoStageInstance, theta) -> EasySolution:
@@ -200,12 +208,17 @@ def easy_incidence(x: TwoStageInstance, theta) -> np.ndarray:
     return incidence_vector(x, easy_layer(x, theta))
 
 
-def _complete_or_empty(x: TwoStageInstance, first: frozenset[int]) -> TwoStageSolution:
-    """The decode rule (see decode) for a given first stage."""
+def _completed(x: TwoStageInstance, first: frozenset[int]) -> TwoStageSolution:
+    """first with its optimal completion: a constrained MST per scenario."""
     second = tuple(
         mst_constrained(x.graph, x.d[:, s], first) - first for s in range(x.num_scenarios)
     )
-    cand = TwoStageSolution(first_stage=first, second_stage=second)
+    return TwoStageSolution(first_stage=first, second_stage=second)
+
+
+def _complete_or_empty(x: TwoStageInstance, first: frozenset[int]) -> TwoStageSolution:
+    """The decode rule (see decode) for a given first stage."""
+    cand = _completed(x, first)
     cost = evaluate_solution(x, cand)
     empty_second = tuple(mst_kruskal(x.graph, x.d[:, s]) for s in range(x.num_scenarios))
     empty = TwoStageSolution(first_stage=frozenset(), second_stage=empty_second)
@@ -335,12 +348,6 @@ def _scenario_subproblems(x: TwoStageInstance, lam: np.ndarray):
     return np.float64(value) / n_scen, ybar.reshape(n_edges, n_scen)
 
 
-def _check_iters(iters: int, name: str = "iters") -> None:
-    """lagrangian_bound's iteration check; name is the setting as the message names it."""
-    if iters < 1:
-        raise ValueError(f"{name} must be >= 1")
-
-
 def lagrangian_bound(x: TwoStageInstance, /, iters: int = 500):
     """Lower bound by relaxing nonanticipativity of the first stage.
 
@@ -355,7 +362,7 @@ def lagrangian_bound(x: TwoStageInstance, /, iters: int = 500):
 
     Returns (best bound, final multipliers, best-so-far trace).
     """
-    _check_iters(iters)
+    _at_least(iters, 1, "iters")
     n_scen = x.num_scenarios
     lam = np.zeros((x.num_edges, n_scen))
     best = -np.inf
@@ -408,7 +415,7 @@ def brute_force_optimum(x: TwoStageInstance):
     Every feasible first stage is a forest and the optimal completion
     given the first stage is a constrained MST per scenario, so
     enumerating all forests (by ascending edge-set bitmask, which fixes
-    the tie-break) is exhaustive.
+    the tie-break) is exhaustive.  Each is priced like evaluate_solution.
     """
     n_edges = x.num_edges
     if n_edges > BRUTE_FORCE_EDGE_LIMIT:
@@ -421,31 +428,20 @@ def brute_force_optimum(x: TwoStageInstance):
         forest = _joining(list(range(n_vertices)), x.graph.edges, edges)
         if len(edges) >= n_vertices or len(list(forest)) != len(edges):
             continue
-        first = frozenset(edges)
-        cost = sum(x.c[e] for e in edges)
-        second = []
-        acc = 0.0
-        for s in range(x.num_scenarios):
-            es = mst_constrained(x.graph, x.d[:, s], first) - first
-            second.append(es)
-            acc += sum(x.d[e, s] for e in es)
-        cost += acc / x.num_scenarios
+        z = _completed(x, frozenset(edges))
+        cost = _price(x, z)
         if cost < best_cost:
-            best_cost = cost
-            best = TwoStageSolution(first_stage=first, second_stage=tuple(second))
-    return float(best_cost), best
+            best_cost, best = cost, z
+    return best_cost, best
 
 
 def generate_instance(
     width: int, K: int, num_scenarios: int, seed: int
 ) -> TwoStageInstance:
     """Random width x width grid instance: c ~ U{-20..0}, d ~ U{-K..0}."""
-    if width < 2:
-        raise ValueError("width must be >= 2")
-    if K < 0:
-        raise ValueError("K must be >= 0")
-    if num_scenarios < 1:
-        raise ValueError("num_scenarios must be >= 1")
+    _at_least(width, 2, "width")
+    _at_least(K, 0, "K")
+    _at_least(num_scenarios, 1, "num_scenarios")
     graph = grid_graph(width, width)
     rng = np.random.default_rng(seed)
     c = rng.integers(-20, 1, size=graph.num_edges).astype(float)
@@ -523,7 +519,7 @@ class TwoStageApplication:
 
     Instances are grids sampled per (width, K, scenarios) cell and stored
     with their Lagrangian lower bound, which both normalizes the training
-    loss and is the eval reference; eval gaps are bucketed by width.
+    loss and is eval's lower bound; eval gaps are bucketed by width.
     """
 
     bucket_key = "width"
@@ -536,7 +532,7 @@ class TwoStageApplication:
         for key, values, least in (("widths", widths, 2), ("K", K, 0), ("scenarios", scenarios, 1)):
             if any(v < least or not float(v).is_integer() for v in values):
                 raise ValueError(f"generate key {key!r} must hold integers >= {least}")
-        _check_iters(bound_iters, "generate key 'bound_iters'")
+        _at_least(bound_iters, 1, "generate key 'bound_iters'")
         return [
             {"width": width, "K": k, "num_scenarios": n_scen, "bound_iters": bound_iters}
             for width, k, n_scen in itertools.product(widths, K, scenarios)
@@ -567,7 +563,7 @@ class TwoStageApplication:
         An instance's target is the heuristic's first stage plus its
         completion on the mean scenario costs, as an easy-layer incidence.
         """
-        _check_iters(bound_iters, "fyl key 'bound_iters'")
+        _at_least(bound_iters, 1, "fyl key 'bound_iters'")
         pairs = []
         for x in instances:
             _, duals, _ = lagrangian_bound(x, iters=bound_iters)
@@ -589,9 +585,10 @@ class TwoStageApplication:
     def check_entry(self, kind: str, keys: dict, instances) -> None:
         """Every eval kind takes every instance; the heuristic's bound iterations are checked."""
         if kind == "lagrangian_heuristic":
-            _check_iters(keys["iters"], f"{kind} entry key 'iters'")
+            _at_least(keys["iters"], 1, f"{kind} entry key 'iters'")
 
-    def reference(self, x: TwoStageInstance, row: dict, costs) -> float:
+    def lower_bound(self, x: TwoStageInstance, row: dict) -> float:
+        """The stored Lagrangian bound."""
         return float(row["lower_bound"])
 
 

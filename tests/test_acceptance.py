@@ -15,16 +15,12 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from oracles import connected, spanning_trees
 from scipy import integrate
 
 from co_pipeline import learning, model, scheduling, two_stage
 from co_pipeline.cli import main as cli_main
-from co_pipeline.graphs import (
-    Graph,
-    enumerate_spanning_trees,
-    mst_constrained,
-    mst_kruskal,
-)
+from co_pipeline.graphs import Graph, mst_constrained, mst_kruskal
 
 
 def _report(num, ok, detail):
@@ -34,21 +30,6 @@ def _report(num, ok, detail):
 
 # ---------------------------------------------------------------------------
 # shared generators
-
-
-def _connected(num_vertices, pairs):
-    adj = {v: [] for v in range(num_vertices)}
-    for u, v in pairs:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen) == num_vertices
 
 
 def _random_graph(rng, max_vertices=6, max_edges=None):
@@ -61,7 +42,7 @@ def _random_graph(rng, max_vertices=6, max_edges=None):
             continue
         if max_edges is not None and len(edges) > max_edges:
             continue
-        if _connected(n, edges):
+        if connected(n, edges):
             return Graph(n, edges)
 
 
@@ -132,7 +113,7 @@ def test_criterion_01_mst_oracle_equivalence():
     for _ in range(500):
         g = _random_graph(rng)
         w = rng.normal(size=g.num_edges)
-        trees = enumerate_spanning_trees(g)
+        trees = spanning_trees(g)
         weight = lambda t: sum(w[e] for e in t)  # noqa: E731
         tree = mst_kruskal(g, w)
         assert weight(tree) == min(weight(t) for t in trees)

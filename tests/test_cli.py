@@ -1,12 +1,17 @@
 """End-to-end command-line flows on tiny datasets."""
 
 import csv
+import functools
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from co_pipeline import learning, model
+from co_pipeline import learning, model, two_stage
 from co_pipeline.cli import main
 
 
@@ -160,6 +165,55 @@ def test_eval_gap_arithmetic(tmp_path, two_stage_dataset):
             continue
         cost, ref, gap = float(r[2]), float(r[3]), float(r[4])
         assert gap == pytest.approx(100.0 * (cost - ref) / abs(ref), abs=1e-6)
+
+
+def test_eval_reference_is_never_above_a_cost(tmp_path):
+    # this instance's 500-iteration bound is tight and rounds one ulp above
+    # the heuristic's cost, so the reference is the cost and no gap is negative
+    x = two_stage.generate_instance(4, 20, 5, seed=16)
+    lb, _, _ = two_stage.lagrangian_bound(x, iters=500)
+    assert lb == -257.79999999999995
+    ds = tmp_path / "ds"
+    (ds / "instances").mkdir(parents=True)
+    two_stage.save_instance(ds / "instances" / "a.json", x)
+    _write(ds / "manifest.json", {"application": "two_stage", "instances": [
+        {"id": "a", "file": "instances/a.json", "width": 4, "lower_bound": lb}]})
+    ev = _write(tmp_path / "ev.json", {"dataset": str(ds), "algorithms": [
+        {"name": "lagr", "kind": "lagrangian_heuristic", "iters": 500}]})
+    assert main(["eval", "--config", ev, "--out", str(tmp_path / "ev")]) == 0
+    with open(tmp_path / "ev" / "gaps.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert rows[0] == ["a", "lagr", "-257.8", "-257.8", "0.000000", "0.0"]
+    assert not any(r[4].startswith("-") for r in rows)
+
+
+@pytest.mark.parametrize("key", ["application", "instances", "id", "file", "width",
+                                 "lower_bound", "instances=[]"])
+def test_manifest_missing_field_is_named(key, two_stage_dataset, tmp_path, capsys):
+    # the manifest and the instance are named, not the config, before any
+    # entry runs or --out is created
+    _, ds = two_stage_dataset
+    manifest = json.loads((ds / "manifest.json").read_text())
+    if key == "instances=[]":
+        manifest["instances"] = []
+    elif key in manifest:
+        del manifest[key]
+    else:
+        del manifest["instances"][1][key]
+    (ds / "manifest.json").write_text(json.dumps(manifest))
+    ev = _write(tmp_path / "ev.json", {"dataset": str(ds), "algorithms": [
+        {"name": "base", "kind": "approx_baseline"}]})
+    out = tmp_path / "ev"
+    capsys.readouterr()
+    assert main(["eval", "--config", ev, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    want = "key 'instances' is an empty list" if key == "instances=[]" else f"has no {key!r}"
+    assert want in err and str(ds / "manifest.json") in err
+    assert "missing config key" not in err
+    if key in ("id", "file", "width", "lower_bound"):
+        row = manifest["instances"][1]
+        assert f"instance {row.get('id', 1)!r}" in err
+    assert not out.exists()
 
 
 def test_scheduling_round_trip_with_brute_reference(tmp_path):
@@ -426,6 +480,24 @@ def _typo_case(block, two_stage_dataset, tmp_path):
         "fyl_seed_negative": ("train", {**train, "method": "fyl", "fyl": {"seed": -1}}, "seed", None),
         "fyl_bound_iters_0": ("train", {**train, "method": "fyl", "fyl": {"bound_iters": 0}},
                               "bound_iters", None),
+        # a training setting out of range is named as its key, and a fyl
+        # setting fails before any bound runs
+        "learner_budget_0": ("train", {**train, "learner": {"budget": 0, "seeds": [0]}},
+                             "budget", None),
+        "learner_box_radius_0": ("train", {**train, "learner": {"box_radius": 0, "seeds": [0]}},
+                                 "box_radius", None),
+        "learner_seeds_empty": ("train", {**train, "learner": {"seeds": []}}, "seeds", None),
+        "perturbation_sigma_negative": ("train", {**train, "perturbation": {"sigma": -1}},
+                                        "sigma", None),
+        "perturbation_nsamples_0": ("train", {**train, "perturbation": {"sigma": 1, "nsamples": 0}},
+                                    "nsamples", None),
+        "fyl_epsilon_negative": ("train", {**train, "method": "fyl", "fyl": {"epsilon": -1}},
+                                 "epsilon", None),
+        "fyl_n_z_0": ("train", {**train, "method": "fyl", "fyl": {"n_z": 0}}, "n_z", None),
+        "fyl_steps_negative": ("train", {**train, "method": "fyl", "fyl": {"steps": -1}},
+                               "steps", None),
+        "fyl_box_radius_0": ("train", {**train, "method": "fyl", "fyl": {"box_radius": 0}},
+                             "box_radius", None),
         "eval_empty": ("eval", {"dataset": str(ds), "algorithms": []}, "algorithms", None),
         # algorithms is a list of entry objects
         "eval_algorithms_strings": ("eval", {"dataset": str(ds), "algorithms": ["spt"]},
@@ -468,11 +540,21 @@ def _typo_case(block, two_stage_dataset, tmp_path):
      "generate_per_cell_fraction", "generate_bound_iters_fraction", "generate_width_fraction",
      "generate_n_fraction", "learner_budget_fraction", "learner_seeds_fraction",
      "bounds_n_fraction", "eval_algorithms_strings", "eval_algorithms_object",
-     "eval_weights_length", "generate_bound_iters_0", "fyl_bound_iters_0"],
+     "eval_weights_length", "generate_bound_iters_0", "fyl_bound_iters_0", "learner_budget_0",
+     "learner_box_radius_0", "learner_seeds_empty", "perturbation_sigma_negative",
+     "perturbation_nsamples_0", "fyl_epsilon_negative", "fyl_n_z_0", "fyl_steps_negative",
+     "fyl_box_radius_0"],
 )
-def test_config_typo_exits_before_writing(block, two_stage_dataset, tmp_path, capsys):
+def test_config_typo_exits_before_writing(block, two_stage_dataset, tmp_path, capsys,
+                                          monkeypatch):
     argv, out, key, nearest = _typo_case(block, two_stage_dataset, tmp_path)
     capsys.readouterr()
+
+    @functools.wraps(two_stage.lagrangian_bound)
+    def no_bound(*args, **kwargs):
+        raise AssertionError("a bound ran before the settings were checked")
+
+    monkeypatch.setattr(two_stage, "lagrangian_bound", no_bound)
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert f"{key!r}" in err
@@ -583,3 +665,50 @@ def test_fyl_config_hash_ignores_the_dataset_path(two_stage_dataset, tmp_path):
     assert reports[0] == reports[1]
     # the seed actually used is part of it
     assert json.loads(reports[2])["config_hash"] != json.loads(reports[1])["config_hash"]
+
+
+_CHAIN = """
+import json, sys
+from pathlib import Path
+from co_pipeline.cli import main
+
+tmp = Path(sys.argv[1])
+weights = {"weights": str(tmp / "ts_w" / "weights.json")}
+sm_weights = {"weights": str(tmp / "sm_w" / "weights.json")}
+for command, name, config in [
+    ("generate", "ts", {"application": "two_stage", "widths": [2], "K": [5], "scenarios": [2],
+                        "per_cell": 2, "seed": 0, "bound_iters": 5}),
+    ("train", "ts_w", {"dataset": str(tmp / "ts"), "learner": {"budget": 5, "seeds": [0]}}),
+    ("train", "ts_fyl", {"dataset": str(tmp / "ts"), "method": "fyl",
+                         "fyl": {"n_z": 2, "steps": 3, "bound_iters": 5}}),
+    ("eval", "ts_ev", {"dataset": str(tmp / "ts"), "algorithms": [
+        {"name": "a", "kind": "approx_baseline"}, {"name": "p", "kind": "pipeline", **weights},
+        {"name": "l", "kind": "lagrangian_heuristic", "iters": 5}]}),
+    ("generate", "sm", {"application": "scheduling", "n": [4], "rho": [1.0], "per_cell": 2,
+                        "seed": 0}),
+    ("train", "sm_w", {"dataset": str(tmp / "sm"), "learner": {"budget": 5, "seeds": [0]},
+                       "perturbation": {"sigma": 0.5, "nsamples": 2}}),
+    ("eval", "sm_ev", {"dataset": str(tmp / "sm"), "algorithms": [
+        {"name": "s", "kind": "spt"}, {"name": "p", "kind": "pipeline", **sm_weights},
+        {"name": "l", "kind": "pipeline_ls", **sm_weights},
+        {"name": "x", "kind": "pipeline_pert_ls", "nsamples": 2, **sm_weights},
+        {"name": "b", "kind": "brute_force"}]}),
+    ("bounds", "b", {"M": 10.0, "d": 34, "n": [100]}),
+]:
+    path = tmp / f"{name}.json"
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path), "--out", str(tmp / name)]) == 0, name
+test_only = {"scipy", "hypothesis", "pytest", "_pytest", "networkx"}
+print(json.dumps(sorted(test_only & {module.split(".")[0] for module in sys.modules})))
+"""
+
+
+def test_runtime_imports_numpy_only(tmp_path):
+    # the runtime depends on numpy alone (README, pyproject.toml): a chain of
+    # every subcommand over both applications imports no test-only package
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    done = subprocess.run([sys.executable, "-c", _CHAIN, str(tmp_path)], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []

@@ -6,46 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import connected, spanning_trees
 from scipy.sparse.csgraph import connected_components
 
-from co_pipeline.graphs import (
-    ENUMERATION_EDGE_LIMIT,
-    Graph,
-    _joining,
-    enumerate_spanning_trees,
-    grid_graph,
-    mst_constrained,
-    mst_kruskal,
-)
+from co_pipeline.graphs import Graph, _joining, grid_graph, mst_constrained, mst_kruskal
 
 # ---------------------------------------------------------------------------
-# independent oracles (no package machinery beyond the Graph container)
-
-
-def _connected(num_vertices, edges):
-    """DFS connectivity check over an edge subset."""
-    adj = {v: [] for v in range(num_vertices)}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen) == num_vertices
-
-
-def _trees_brute(graph):
-    """All spanning trees by trying every (|V|-1)-subset of edges."""
-    out = []
-    for combo in itertools.combinations(range(graph.num_edges), graph.num_vertices - 1):
-        chosen = [graph.edges[e] for e in combo]
-        if _connected(graph.num_vertices, chosen):
-            out.append(frozenset(combo))
-    return out
+# random graphs
 
 
 @st.composite
@@ -75,7 +42,7 @@ def random_connected_graph(rng, max_vertices=6):
         pairs = list(itertools.combinations(range(n), 2))
         keep = rng.random(len(pairs)) < 0.6
         edges = [pairs[i] for i in range(len(pairs)) if keep[i]]
-        if len(edges) >= n - 1 and _connected(n, edges):
+        if len(edges) >= n - 1 and connected(n, edges):
             return Graph(n, edges)
 
 
@@ -145,33 +112,18 @@ def test_grid_edge_order_contract():
 
 
 # ---------------------------------------------------------------------------
-# enumeration
+# the enumeration oracle itself
 
 
 def test_enumerate_triangle_and_path():
-    assert len(enumerate_spanning_trees(Graph(3, [(0, 1), (0, 2), (1, 2)]))) == 3
-    assert len(enumerate_spanning_trees(Graph(3, [(0, 1), (1, 2)]))) == 1
+    assert len(spanning_trees(Graph(3, [(0, 1), (0, 2), (1, 2)]))) == 3
+    assert len(spanning_trees(Graph(3, [(0, 1), (1, 2)]))) == 1
 
 
 def test_enumerate_k4():
     k4 = Graph(4, list(itertools.combinations(range(4), 2)))
     # Cayley: 4^{4-2} = 16 spanning trees
-    assert len(enumerate_spanning_trees(k4)) == 16
-
-
-def test_enumerate_matches_brute_subsets():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        g = random_connected_graph(rng)
-        assert sorted(enumerate_spanning_trees(g), key=sorted) == sorted(
-            _trees_brute(g), key=sorted
-        )
-
-
-def test_enumerate_size_guard():
-    with pytest.raises(ValueError, match="enumeration limited"):
-        enumerate_spanning_trees(grid_graph(4, 4))  # 24 edges
-    assert ENUMERATION_EDGE_LIMIT == 20
+    assert len(spanning_trees(k4)) == 16
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +136,7 @@ def test_mst_matches_enumeration_oracle():
         g = random_connected_graph(rng)
         w = rng.normal(size=g.num_edges)
         tree = mst_kruskal(g, w)
-        best = min(sum(w[e] for e in t) for t in enumerate_spanning_trees(g))
+        best = min(sum(w[e] for e in t) for t in spanning_trees(g))
         assert sum(w[e] for e in tree) == pytest.approx(best, abs=1e-9)
 
 
@@ -225,7 +177,7 @@ def test_mst_constrained_matches_restricted_oracle():
     for _ in range(40):
         g = random_connected_graph(rng)
         w = rng.normal(size=g.num_edges)
-        trees = enumerate_spanning_trees(g)
+        trees = spanning_trees(g)
         base = min(trees, key=lambda t: sum(w[e] for e in t))
         forced = set(rng.choice(sorted(base), size=min(2, len(base)), replace=False))
         tree = mst_constrained(g, w, forced)

@@ -284,6 +284,19 @@ def test_brute_force_matches_permutation_enumeration():
         assert tuple(order.tolist()) == first
 
 
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(1, 100), min_size=n, max_size=n),
+    st.lists(st.floats(0, 500), min_size=n, max_size=n),
+)))
+def test_brute_force_total_is_its_schedules_total(jobs):
+    # non-integer p and r, so the order of the additions shows: the total
+    # has the bits of evaluate_schedule on the permutation returned
+    x = SchedInstance(p=np.array(jobs[0]), r=np.array(jobs[1]))
+    total, order = brute_force_schedule(x)
+    assert total == evaluate_schedule(x, order)[0]
+
+
 def test_brute_force_size_guard():
     x = SchedInstance(p=np.ones(BRUTE_FORCE_JOB_LIMIT + 1), r=np.zeros(10))
     with pytest.raises(ValueError):
