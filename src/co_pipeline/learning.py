@@ -380,14 +380,16 @@ class BoundParams:
     expectation_term: float = 1.0
 
     def __post_init__(self):
-        if self.M <= 0 or self.d < 1 or self.n < 1:
-            raise ValueError("require M > 0, d >= 1, n >= 1")
+        if self.M <= 0:
+            raise ValueError("bounds key 'M' must be > 0")
+        for key in ("d", "n"):
+            _at_least(getattr(self, key), 1, f"bounds key {key!r}")
         if not 0 < self.delta < 1:
-            raise ValueError("delta must lie in (0, 1)")
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
-        if self.b <= 0 or self.kappa_phi <= 0 or self.expectation_term <= 0:
-            raise ValueError("b, kappa_phi and expectation_term must be positive")
+            raise ValueError("bounds key 'delta' must lie in (0, 1)")
+        _at_least(self.sigma, 0, "bounds key 'sigma'")
+        for key in ("b", "kappa_phi", "expectation_term"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"bounds key {key!r} must be > 0")
 
 
 def constant_C() -> float:
@@ -399,7 +401,7 @@ def excess_risk_bound(params: BoundParams) -> float:
     """High-probability excess risk of the perturbed empirical minimizer:
     C*M*d/(sigma*sqrt(n)) + sqrt(2*log(2/delta)/n)."""
     if params.sigma <= 0:
-        raise ValueError("the bound needs sigma > 0")
+        raise ValueError("bounds key 'sigma' must be > 0")
     first = constant_C() * params.M * params.d / (params.sigma * math.sqrt(params.n))
     second = math.sqrt(2.0 * math.log(2.0 / params.delta) / params.n)
     return first + second

@@ -46,6 +46,8 @@ __all__ = [
 
 SCHED_FEATURE_DIM = 11
 BRUTE_FORCE_JOB_LIMIT = 9
+# positions per local-search pass over the reinsertion blocks: 128 KB of float64
+_PASS_ENTRIES = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,6 +229,16 @@ def _reinsert_positions(n: int) -> np.ndarray:
     return np.where(q == k, i, rest + (rest >= i))
 
 
+def _scan_passes(n: int) -> list[np.ndarray]:
+    """local_search's candidate positions in scan order: the adjacent swaps,
+    then the reinsertion blocks in passes of at most _PASS_ENTRIES positions,
+    or of one block where a block is larger."""
+    # row i of reinsertion block i moves position i to i + 1: the swap of i and i + 1
+    table, d = _reinsert_positions(n), np.arange(n - 1)
+    per_pass = max(1, _PASS_ENTRIES // max(1, n * (n - 1)))  # n = 1 has no moves
+    return [table[d, d], *(table[s:s + per_pass].reshape(-1, n) for s in range(0, n, per_pass))]
+
+
 def local_search(x: SchedInstance, order) -> np.ndarray:
     """First-improvement descent over adjacent swaps, then reinsertions.
 
@@ -234,20 +246,24 @@ def local_search(x: SchedInstance, order) -> np.ndarray:
     improving move is applied and the scan restarts.  Stops at a local
     optimum, so the total never increases.
 
-    Each neighbourhood is scored in one numpy pass: all n - 1 adjacent
-    swaps at once, then the reinsertions one block per removed position
-    (its n - 1 insertion points).  The move applied is the first strictly
-    improving one in the scan order above, so the result is the same as
+    The scan is scored in a few numpy passes, one candidate order per row.
+    The first pass holds the n - 1 adjacent swaps, where almost every
+    restart ends.  The reinsertions follow in passes of whole blocks, one
+    block per removed position (its n - 1 insertion points), as many blocks
+    as fit in _PASS_ENTRIES positions; a block larger than that is a pass
+    of its own.  The cap keeps a pass in L2 cache: one pass over all
+    blocks ran at about half the speed at n = 50 and at n = 100.
+    Each row is summed along its own axis, and the move applied is the
+    first strictly improving row in scan order, so neither the pass
+    boundaries nor the pass sizes change a result: it is the same as
     scoring one candidate at a time.
     """
     order = _check_permutation(x, order).copy()
     total = _total(x, order)
-    # row i of reinsertion block i moves position i to i + 1: the swap of i and i + 1
-    table, d = _reinsert_positions(x.n), np.arange(x.n - 1)
-    blocks = [table[d, d], *table]
+    passes = _scan_passes(x.n)
     while True:
-        for block in blocks:
-            cands = order[block]
+        for rows in passes:
+            cands = order[rows]
             totals = _totals(x.p[cands], x.r[cands]).sum(axis=1)
             better = np.flatnonzero(totals < total)
             if better.size:
@@ -314,20 +330,25 @@ def brute_force_schedule(x: SchedInstance):
     n = x.n
     if n > BRUTE_FORCE_JOB_LIMIT:
         raise ValueError(f"brute force limited to {BRUTE_FORCE_JOB_LIMIT} jobs")
-    p, r = x.p, x.r
+    p, r = x.p.tolist(), x.r.tolist()
+    by_p = sorted(range(n), key=lambda j: (p[j], j))
     best_total = np.inf
     best: np.ndarray | None = None
     seq: list[int] = []
 
     def lower_bound(mask: int, t: float) -> float:
-        rest = [j for j in range(n) if not mask >> j & 1]
-        ps = sorted(p[j] for j in rest)
+        # both sums add plain left to right: builtin sum compensates on
+        # Python floats from 3.12, and the prune must not depend on the version
         acc = 0.0
         c = t
-        for dur in ps:
-            c += dur
-            acc += c
-        floor = sum(max(r[j], t) + p[j] for j in rest)
+        for j in by_p:
+            if not mask >> j & 1:
+                c += p[j]
+                acc += c
+        floor = 0.0
+        for j in range(n):
+            if not mask >> j & 1:
+                floor += max(r[j], t) + p[j]
         return max(acc, floor)
 
     def search(mask: int, t: float, acc: float):

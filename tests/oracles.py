@@ -1,11 +1,14 @@
-"""Test oracles for graphs, by depth-first search and exhaustive enumeration.
+"""Test oracles, by depth-first search and exhaustive enumeration.
 
 They share no code with the package, so a test that checks Kruskal or the
 constrained MST against them does not check the package's union-find
-against itself.
+against itself, and the scheduling branch and bound is checked against a
+separate copy of its search.
 """
 
 import itertools
+
+import numpy as np
 
 
 def connected(num_vertices, pairs):
@@ -32,3 +35,45 @@ def spanning_trees(graph):
         for combo in itertools.combinations(range(graph.num_edges), graph.num_vertices - 1)
         if connected(graph.num_vertices, [graph.edges[e] for e in combo])
     ]
+
+
+def lexicographic_optimal_schedule(p, r):
+    """The lexicographically first optimal permutation of the jobs with
+    float64 arrays p and r, by brute_force_schedule's depth-first search
+    with its bound summed over numpy scalars (sorted values, builtin sum),
+    which never compensates: the package's search must match it bit for bit."""
+    n = len(p)
+    best_total = np.inf
+    best = None
+    seq = []
+
+    def lower_bound(mask, t):
+        rest = [j for j in range(n) if not mask >> j & 1]
+        ps = sorted(p[j] for j in rest)
+        acc = 0.0
+        c = t
+        for dur in ps:
+            c += dur
+            acc += c
+        floor = sum(max(r[j], t) + p[j] for j in rest)
+        return max(acc, floor)
+
+    def search(mask, t, acc):
+        nonlocal best_total, best
+        if mask == (1 << n) - 1:
+            if acc < best_total:
+                best_total = acc
+                best = np.array(seq)
+            return
+        if acc + lower_bound(mask, t) >= best_total:
+            return
+        for j in range(n):
+            if mask >> j & 1:
+                continue
+            c = max(t, r[j]) + p[j]
+            seq.append(j)
+            search(mask | 1 << j, c, acc + c)
+            seq.pop()
+
+    search(0, 0.0, 0.0)
+    return best

@@ -345,6 +345,28 @@ def test_bounds_command(tmp_path, capsys):
     assert len(rows) == 3
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("M", 0, "bounds key 'M' must be > 0"),
+    ("d", 0, "bounds key 'd' must be >= 1"),
+    ("n", [100, 0], "bounds key 'n' must be >= 1"),
+    ("delta", 1.0, "bounds key 'delta' must lie in (0, 1)"),
+    ("sigma", -0.5, "bounds key 'sigma' must be >= 0"),
+    ("sigma", 0, "bounds key 'sigma' must be > 0"),
+    ("b", 0, "bounds key 'b' must be > 0"),
+    ("kappa_phi", -1, "bounds key 'kappa_phi' must be > 0"),
+    ("expectation_term", 0, "bounds key 'expectation_term' must be > 0"),
+])
+def test_bounds_range_error_names_its_key(key, value, message, tmp_path, capsys):
+    cfg = _write(tmp_path / "bounds.json", {"M": 10.0, "d": 34, "n": [100], key: value})
+    out = tmp_path / "b"
+    capsys.readouterr()
+    assert main(["bounds", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip() == f"error: {message}"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_cli_error_exits(tmp_path, capsys):
     assert main(["eval", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o")]) == 1
     assert "error:" in capsys.readouterr().err

@@ -29,7 +29,9 @@ from co_pipeline.scheduling import (
     spt_layer,
     srpt_preemptive,
 )
-from co_pipeline.scheduling import _check_permutation, _total
+from co_pipeline.scheduling import (_PASS_ENTRIES, _check_permutation, _reinsert_positions,
+                                    _scan_passes, _total)
+from oracles import lexicographic_optimal_schedule
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -291,10 +293,24 @@ def test_brute_force_matches_permutation_enumeration():
 )))
 def test_brute_force_total_is_its_schedules_total(jobs):
     # non-integer p and r, so the order of the additions shows: the total
-    # has the bits of evaluate_schedule on the permutation returned
+    # has the bits of evaluate_schedule on the permutation returned, and
+    # the bound's sums on plain floats keep the bits of the search on numpy
+    # scalars, so it prunes the same branches and returns the same order
     x = SchedInstance(p=np.array(jobs[0]), r=np.array(jobs[1]))
     total, order = brute_force_schedule(x)
     assert total == evaluate_schedule(x, order)[0]
+    assert np.array_equal(order, lexicographic_optimal_schedule(x.p, x.r))
+
+
+def test_brute_force_matches_its_old_search_on_ties():
+    rng = np.random.default_rng(15)
+    for n in [*range(1, 10), *rng.integers(5, 10, 40)]:
+        x = SchedInstance(p=rng.integers(1, 4, n).astype(float),
+                          r=rng.integers(0, 4, n).astype(float))
+        total, order = brute_force_schedule(x)
+        want = lexicographic_optimal_schedule(x.p, x.r)
+        assert np.array_equal(order, want), (x.p, x.r)
+        assert total == evaluate_schedule(x, want)[0]
 
 
 def test_brute_force_size_guard():
@@ -365,11 +381,27 @@ def test_local_search_matches_scalar_scan():
     cases = [(int(rng.integers(1, 31)), kinds[t % 3]) for t in range(1020)]
     cases += [(1, kind) for kind in kinds] + [(2, kind) for kind in kinds]
     cases += [(50, kind) for kind in kinds]
+    # one reinsertion pass up to n = 25, two from n = 26
+    cases += [(n, kind) for n in (25, 26, 27) for kind in kinds]
     for n, kind in cases:
         x = _differential_instance(rng, n, kind)
         start = rng.permutation(n)
         want = _reference_local_search(x, start)
         assert np.array_equal(local_search(x, start), want), (n, kind, x.p, x.r, start)
+
+
+def test_scan_passes_are_the_scan_order_in_capped_whole_blocks():
+    for n in [*range(1, 61), 100]:
+        table, d = _reinsert_positions(n), np.arange(n - 1)
+        swaps, *passes = _scan_passes(n)
+        assert np.array_equal(swaps, table[d, d])
+        assert np.array_equal(np.concatenate(passes), table.reshape(n * (n - 1), n))
+        for rows in passes:
+            assert rows.flags.c_contiguous
+            assert rows.shape[0] % max(1, n - 1) == 0
+            assert rows.size <= _PASS_ENTRIES or rows.shape[0] == n - 1
+        if n in (25, 26, 50, 100):  # all blocks in one pass, then 25, 6 and 1 a pass
+            assert len(passes) == {25: 1, 26: 2, 50: 9, 100: 100}[n]
 
 
 _jobs = st.integers(1, 9).flatmap(lambda n: st.tuples(
