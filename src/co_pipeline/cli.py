@@ -1,7 +1,7 @@
 """Command-line entry points: generate, train, eval, bounds.
 
-Every command reads a JSON config (--config), writes its outputs under
---out, and is deterministic given the seeds in the config: rerunning a
+Every command takes only a JSON config (--config) and an output directory
+(--out).  The config, seeds included, is the whole run: rerunning a
 generate/train/eval chain reproduces the output files byte for byte.
 
 Config blocks are read by model._read_config: an unknown key fails before
@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import json
 import sys
 import time
 from pathlib import Path
@@ -51,23 +50,22 @@ def _nonempty(block: str, **lists) -> None:
 # generate
 
 
-def _cmd_generate(app, config: dict, out: Path, seed_override, /, application: str, seed: int,
+def _cmd_generate(app, config: dict, out: Path, /, application: str, seed: int,
                   per_cell: int, **axes) -> int:
     _nonempty("generate", **axes)
     model._at_least(per_cell, 1, "generate key 'per_cell'")
-    master_seed = seed if seed_override is None else int(seed_override)
-    model._at_least(master_seed, 0, "generate key 'seed' (or --seed)")
+    model._at_least(seed, 0, "generate key 'seed'")
     cells = app.cells(**axes)
     inst_dir = out / "instances"
     inst_dir.mkdir(parents=True, exist_ok=True)
-    seeds = iter(_child_seeds(master_seed, len(cells) * per_cell))
+    seeds = iter(_child_seeds(seed, len(cells) * per_cell))
     rows = []
     for cell in cells:
         for i in range(per_cell):
             inst_id = app.instance_id(cell, i)
             fields = app.generate(cell, next(seeds), inst_dir / f"{inst_id}.json")
             rows.append({"id": inst_id, "file": f"instances/{inst_id}.json", **fields})
-    manifest = {"application": application, "config": config, "seed": master_seed,
+    manifest = {"application": application, "config": config, "seed": seed,
                 "instances": rows}
     model._write_json(out / "manifest.json", manifest)
     print(f"wrote {len(rows)} instances to {out}")
@@ -82,31 +80,39 @@ def _dataset(dataset) -> tuple:
     """(application, manifest) of a dataset; the manifest must name its application
     and instances, and every row its id, its file and the fields its application reads."""
     path = Path(dataset) / "manifest.json"
-    manifest = model._read_json(path)
-    for key in ("application", "instances"):
-        if key not in manifest:
-            raise ValueError(f"{path} has no {key!r}")
-    _nonempty(str(path), instances=manifest["instances"])
+    manifest = model._read_json(path, "application", "instances")
+    rows = manifest["instances"]
+    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+        raise ValueError(f"{path} key 'instances' must be a list of objects")
+    _nonempty(str(path), instances=rows)
     app = _application(manifest["application"])
-    for i, row in enumerate(manifest["instances"]):
+    for i, row in enumerate(rows):
         for key in ("id", "file", app.bucket_key, *app.row_keys):
             if key not in row:
                 raise ValueError(f"instance {row.get('id', i)!r} in {path} has no {key!r}")
     return app, manifest
 
 
+def _load(load, path):
+    """load(path), with the file named in a ValueError that does not name it yet."""
+    try:
+        return load(path)
+    except ValueError as exc:
+        raise exc if str(path) in str(exc) else ValueError(f"{path}: {exc}") from None
+
+
 def _instances(app, manifest, dataset, application) -> list:
     """The dataset's instances; a config that names its application must match."""
     if application is not None and _application(application) is not app:
         raise ValueError("config application does not match the dataset")
-    return [app.load(Path(dataset) / row["file"]) for row in manifest["instances"]]
+    return [_load(app.load, Path(dataset) / row["file"]) for row in manifest["instances"]]
 
 
 # ---------------------------------------------------------------------------
 # train
 
 
-def _cmd_train(app, manifest: dict, out: Path, seed_override, /, dataset: str,
+def _cmd_train(app, manifest: dict, out: Path, /, dataset: str,
                application: str | None = None, method: str = "experience",
                learner: dict | None = None, perturbation: dict | None = None,
                fyl: dict | None = None, **loss_keys) -> int:
@@ -120,8 +126,6 @@ def _cmd_train(app, manifest: dict, out: Path, seed_override, /, dataset: str,
 
     if method == "experience":
         learner = model._read_config("learner", learner or {}, learning.LearnerConfig)
-        if seed_override is not None:
-            learner["seeds"] = (int(seed_override),)
         pert = None
         if perturbation:
             pert = model.PerturbationConfig(
@@ -133,10 +137,8 @@ def _cmd_train(app, manifest: dict, out: Path, seed_override, /, dataset: str,
         )
     else:
         fyl = model._read_config("fyl", fyl or {}, app.fyl_train, learning.fyl_learn)
-        if seed_override is not None:
-            fyl["seed"] = int(seed_override)
-        model._at_least(fyl["seed"], 0, "fyl key 'seed' (or --seed)")
-        learning._check_fyl(fyl["epsilon"], fyl["n_z"], fyl["steps"], fyl["box_radius"])
+        learning._check_fyl(fyl["epsilon"], fyl["n_z"], fyl["steps"], fyl["box_radius"],
+                            fyl["seed"])
         weights = app.fyl_train(instances, **fyl)
         report = {"per_seed": [], "best_w": [float(v) for v in weights.w],
                   "config_hash": learning.config_hash(fyl)}
@@ -162,7 +164,9 @@ def _runner(cost, dim: int, /, name: str, kind: str, **keys):
     cost, with a weights file read once and checked against the weight dimension."""
     if "weights" in keys:
         path = keys["weights"]
-        keys["weights"] = w = model.load_weights(path)
+        if not isinstance(path, str):
+            raise ValueError(f"{kind} entry key 'weights' must be a file path")
+        keys["weights"] = w = _load(model.load_weights, path)
         if w.dim != dim:
             raise ValueError(f"{kind} entry key 'weights': {path} holds {w.dim} weights, "
                              f"the application takes {dim}")
@@ -242,42 +246,26 @@ def _cmd_eval(app, manifest: dict, out: Path, /, dataset: str, algorithms: list,
 # bounds
 
 
-def _cmd_bounds(config: dict, out: Path | None, as_json: bool) -> int:
+def _cmd_bounds(config: dict, out: Path | None) -> int:
     # n may be a list of sample counts: one row per count
     _nonempty("bounds", n=config.get("n"))
     grid = [{"n": n} for n in config["n"]] if isinstance(config.get("n"), list) else [{}]
-    records = []
+    C = learning.constant_C()
+    rows = []
     for n in grid:
         params = learning.BoundParams(
             **model._read_config("bounds", {**config, **n}, learning.BoundParams)
         )
-        records.append(
-            {
-                "n": params.n,
-                "sigma_n": learning.sigma_n(params),
-                "excess_risk_bound": learning.excess_risk_bound(params),
-            }
-        )
-    payload = {"C": learning.constant_C(), "rows": records}
-    if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(f"C = {payload['C']!r}")
-        for rec in records:
-            print(
-                f"n={rec['n']}: sigma_n={rec['sigma_n']!r} "
-                f"excess_risk_bound={rec['excess_risk_bound']!r}"
-            )
+        rows.append([params.n, learning.sigma_n(params), learning.excess_risk_bound(params), C])
+    print(f"C = {C!r}")
+    for n, sigma_n, bound, _ in rows:
+        print(f"n={n}: sigma_n={sigma_n!r} excess_risk_bound={bound!r}")
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "bounds.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["n", "sigma_n", "excess_risk_bound", "C"])
-            for rec in records:
-                writer.writerow(
-                    [rec["n"], repr(rec["sigma_n"]), repr(rec["excess_risk_bound"]),
-                     repr(payload["C"])]
-                )
+            writer.writerows([n, *map(repr, values)] for n, *values in rows)
     return 0
 
 
@@ -300,17 +288,14 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to a JSON config")
         cmd.add_argument("--out", default=None, help="output directory")
-        if name in ("generate", "train"):
-            cmd.add_argument("--seed", type=int, default=None, help="master seed override")
-        if name == "bounds":
-            cmd.add_argument("--json", action="store_true", help="print JSON to stdout")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = model._read_json(args.config)
+        needs = ("dataset",) if args.command in ("train", "eval") else ()
+        config = model._read_json(args.config, *needs)
         if args.command in ("generate", "train", "eval") and args.out is None:
             raise ValueError(f"{args.command} requires --out")
         out = None if args.out is None else Path(args.out)
@@ -318,18 +303,15 @@ def main(argv=None) -> int:
         if args.command == "generate":
             app = _application(config.get("application"))
             settings = model._read_config("generate", config, _cmd_generate, app.cells)
-            return _cmd_generate(app, config, out, args.seed, **settings)
+            return _cmd_generate(app, config, out, **settings)
         if args.command == "bounds":
-            return _cmd_bounds(config, out, args.json)
+            return _cmd_bounds(config, out)
         app, manifest = _dataset(config["dataset"])
         if args.command == "train":
             settings = model._read_config("train", config, _cmd_train, app.loss_config)
-            return _cmd_train(app, manifest, out, args.seed, **settings)
+            return _cmd_train(app, manifest, out, **settings)
         settings = model._read_config("eval", config, _cmd_eval)
         return _cmd_eval(app, manifest, out, **settings)
-    except KeyError as exc:
-        print(f"error: missing config key {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits
         print(f"error: {exc}", file=sys.stderr)
         return 1

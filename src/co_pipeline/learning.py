@@ -305,9 +305,10 @@ def perturbed_expected_solution(argmin_vec, theta: np.ndarray, epsilon: float, g
     return acc / count
 
 
-def _check_fyl(epsilon: float, n_z: int, steps: int, box_radius: float) -> None:
+def _check_fyl(epsilon: float, n_z: int, steps: int, box_radius: float, seed: int) -> None:
     """fyl_learn's settings check; the message names each setting as its fyl key."""
-    for key, value, least in (("epsilon", epsilon, 0), ("n_z", n_z, 1), ("steps", steps, 0)):
+    for key, value, least in (("epsilon", epsilon, 0), ("n_z", n_z, 1), ("steps", steps, 0),
+                              ("seed", seed, 0)):
         _at_least(value, least, f"fyl key {key!r}")
     if box_radius <= 0:
         raise ValueError("fyl key 'box_radius' must be positive")
@@ -334,7 +335,7 @@ def fyl_learn(
     pulled back through the feature matrix and followed downhill; w stays
     projected on the box.
     """
-    _check_fyl(epsilon, n_z, steps, box_radius)
+    _check_fyl(epsilon, n_z, steps, box_radius, seed)
     phis = [features_of(x) for x, _ in pairs]
     if not phis:
         raise ValueError("no training pairs")

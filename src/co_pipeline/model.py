@@ -80,19 +80,34 @@ def _as_number(v):
     return int(v) if float(v).is_integer() else float(v)
 
 
-def _read_json(path):
+def _read_json(path, *keys) -> dict:
+    """The JSON object in a file, which must hold each of keys; an error names the file."""
     with open(path) as fh:
-        return json.load(fh)
+        payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path} must hold a JSON object")
+    for key in keys:
+        if key not in payload:
+            raise ValueError(f"{path} has no {key!r}")
+    return payload
+
+
+def _typed(v, kind, name: str):
+    """v, if it is a JSON value of the given kind (a boolean is not a number)."""
+    if isinstance(v, bool) or not isinstance(v, kind):
+        raise ValueError(f"{v!r} is not {name}")
+    return v
 
 
 def _whole(v) -> int:
-    """int(v), refusing to truncate a fraction (an integral float such as 2.0 passes)."""
-    if isinstance(v, float) and not v.is_integer():
+    """int(v) of a JSON number, refusing to truncate a fraction (2.0 passes)."""
+    if isinstance(_typed(v, (int, float), "a number"), float) and not v.is_integer():
         raise ValueError(f"{v!r} is not an integer")
     return int(v)
 
 
-_CASTS = {"int": _whole, "float": float, "tuple[int, ...]": lambda v: tuple(map(_whole, v))}
+_CASTS = {"int": _whole, "float": lambda v: float(_typed(v, (int, float), "a number")),
+          "tuple[int, ...]": lambda v: tuple(map(_whole, _typed(v, list, "a list")))}
 
 
 def _read_config(block: str, config, *consumers) -> dict:
@@ -101,10 +116,11 @@ def _read_config(block: str, config, *consumers) -> dict:
     The keys of a block are the parameters of its consumers (functions,
     methods or dataclasses) that can be passed by keyword: every parameter
     but the positional-only ones.  A given value is cast to its parameter's
-    annotated int, float or tuple[int, ...], and a value the cast refuses
-    is an error that names the block and the key; an omitted key takes its
-    parameter's default and is an error if there is none.  Any other key is
-    an error that names the block, the key and the nearest valid key.
+    annotated int, float (from a JSON number) or tuple[int, ...] (from a
+    list); a string, a boolean or a value the cast refuses is an error that
+    names the block and the key.  An omitted key takes its parameter's
+    default and is an error if there is none.  Any other key is an error
+    that names the block, the key and the nearest valid key.
     """
     if not isinstance(config, dict):
         raise ValueError(f"the {block} block must be a JSON object")
@@ -158,7 +174,7 @@ def save_weights(path, wv: WeightVector) -> None:
 
 
 def load_weights(path) -> WeightVector:
-    payload = _read_json(path)
+    payload = _read_json(path, "w", "d", "M")
     w = np.asarray(payload["w"], dtype=float)
     if w.shape[0] != int(payload["d"]):
         raise ValueError("weight file dimension mismatch")

@@ -396,7 +396,7 @@ def save_sched_instance(path, x: SchedInstance) -> None:
 
 
 def load_sched_instance(path) -> SchedInstance:
-    payload = _read_json(path)
+    payload = _read_json(path, "p", "r", "n")
     p = np.asarray(payload["p"], dtype=float)
     r = np.asarray(payload["r"], dtype=float)
     if p.shape[0] != int(payload["n"]):

@@ -464,7 +464,7 @@ def save_instance(path, x: TwoStageInstance) -> None:
 
 
 def load_instance(path) -> TwoStageInstance:
-    payload = _read_json(path)
+    payload = _read_json(path, "width", "c", "d", "num_scenarios")
     width = int(payload["width"])
     graph = grid_graph(width, width)
     c = np.asarray(payload["c"], dtype=float)

@@ -331,18 +331,16 @@ def test_bounds_command(tmp_path, capsys):
         {"M": 10.0, "d": 34, "sigma": 1.0, "delta": 0.05, "n": [100, 400]},
     )
     out = tmp_path / "b"
-    assert main(["bounds", "--config", cfg, "--out", str(out), "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["C"] == learning.constant_C()
-    assert [row["n"] for row in payload["rows"]] == [100, 400]
-    # n -> 4n halves the bound
-    assert payload["rows"][1]["excess_risk_bound"] == pytest.approx(
-        payload["rows"][0]["excess_risk_bound"] / 2.0, rel=1e-12
-    )
+    assert main(["bounds", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"C = {learning.constant_C()!r}"
+    # bounds.csv is the machine-readable result: repr floats read back exactly
     with open(out / "bounds.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["n", "sigma_n", "excess_risk_bound", "C"]
-    assert len(rows) == 3
+    assert [row[0] for row in rows[1:]] == ["100", "400"]
+    assert all(float(row[3]) == learning.constant_C() for row in rows[1:])
+    # n -> 4n halves the bound
+    assert float(rows[2][2]) == pytest.approx(float(rows[1][2]) / 2.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -442,19 +440,14 @@ def test_cli_error_exits(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"{method!r}" in err and f"{block!r}" in err
     assert not (tmp_path / "o7").exists()
-    # so does a negative master seed given as --seed, or a negative fyl seed
-    assert main(["generate", "--config", ts_gen, "--out", str(tmp_path / "o8"), "--seed", "-3"]) == 1
-    assert "'seed'" in capsys.readouterr().err
-    assert not (tmp_path / "o8").exists()
-    tr = _write(tmp_path / "tr_fyl.json", {"dataset": str(ok), "method": "fyl"})
-    assert main(["train", "--config", tr, "--out", str(tmp_path / "o9"), "--seed", "-4"]) == 1
-    assert "fyl key 'seed'" in capsys.readouterr().err
-    assert not (tmp_path / "o9").exists()
-    # --seed exists on generate and train only
-    for command in ("eval", "bounds"):
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--config", ev, "--seed", "5"])
-        assert exc.value.code == 2
+    # the config is the whole run: every subcommand takes --config and --out
+    # only, and --seed or --json exits 2 before anything is written
+    for command, config in (("generate", ts_gen), ("train", tr), ("eval", ev), ("bounds", ts_gen)):
+        for flag in (["--seed", "5"], ["--json"]):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--config", config, "--out", str(tmp_path / "o8"), *flag])
+            assert exc.value.code == 2
+            assert not (tmp_path / "o8").exists()
 
 
 def _typo_case(block, two_stage_dataset, tmp_path):
@@ -546,6 +539,23 @@ def _typo_case(block, two_stage_dataset, tmp_path):
         "learner_seeds_fraction": ("train", {**train, "learner": {"budget": 5, "seeds": [0.7]}},
                                    "seeds", None),
         "bounds_n_fraction": ("bounds", {"M": 10.0, "d": 34, "n": [100, 100.9]}, "n", None),
+        # a number or a list is given as one: a string or a boolean is not cast
+        "learner_budget_string": ("train", {**train, "learner": {"budget": "5", "seeds": [0]}},
+                                  "budget", None),
+        "learner_budget_bool": ("train", {**train, "learner": {"budget": True, "seeds": [0]}},
+                                "budget", None),
+        "learner_seeds_string": ("train", {**train, "learner": {"budget": 5, "seeds": "12"}},
+                                 "seeds", None),
+        "learner_seeds_bool": ("train", {**train, "learner": {"budget": 5, "seeds": [True]}},
+                               "seeds", None),
+        "fyl_box_radius_string": ("train", {**train, "method": "fyl", "fyl": {"box_radius": "3"}},
+                                  "box_radius", None),
+        "learner_box_radius_bool": ("train", {**train, "learner": {"box_radius": True}},
+                                    "box_radius", None),
+        "perturbation_sigma_string": ("train", {**train, "perturbation": {"sigma": "0.5"}},
+                                      "sigma", None),
+        "perturbation_sigma_bool": ("train", {**train, "perturbation": {"sigma": True}},
+                                    "sigma", None),
     }
     command, config, key, nearest = configs[block]
     out = tmp_path / "out"
@@ -565,7 +575,9 @@ def _typo_case(block, two_stage_dataset, tmp_path):
      "eval_weights_length", "generate_bound_iters_0", "fyl_bound_iters_0", "learner_budget_0",
      "learner_box_radius_0", "learner_seeds_empty", "perturbation_sigma_negative",
      "perturbation_nsamples_0", "fyl_epsilon_negative", "fyl_n_z_0", "fyl_steps_negative",
-     "fyl_box_radius_0"],
+     "fyl_box_radius_0", "learner_budget_string", "learner_budget_bool", "learner_seeds_string",
+     "learner_seeds_bool", "fyl_box_radius_string", "learner_box_radius_bool",
+     "perturbation_sigma_string", "perturbation_sigma_bool"],
 )
 def test_config_typo_exits_before_writing(block, two_stage_dataset, tmp_path, capsys,
                                           monkeypatch):
@@ -673,15 +685,86 @@ def test_eval_entry_setting_out_of_range_fails_before_out(application, kind, key
     assert not out.exists()
 
 
+@pytest.mark.parametrize("weights", [True, 5])
+def test_eval_weights_that_are_no_path_leave_stdout_open(weights, tmp_path, capsys):
+    # open() takes an integer (true is 1) as a file descriptor to read, and closes it after
+    gen = {"application": "scheduling", "n": [4], "rho": [1.0], "per_cell": 1, "seed": 0}
+    ds = tmp_path / "ds"
+    assert main(["generate", "--config", _write(tmp_path / "gen.json", gen), "--out", str(ds)]) == 0
+    ev = _write(tmp_path / "ev.json", {"dataset": str(ds), "algorithms": [
+        {"name": "p", "kind": "pipeline_ls", "weights": weights}]})
+    out = tmp_path / "ev"
+    capsys.readouterr()
+    assert main(["eval", "--config", ev, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: pipeline_ls entry key 'weights' must be a file path\n"
+    os.fstat(1)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", [
+    "instance_no_p_train", "instance_no_p_eval", "instance_p_0", "weights_no_d",
+    "weights_leave_box", "config_list_generate", "config_list_bounds", "config_list_train",
+    "config_no_dataset", "manifest_instances_string"])
+def test_data_file_error_names_the_file(case, tmp_path, capsys):
+    # an error in an instance, weights, config or manifest file names that file,
+    # never a config key, and leaves --out without content
+    gen = {"application": "scheduling", "n": [4], "rho": [1.0], "per_cell": 1, "seed": 0}
+    ds = tmp_path / "ds"
+    assert main(["generate", "--config", _write(tmp_path / "gen.json", gen), "--out", str(ds)]) == 0
+    manifest = json.loads((ds / "manifest.json").read_text())
+    inst = ds / manifest["instances"][0]["file"]
+    x = json.loads(inst.read_text())
+    w_path, cfg = tmp_path / "w.json", tmp_path / "cfg.json"
+    weights = {"d": 11, "M": 10.0, "w": [0.5] * 11}
+    ev = {"dataset": str(ds), "algorithms": [
+        {"name": "p", "kind": "pipeline_ls", "weights": str(w_path)}]}
+    tr = {"dataset": str(ds), "learner": {"budget": 5, "seeds": [0]}}
+    command, config, named, says = {
+        "instance_no_p_train": ("train", tr, inst, " has no 'p'"),
+        "instance_no_p_eval": ("eval", ev, inst, " has no 'p'"),
+        "instance_p_0": ("train", tr, inst, ": processing times must be >= 1"),
+        "weights_no_d": ("eval", ev, w_path, " has no 'd'"),
+        "weights_leave_box": ("eval", ev, w_path, ": w leaves the box"),
+        "config_list_generate": ("generate", [1, 2], cfg, " must hold a JSON object"),
+        "config_list_bounds": ("bounds", [1, 2], cfg, " must hold a JSON object"),
+        "config_list_train": ("train", [1, 2], cfg, " must hold a JSON object"),
+        "config_no_dataset": ("train", {"learner": {"seeds": [0]}}, cfg, " has no 'dataset'"),
+        "manifest_instances_string": ("eval", ev, ds / "manifest.json",
+                                      " key 'instances' must be a list of objects"),
+    }[case]
+    if case.startswith("instance_no_p"):
+        del x["p"]
+    if case == "instance_p_0":
+        x["p"][0] = 0
+    if case == "weights_no_d":
+        del weights["d"]
+    if case == "weights_leave_box":
+        weights["M"] = 0.25
+    if case == "manifest_instances_string":
+        manifest["instances"] = "instances/"
+    _write(inst, x)
+    _write(ds / "manifest.json", manifest)
+    _write(w_path, weights)
+    _write(cfg, config)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {named}{says}\n"
+    assert "missing config key" not in err
+    assert not out.exists() or not any(out.rglob("*"))
+
+
 def test_fyl_config_hash_ignores_the_dataset_path(two_stage_dataset, tmp_path):
     base, ds = two_stage_dataset
     copy = tmp_path / "copy"
     shutil.copytree(ds, copy)
     fyl = {"epsilon": 1.0, "n_z": 3, "steps": 10, "bound_iters": 20}
     reports = []
-    for name, data, seed in (("a", ds, []), ("b", copy, []), ("c", copy, ["--seed", "1"])):
-        cfg = _write(base / f"fyl_{name}.json", {"dataset": str(data), "method": "fyl", "fyl": fyl})
-        assert main(["train", "--config", cfg, "--out", str(tmp_path / name), *seed]) == 0
+    for name, data, seed in (("a", ds, {}), ("b", copy, {}), ("c", copy, {"seed": 1})):
+        cfg = _write(base / f"fyl_{name}.json", {"dataset": str(data), "method": "fyl",
+                                                  "fyl": {**fyl, **seed}})
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / name)]) == 0
         reports.append((tmp_path / name / "report.json").read_bytes())
     # same data and settings, two directories: one fingerprint
     assert reports[0] == reports[1]
@@ -725,12 +808,34 @@ print(json.dumps(sorted(test_only & {module.split(".")[0] for module in sys.modu
 """
 
 
+def _run(tmp_path, *args, timeout=600):
+    """A python subprocess in tmp_path that imports co_pipeline from this checkout."""
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return subprocess.run([sys.executable, *args], env=env, cwd=tmp_path, capture_output=True,
+                          text=True, timeout=timeout)
+
+
 def test_runtime_imports_numpy_only(tmp_path):
     # the runtime depends on numpy alone (README, pyproject.toml): a chain of
     # every subcommand over both applications imports no test-only package
-    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    done = subprocess.run([sys.executable, "-c", _CHAIN, str(tmp_path)], env=env, cwd=tmp_path,
-                          capture_output=True, text=True, timeout=600)
+    done = _run(tmp_path, "-c", _CHAIN, str(tmp_path))
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
+def test_module_entry_point(tmp_path):
+    # python -m co_pipeline runs the command line; a removed flag is argparse's exit 2
+    bounds = _write(tmp_path / "bounds.json", {"M": 10.0, "d": 34, "n": [100]})
+    done = _run(tmp_path, "-m", "co_pipeline", "bounds", "--config", bounds, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == f"C = {learning.constant_C()!r}"
+    gen = _write(tmp_path / "gen.json", {"application": "scheduling", "n": [4], "rho": [1.0],
+                                         "per_cell": 1, "seed": 0})
+    out = tmp_path / "ds"
+    done = _run(tmp_path, "-m", "co_pipeline", "generate", "--config", gen, "--out", str(out),
+                "--seed", "3", timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.startswith("usage: co-pipeline ")
+    assert "unrecognized arguments: --seed 3" in done.stderr
+    assert not out.exists()

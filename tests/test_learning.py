@@ -587,6 +587,10 @@ def test_fyl_learn_respects_box():
         seed=2,
     )
     assert np.max(np.abs(wv.w)) <= 0.5
+    # a negative seed is named as its fyl key before numpy sees it
+    with pytest.raises(ValueError, match=r"^fyl key 'seed' must be >= 0$"):
+        fyl_learn([(x, two_stage.incidence_vector(x, y))], two_stage.easy_incidence,
+                  two_stage.features, seed=-1)
 
 
 # ---------------------------------------------------------------------------
