@@ -76,11 +76,11 @@ def _cmd_generate(app, config: dict, out: Path, /, application: str, seed: int,
 # dataset loading
 
 
-def _dataset(dataset) -> tuple:
+def _dataset(dataset: str) -> tuple:
     """(application, manifest) of a dataset; the manifest must name its application
     and instances, and every row its id, its file and the fields its application reads."""
     path = Path(dataset) / "manifest.json"
-    manifest = model._read_json(path, "application", "instances")
+    manifest = _load(model._read_json, path, "application", "instances")
     rows = manifest["instances"]
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
         raise ValueError(f"{path} key 'instances' must be a list of objects")
@@ -93,10 +93,10 @@ def _dataset(dataset) -> tuple:
     return app, manifest
 
 
-def _load(load, path):
-    """load(path), with the file named in a ValueError that does not name it yet."""
+def _load(load, path, *args):
+    """load(path, *args), with the file named in a ValueError that does not name it yet."""
     try:
-        return load(path)
+        return load(path, *args)
     except ValueError as exc:
         raise exc if str(path) in str(exc) else ValueError(f"{path}: {exc}") from None
 
@@ -137,8 +137,6 @@ def _cmd_train(app, manifest: dict, out: Path, /, dataset: str,
         )
     else:
         fyl = model._read_config("fyl", fyl or {}, app.fyl_train, learning.fyl_learn)
-        learning._check_fyl(fyl["epsilon"], fyl["n_z"], fyl["steps"], fyl["box_radius"],
-                            fyl["seed"])
         weights = app.fyl_train(instances, **fyl)
         report = {"per_seed": [], "best_w": [float(v) for v in weights.w],
                   "config_hash": learning.config_hash(fyl)}
@@ -173,17 +171,15 @@ def _runner(cost, dim: int, /, name: str, kind: str, **keys):
     return name, functools.partial(cost, **keys)
 
 
-def _cmd_eval(app, manifest: dict, out: Path, /, dataset: str, algorithms: list,
+def _cmd_eval(app, manifest: dict, out: Path, /, dataset: str, algorithms: list[dict],
               application: str | None = None) -> int:
-    if not isinstance(algorithms, list) or not all(isinstance(e, dict) for e in algorithms):
-        raise ValueError("eval key 'algorithms' must be a list of objects")
     _nonempty("eval", algorithms=algorithms)
     instances = _instances(app, manifest, dataset, application)
     kinds = app.algorithms()
     runners = {}
     for entry in algorithms:
         kind = entry.get("kind")
-        if kind not in kinds:
+        if not isinstance(kind, str) or kind not in kinds:
             raise ValueError(f"unknown {manifest['application']} algorithm kind {kind!r}")
         cost, *passed_on = kinds[kind]
         keys = model._read_config(f"{kind} entry", entry, _runner, cost, *passed_on)
@@ -295,7 +291,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         needs = ("dataset",) if args.command in ("train", "eval") else ()
-        config = model._read_json(args.config, *needs)
+        config = _load(model._read_json, args.config, *needs)
         if args.command in ("generate", "train", "eval") and args.out is None:
             raise ValueError(f"{args.command} requires --out")
         out = None if args.out is None else Path(args.out)
@@ -306,7 +302,8 @@ def main(argv=None) -> int:
             return _cmd_generate(app, config, out, **settings)
         if args.command == "bounds":
             return _cmd_bounds(config, out)
-        app, manifest = _dataset(config["dataset"])
+        dataset = {"dataset": config["dataset"]}  # read first: it names the application
+        app, manifest = _dataset(**model._read_config(args.command, dataset, _dataset))
         if args.command == "train":
             settings = model._read_config("train", config, _cmd_train, app.loss_config)
             return _cmd_train(app, manifest, out, **settings)

@@ -305,15 +305,6 @@ def perturbed_expected_solution(argmin_vec, theta: np.ndarray, epsilon: float, g
     return acc / count
 
 
-def _check_fyl(epsilon: float, n_z: int, steps: int, box_radius: float, seed: int) -> None:
-    """fyl_learn's settings check; the message names each setting as its fyl key."""
-    for key, value, least in (("epsilon", epsilon, 0), ("n_z", n_z, 1), ("steps", steps, 0),
-                              ("seed", seed, 0)):
-        _at_least(value, least, f"fyl key {key!r}")
-    if box_radius <= 0:
-        raise ValueError("fyl key 'box_radius' must be positive")
-
-
 def fyl_learn(
     pairs,
     argmin_vec,
@@ -328,14 +319,19 @@ def fyl_learn(
 ) -> WeightVector:
     """SGD on the perturbed Fenchel-Young loss against target solutions.
 
-    pairs are (instance, target incidence vector); argmin_vec(x, theta)
-    returns the optimization layer's solution as an incidence vector
-    (minimization orientation).  For that orientation the FY-loss
-    gradient in theta space is y_target - E_Z[yhat(theta + epsilon Z)],
-    pulled back through the feature matrix and followed downhill; w stays
-    projected on the box.
+    pairs are (instance, target incidence vector) from any iterable, drawn
+    after the settings pass their checks; argmin_vec(x, theta) returns the
+    optimization layer's solution as an incidence vector (minimization
+    orientation).  For that orientation the FY-loss gradient in theta space
+    is y_target - E_Z[yhat(theta + epsilon Z)], pulled back through the
+    feature matrix and followed downhill; w stays projected on the box.
     """
-    _check_fyl(epsilon, n_z, steps, box_radius, seed)
+    for key, value, least in (("epsilon", epsilon, 0), ("n_z", n_z, 1), ("steps", steps, 0),
+                              ("seed", seed, 0)):
+        _at_least(value, least, f"fyl key {key!r}")
+    if box_radius <= 0:
+        raise ValueError("fyl key 'box_radius' must be positive")
+    pairs = list(pairs)
     phis = [features_of(x) for x, _ in pairs]
     if not phis:
         raise ValueError("no training pairs")

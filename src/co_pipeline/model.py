@@ -106,8 +106,16 @@ def _whole(v) -> int:
     return int(v)
 
 
-_CASTS = {"int": _whole, "float": lambda v: float(_typed(v, (int, float), "a number")),
-          "tuple[int, ...]": lambda v: tuple(map(_whole, _typed(v, list, "a list")))}
+# a list's items are kept as given (10.0 stays 10.0), and null passes where None does
+_CASTS = {
+    "int": _whole, "str": lambda v: _typed(v, str, "a string"),
+    "float": lambda v: float(_typed(v, (int, float), "a number")),
+    "tuple[int, ...]": lambda v: tuple(map(_whole, _typed(v, list, "a list"))),
+    "list": lambda v: [_typed(e, (int, float), "a number") for e in _typed(v, list, "a list")],
+    "list[dict]": lambda v: [_typed(e, dict, "an object") for e in _typed(v, list, "a list")],
+    "str | None": lambda v: _typed(v, (str, type(None)), "a string"),
+    "dict | None": lambda v: _typed(v, (dict, type(None)), "an object"),
+}
 
 
 def _read_config(block: str, config, *consumers) -> dict:
@@ -115,15 +123,13 @@ def _read_config(block: str, config, *consumers) -> dict:
 
     The keys of a block are the parameters of its consumers (functions,
     methods or dataclasses) that can be passed by keyword: every parameter
-    but the positional-only ones.  A given value is cast to its parameter's
-    annotated int, float (from a JSON number) or tuple[int, ...] (from a
-    list); a string, a boolean or a value the cast refuses is an error that
-    names the block and the key.  An omitted key takes its parameter's
-    default and is an error if there is none.  Any other key is an error
-    that names the block, the key and the nearest valid key.
+    but the positional-only ones.  A given value is read as its parameter's
+    annotation says (_CASTS; a boolean is never a number), and a value the
+    cast refuses is an error that names the block and the key.  An omitted
+    key takes its parameter's default and is an error if there is none.
+    Any other key is an error that names the block, the key and the
+    nearest valid key.
     """
-    if not isinstance(config, dict):
-        raise ValueError(f"the {block} block must be a JSON object")
     params = {
         name: param
         for consumer in consumers

@@ -439,7 +439,7 @@ class SchedulingApplication:
     row_keys = ()
     dim = SCHED_FEATURE_DIM
 
-    def cells(self, n, rho) -> list:
+    def cells(self, n: list, rho: list) -> list:
         """The manifest fields of each (n, rho) cell."""
         if any(size < 1 or not float(size).is_integer() for size in n):
             raise ValueError("generate key 'n' must hold integers >= 1")

@@ -526,7 +526,7 @@ class TwoStageApplication:
     row_keys = ("lower_bound",)
     dim = TWO_STAGE_FEATURE_DIM
 
-    def cells(self, widths, K, scenarios, bound_iters: int = 500) -> list:
+    def cells(self, widths: list, K: list, scenarios: list, bound_iters: int = 500) -> list:
         """The manifest fields of each cell: its (width, K, scenarios) and the
         subgradient iterations of every stored lower bound."""
         for key, values, least in (("widths", widths, 2), ("K", K, 0), ("scenarios", scenarios, 1)):
@@ -564,13 +564,12 @@ class TwoStageApplication:
         completion on the mean scenario costs, as an easy-layer incidence.
         """
         _at_least(bound_iters, 1, "fyl key 'bound_iters'")
-        pairs = []
-        for x in instances:
+        def target(x):
             _, duals, _ = lagrangian_bound(x, iters=bound_iters)
             first = lagrangian_heuristic(x, duals).first_stage
             second = mst_constrained(x.graph, x.d.mean(axis=1), first) - first
-            pairs.append((x, incidence_vector(x, EasySolution(first, second))))
-        return learning.fyl_learn(pairs, easy_incidence, features, **fyl)
+            return incidence_vector(x, EasySolution(first, second))
+        return learning.fyl_learn(((x, target(x)) for x in instances), easy_incidence, features, **fyl)
 
     def algorithms(self) -> dict:
         """Each eval kind's cost, then the library functions it passes keys on to."""

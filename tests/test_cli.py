@@ -2,6 +2,7 @@
 
 import csv
 import functools
+import inspect
 import json
 import os
 import shutil
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from co_pipeline import learning, model, two_stage
+from co_pipeline import cli, learning, model, scheduling, two_stage
 from co_pipeline.cli import main
 
 
@@ -450,31 +451,29 @@ def test_cli_error_exits(tmp_path, capsys):
             assert not (tmp_path / "o8").exists()
 
 
-def _typo_case(block, two_stage_dataset, tmp_path):
-    """(argv, output directory, key, nearest valid key) of one bad key in `block`: a
-    misspelled key has a nearest valid key, an empty list or count has None."""
-    base, ds = two_stage_dataset
-    weights = tmp_path / "w" / "weights.json"
-    if block in ("eval", "eval_entry", "eval_empty"):
-        train = _write(base / "t.json", {"dataset": str(ds), "learner": {"budget": 5, "seeds": [0]}})
-        assert main(["train", "--config", train, "--out", str(weights.parent)]) == 0
-    train = {"application": "two_stage", "dataset": str(ds)}
-    entries = [{"name": "pipeline", "kind": "pipeline", "weights": str(weights)}]
+def _typo_configs(ds, weights, w11, sched):
+    """block -> (command, config, key, nearest valid key) of one bad key in `block`.
+
+    ds is a two-stage dataset and sched a scheduling one; weights is a two-stage
+    weights file and w11 a file of scheduling's 11 weights.  A misspelled key has
+    a nearest valid key, any other bad key None."""
+    train = {"application": "two_stage", "dataset": ds}
+    entries = [{"name": "pipeline", "kind": "pipeline", "weights": weights}]
     two_stage_gen = {"application": "two_stage", "widths": [3], "K": [10], "scenarios": [2],
                      "per_cell": 1, "seed": 0, "bound_iters": 5}
-    configs = {
+    return {
         "generate": ("generate", {**two_stage_gen, "bound_iter": 5}, "bound_iter", "bound_iters"),
         "train": ("train", {**train, "methd": "fyl"}, "methd", "method"),
         "learner": ("train", {**train, "learner": {"bugdet": 50, "seeds": [0]}}, "bugdet", "budget"),
         "perturbation": ("train", {**train, "perturbation": {"sigma": 0.5, "nsample": 3}},
                          "nsample", "nsamples"),
         "fyl": ("train", {**train, "method": "fyl", "fyl": {"epsilom": 0.5}}, "epsilom", "epsilon"),
-        "eval": ("eval", {"dataset": str(ds), "algorithms": entries, "aplication": "two_stage"},
+        "eval": ("eval", {"dataset": ds, "algorithms": entries, "aplication": "two_stage"},
                  "aplication", "application"),
-        "eval_entry": ("eval", {"dataset": str(ds), "algorithms": [
+        "eval_entry": ("eval", {"dataset": ds, "algorithms": [
             *entries, {"name": "lagr", "kind": "lagrangian_heuristic", "iter": 5}]}, "iter", "iters"),
         # a positional-only parameter of a consumer is not a key
-        "eval_entry_x": ("eval", {"dataset": str(ds), "algorithms": [
+        "eval_entry_x": ("eval", {"dataset": ds, "algorithms": [
             {"name": "lagr", "kind": "lagrangian_heuristic", "x": 5}]}, "x", None),
         "fyl_pairs": ("train", {**train, "method": "fyl", "fyl": {"pairs": []}}, "pairs", None),
         "bounds": ("bounds", {"M": 10.0, "d": 34, "n": [100, 400], "sigm": 0.5}, "sigm", "sigma"),
@@ -513,16 +512,15 @@ def _typo_case(block, two_stage_dataset, tmp_path):
                                "steps", None),
         "fyl_box_radius_0": ("train", {**train, "method": "fyl", "fyl": {"box_radius": 0}},
                              "box_radius", None),
-        "eval_empty": ("eval", {"dataset": str(ds), "algorithms": []}, "algorithms", None),
+        "eval_empty": ("eval", {"dataset": ds, "algorithms": []}, "algorithms", None),
         # algorithms is a list of entry objects
-        "eval_algorithms_strings": ("eval", {"dataset": str(ds), "algorithms": ["spt"]},
+        "eval_algorithms_strings": ("eval", {"dataset": ds, "algorithms": ["spt"]},
                                     "algorithms", None),
-        "eval_algorithms_object": ("eval", {"dataset": str(ds), "algorithms": entries[0]},
+        "eval_algorithms_object": ("eval", {"dataset": ds, "algorithms": entries[0]},
                                    "algorithms", None),
         # scheduling weights (11) on a two-stage dataset (34)
-        "eval_weights_length": ("eval", {"dataset": str(ds), "algorithms": [
-            {"name": "p", "kind": "pipeline", "weights": _write(
-                tmp_path / "w11.json", {"d": 11, "M": 10.0, "w": [0.0] * 11})}]}, "weights", None),
+        "eval_weights_length": ("eval", {"dataset": ds, "algorithms": [
+            {"name": "p", "kind": "pipeline", "weights": w11}]}, "weights", None),
         "bounds_empty_n": ("bounds", {"M": 10.0, "d": 34, "n": []}, "n", None),
         # an integer setting refuses a fraction instead of truncating it
         "generate_per_cell_fraction": ("generate", {**two_stage_gen, "per_cell": 1.5},
@@ -556,29 +554,51 @@ def _typo_case(block, two_stage_dataset, tmp_path):
                                       "sigma", None),
         "perturbation_sigma_bool": ("train", {**train, "perturbation": {"sigma": True}},
                                     "sigma", None),
+        # each value is read as its annotation says: a list of numbers for a cell
+        # axis, a string for a name, an object for a block
+        "generate_K_bool": ("generate", {**two_stage_gen, "K": [True]}, "K", None),
+        "generate_widths_string": ("generate", {**two_stage_gen, "widths": ["3"]}, "widths", None),
+        "generate_widths_number": ("generate", {**two_stage_gen, "widths": 3}, "widths", None),
+        "train_method_list": ("train", {**train, "method": ["fyl"]}, "method", None),
+        "train_post_number": ("train", {"dataset": sched, "post": 3,
+                                        "learner": {"budget": 5, "seeds": [0]}}, "post", None),
+        "learner_list": ("train", {**train, "learner": [1]}, "learner", None),
+        "train_dataset_number": ("train", {"dataset": 5}, "dataset", None),
+        "eval_dataset_number": ("eval", {"dataset": 5, "algorithms": entries}, "dataset", None),
+        "eval_names_numbers": ("eval", {"dataset": ds, "algorithms": [
+            {"name": 3, "kind": "approx_baseline"}, {"name": "3", "kind": "approx_baseline"}]},
+            "name", None),
+        # a kind that is not a string is an unknown kind
+        "eval_kind_list": ("eval", {"dataset": ds, "algorithms": [
+            {"name": "a", "kind": ["approx_baseline"]}]}, "approx_baseline", None),
     }
+
+
+# the table's block names; the paths given here are never read
+_TYPO_BLOCKS = list(_typo_configs("ds", "weights.json", "w11.json", "sched"))
+
+
+def _typo_case(block, two_stage_dataset, tmp_path):
+    """(argv, output directory, key, nearest valid key) of _typo_configs' block."""
+    base, ds = two_stage_dataset
+    weights = tmp_path / "w" / "weights.json"
+    if block in ("eval", "eval_entry", "eval_empty"):
+        train = _write(base / "t.json", {"dataset": str(ds), "learner": {"budget": 5, "seeds": [0]}})
+        assert main(["train", "--config", train, "--out", str(weights.parent)]) == 0
+    w11 = _write(tmp_path / "w11.json", {"d": 11, "M": 10.0, "w": [0.0] * 11})
+    sched = tmp_path / "sched"
+    if block == "train_post_number":
+        gen = _write(tmp_path / "sched.json", {"application": "scheduling", "n": [4],
+                                                "rho": [1.0], "per_cell": 1, "seed": 0})
+        assert main(["generate", "--config", gen, "--out", str(sched)]) == 0
+    configs = _typo_configs(str(ds), str(weights), w11, str(sched))
     command, config, key, nearest = configs[block]
     out = tmp_path / "out"
     argv = [command, "--config", _write(tmp_path / f"{block}.json", config), "--out", str(out)]
     return argv, out, key, nearest
 
 
-@pytest.mark.parametrize(
-    "block",
-    ["generate", "train", "learner", "perturbation", "fyl", "eval", "eval_entry", "bounds",
-     "bounds_beta", "generate_empty_axis", "generate_empty_n", "generate_per_cell_0",
-     "generate_width_1", "generate_rho_0", "generate_seed_negative", "learner_seed_negative",
-     "fyl_seed_negative", "eval_empty", "bounds_empty_n", "eval_entry_x", "fyl_pairs",
-     "generate_per_cell_fraction", "generate_bound_iters_fraction", "generate_width_fraction",
-     "generate_n_fraction", "learner_budget_fraction", "learner_seeds_fraction",
-     "bounds_n_fraction", "eval_algorithms_strings", "eval_algorithms_object",
-     "eval_weights_length", "generate_bound_iters_0", "fyl_bound_iters_0", "learner_budget_0",
-     "learner_box_radius_0", "learner_seeds_empty", "perturbation_sigma_negative",
-     "perturbation_nsamples_0", "fyl_epsilon_negative", "fyl_n_z_0", "fyl_steps_negative",
-     "fyl_box_radius_0", "learner_budget_string", "learner_budget_bool", "learner_seeds_string",
-     "learner_seeds_bool", "fyl_box_radius_string", "learner_box_radius_bool",
-     "perturbation_sigma_string", "perturbation_sigma_bool"],
-)
+@pytest.mark.parametrize("block", _TYPO_BLOCKS)
 def test_config_typo_exits_before_writing(block, two_stage_dataset, tmp_path, capsys,
                                           monkeypatch):
     argv, out, key, nearest = _typo_case(block, two_stage_dataset, tmp_path)
@@ -594,9 +614,12 @@ def test_config_typo_exits_before_writing(block, two_stage_dataset, tmp_path, ca
     assert f"{key!r}" in err
     assert nearest is None or f"did you mean {nearest!r}" in err
     assert not out.exists() or not any(out.rglob("*"))
+    if argv[0] == "eval":
+        assert not out.exists()
     if block == "eval_weights_length":
         assert f"{tmp_path / 'w11.json'} holds 11 weights, the application takes 34" in err
-        assert not out.exists()
+    if block == "eval_kind_list":
+        assert err == "error: unknown two_stage algorithm kind ['approx_baseline']\n"
 
 
 _KINDS = [
@@ -704,7 +727,7 @@ def test_eval_weights_that_are_no_path_leave_stdout_open(weights, tmp_path, caps
 @pytest.mark.parametrize("case", [
     "instance_no_p_train", "instance_no_p_eval", "instance_p_0", "weights_no_d",
     "weights_leave_box", "config_list_generate", "config_list_bounds", "config_list_train",
-    "config_no_dataset", "manifest_instances_string"])
+    "config_no_dataset", "manifest_instances_string", "config_not_json", "manifest_not_json"])
 def test_data_file_error_names_the_file(case, tmp_path, capsys):
     # an error in an instance, weights, config or manifest file names that file,
     # never a config key, and leaves --out without content
@@ -719,6 +742,7 @@ def test_data_file_error_names_the_file(case, tmp_path, capsys):
     ev = {"dataset": str(ds), "algorithms": [
         {"name": "p", "kind": "pipeline_ls", "weights": str(w_path)}]}
     tr = {"dataset": str(ds), "learner": {"budget": 5, "seeds": [0]}}
+    not_json = ": Expecting property name enclosed in double quotes: line 1 column 10 (char 9)"
     command, config, named, says = {
         "instance_no_p_train": ("train", tr, inst, " has no 'p'"),
         "instance_no_p_eval": ("eval", ev, inst, " has no 'p'"),
@@ -731,6 +755,8 @@ def test_data_file_error_names_the_file(case, tmp_path, capsys):
         "config_no_dataset": ("train", {"learner": {"seeds": [0]}}, cfg, " has no 'dataset'"),
         "manifest_instances_string": ("eval", ev, ds / "manifest.json",
                                       " key 'instances' must be a list of objects"),
+        "config_not_json": ("train", tr, cfg, not_json),
+        "manifest_not_json": ("train", tr, ds / "manifest.json", not_json),
     }[case]
     if case.startswith("instance_no_p"):
         del x["p"]
@@ -746,6 +772,8 @@ def test_data_file_error_names_the_file(case, tmp_path, capsys):
     _write(ds / "manifest.json", manifest)
     _write(w_path, weights)
     _write(cfg, config)
+    if case.endswith("_not_json"):
+        named.write_text('{"M": 10,')
     out = tmp_path / "out"
     capsys.readouterr()
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
@@ -753,6 +781,45 @@ def test_data_file_error_names_the_file(case, tmp_path, capsys):
     assert err == f"error: {named}{says}\n"
     assert "missing config key" not in err
     assert not out.exists() or not any(out.rglob("*"))
+
+
+def test_null_block_is_an_absent_block(two_stage_dataset, tmp_path):
+    # null for a key whose annotation allows None reads as the key left out
+    base, ds = two_stage_dataset
+    train = {"dataset": str(ds), "learner": {"budget": 5, "seeds": [0]}}
+    ev = {"dataset": str(ds), "algorithms": [{"name": "a", "kind": "approx_baseline"}]}
+    outputs = {}
+    for command, config, written in (
+        ("train", train, "weights.json"),
+        ("train", {**train, "application": None, "perturbation": None}, "weights.json"),
+        ("eval", ev, "gaps.csv"),
+        ("eval", {**ev, "application": None}, "gaps.csv"),
+    ):
+        out = tmp_path / f"o{len(outputs)}"
+        assert main([command, "--config", _write(base / "c.json", config), "--out", str(out)]) == 0
+        outputs[out.name] = (out / written).read_bytes()
+    assert outputs["o0"] == outputs["o1"] and outputs["o2"] == outputs["o3"]
+
+
+def test_every_config_key_has_a_cast():
+    # each keyword parameter of a config consumer is read by model._CASTS; the one
+    # exception is a kind's weights, a file path that cli._runner reads
+    consumers = [cli._cmd_generate, cli._dataset, cli._cmd_train, cli._cmd_eval, cli._runner,
+                 learning.LearnerConfig, model.PerturbationConfig, learning.fyl_learn,
+                 learning.BoundParams]
+    costs = []
+    for app in (two_stage.APPLICATION, scheduling.APPLICATION):
+        consumers += [app.cells, app.loss_config, app.fyl_train]
+        for cost, *passed_on in app.algorithms().values():
+            costs.append(cost)
+            consumers += passed_on
+    for consumer in consumers + costs:
+        for name, param in inspect.signature(consumer).parameters.items():
+            if param.kind not in (param.POSITIONAL_OR_KEYWORD, param.KEYWORD_ONLY):
+                continue
+            if consumer in costs and name == "weights":
+                continue
+            assert param.annotation in model._CASTS, (consumer, name, param.annotation)
 
 
 def test_fyl_config_hash_ignores_the_dataset_path(two_stage_dataset, tmp_path):

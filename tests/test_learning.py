@@ -593,6 +593,28 @@ def test_fyl_learn_respects_box():
                   two_stage.features, seed=-1)
 
 
+def test_fyl_learn_checks_its_settings_before_it_draws_a_pair():
+    x = two_stage.generate_instance(2, 10, 1, seed=1)
+    target = two_stage.incidence_vector(x, two_stage.easy_layer(x, two_stage.theta_tilde(x)))
+    settings = {"epsilon": 1.0, "n_z": 3, "steps": 20, "seed": 4}
+    drawn = []
+
+    def pairs():
+        drawn.append(x)
+        yield x, target
+
+    args = (two_stage.easy_incidence, two_stage.features)
+    # a one-shot iterator of pairs trains as its list does
+    assert np.array_equal(fyl_learn(pairs(), *args, **settings).w,
+                          fyl_learn([(x, target)], *args, **settings).w)
+    drawn.clear()
+    for key, value in (("epsilon", -1), ("n_z", 0), ("steps", -1), ("seed", -1),
+                       ("box_radius", 0)):
+        with pytest.raises(ValueError, match=rf"^fyl key {key!r} must be "):
+            fyl_learn(pairs(), *args, **{**settings, key: value})
+    assert drawn == []
+
+
 # ---------------------------------------------------------------------------
 # bound formulas
 
