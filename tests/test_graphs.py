@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 from oracles import connected, spanning_trees
 from scipy.sparse.csgraph import connected_components
 
-from co_pipeline.graphs import Graph, _joining, grid_graph, mst_constrained, mst_kruskal
+from co_pipeline.graphs import (
+    _MEMO_TREES,
+    Graph,
+    _joining,
+    _kruskal,
+    grid_graph,
+    mst_constrained,
+    mst_kruskal,
+)
 
 # ---------------------------------------------------------------------------
 # random graphs
@@ -79,7 +87,7 @@ def test_graph_rejects_exactly_the_disconnected_edge_sets(g, data):
         with pytest.raises(ValueError, match="not connected"):
             Graph(g.num_vertices, pairs)
     else:
-        assert Graph(g.num_vertices, pairs).edges == pairs
+        assert Graph(g.num_vertices, pairs).edges == tuple(pairs)
 
 
 def test_joining_never_merges_same_component():
@@ -108,7 +116,7 @@ def test_grid_counts():
 def test_grid_edge_order_contract():
     # horizontal edges in row-major order first, then vertical edges
     g = grid_graph(3, 2)
-    assert g.edges == [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)]
+    assert g.edges == ((0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -224,3 +232,55 @@ def test_weight_validation():
         mst_kruskal(g, [1.0, 2.0])
     with pytest.raises(ValueError, match="finite"):
         mst_kruskal(g, [float("nan")])
+
+
+# ---------------------------------------------------------------------------
+# the per-graph memo of Kruskal trees
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(connected_graphs(), st.data())
+def test_memo_returns_the_memo_free_tree(g, data):
+    # a pool with integer ties, 0.0 and -0.0 (equal weights, other bytes),
+    # visited in a sequence long enough to evict and recompute entries
+    n = g.num_edges
+    weight = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0])
+    drawn = data.draw(st.lists(st.lists(weight, min_size=n, max_size=n), max_size=2 * _MEMO_TREES))
+    pool = [[0.0] * n, [-0.0] * n] + drawn
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=3 * _MEMO_TREES))
+    recent = []  # the weight bytes from least to most recently used
+    for i in list(range(len(pool))) + picks:
+        w = np.array(pool[i])
+        tree = mst_kruskal(g, w)
+        want = _kruskal(g, w, list(range(g.num_vertices)), [])
+        assert tree == want and list(tree) == list(want)
+        if w.tobytes() in recent:
+            recent.remove(w.tobytes())
+        recent.append(w.tobytes())
+        assert list(g._trees) == recent[-_MEMO_TREES:]
+        assert len(g._trees) <= _MEMO_TREES
+
+
+def test_memo_is_per_graph():
+    # same edge count and weights, different edges: each graph its own tree
+    g1 = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    g2 = Graph(4, [(0, 1), (2, 3), (1, 2), (0, 2)])
+    w = [1.0, 2.0, 3.0, 4.0]
+    for _ in range(2):
+        assert mst_kruskal(g1, w) == frozenset({0, 1, 3})
+        assert mst_kruskal(g2, w) == frozenset({0, 1, 2})
+
+
+def test_memo_keeps_weight_validation():
+    # the invalid weights below come after a valid call of the same length;
+    # [[1, 2, 3]] even has the same bytes as the remembered [1, 2, 3]
+    g = Graph(3, [(0, 1), (0, 2), (1, 2)])
+    assert mst_kruskal(g, [1.0, 2.0, 3.0]) == frozenset({0, 1})
+    with pytest.raises(ValueError, match="finite"):
+        mst_kruskal(g, [float("nan"), 2.0, 3.0])
+    with pytest.raises(ValueError, match="finite"):
+        mst_kruskal(g, [1.0, float("inf"), 3.0])
+    for bad in ([1.0, 2.0], [[1.0, 2.0, 3.0]]):
+        with pytest.raises(ValueError, match="edge weights"):
+            mst_kruskal(g, bad)
+    assert len(g._trees) == 1

@@ -636,6 +636,17 @@ def test_excess_risk_bound_arithmetic_oracle():
     assert excess_risk_bound(params) == pytest.approx(want, rel=1e-12)
 
 
+def test_excess_risk_bound_finite_at_subnormal_delta():
+    # 2 / 1e-320 overflows a float, but the bound is finite; any delta whose
+    # 2 / delta is finite keeps the bits of log(2 / delta)
+    first = constant_C() * 10.0 * 34 / 10.0
+    tiny = excess_risk_bound(BoundParams(M=10.0, d=34, n=100, delta=1e-320))
+    assert tiny - first == pytest.approx(3.8406, abs=1e-4)
+    for delta in (0.05, 0.1, 1e-5, 1e-300, 2.5e-308):
+        got = excess_risk_bound(BoundParams(M=10.0, d=34, n=100, delta=delta))
+        assert got == first + math.sqrt(2.0 * math.log(2.0 / delta) / 100)
+
+
 def test_excess_risk_bound_halves_when_n_quadruples():
     base = BoundParams(M=3.0, d=5, sigma=0.7, n=400, delta=0.05)
     big = BoundParams(M=3.0, d=5, sigma=0.7, n=1600, delta=0.05)

@@ -17,6 +17,7 @@ from oracles import connected, spanning_trees
 from scipy.sparse.csgraph import minimum_spanning_tree
 from test_graphs import components, connected_graphs
 
+from co_pipeline import graphs, two_stage
 from co_pipeline.graphs import Graph, _joining, grid_graph, mst_constrained, mst_kruskal
 from co_pipeline.model import WeightVector
 from co_pipeline.two_stage import (
@@ -730,6 +731,47 @@ def test_bound_on_one_vertex_without_edges():
         assert best == 0.0 and lam.shape == (0, n_scen) and len(trace) == 1
 
 
+def _bound_and_solutions(x):
+    """Every output of the bound, the heuristic and the baseline, as bytes
+    and edge ids in set iteration order."""
+    best, lam, trace = lagrangian_bound(x, iters=250)
+    out = [best.tobytes(), lam.tobytes(), np.array(trace).tobytes()]
+    for z in (lagrangian_heuristic(x, lam), approx_baseline(x)):
+        out += [list(z.first_stage), [list(es) for es in z.second_stage]]
+        out.append(np.float64(evaluate_solution(x, z)).tobytes())
+    return out
+
+
+def test_kruskal_memo_keeps_every_bit(monkeypatch):
+    # desk cells where the bound's per-scenario weights repeat most
+    misses = calls = 0
+    kruskal, mst = graphs._kruskal, two_stage.mst_kruskal
+
+    def counted_kruskal(*args):
+        nonlocal misses
+        misses += 1
+        return kruskal(*args)
+
+    def counted_mst(*args):
+        nonlocal calls
+        calls += 1
+        return mst(*args)
+
+    def memo_free(graph, weights):
+        w = graphs._check_weights(graph, weights)
+        return kruskal(graph, w, list(range(graph.num_vertices)), [])
+
+    cells = list(itertools.product((4, 6), (10, 20), range(2)))
+    with monkeypatch.context() as m:
+        m.setattr(graphs, "_kruskal", counted_kruskal)
+        m.setattr(two_stage, "mst_kruskal", counted_mst)
+        memo = [_bound_and_solutions(generate_instance(w, K, 4, seed=s)) for w, K, s in cells]
+    assert misses < calls / 2  # the memo answered most calls
+    monkeypatch.setattr(two_stage, "mst_kruskal", memo_free)
+    for (w, K, s), got in zip(cells, memo):
+        assert got == _bound_and_solutions(generate_instance(w, K, 4, seed=s))
+
+
 # ---------------------------------------------------------------------------
 # features
 
@@ -862,7 +904,7 @@ def test_generate_frozen_draws():
         [-9.0, -2.0],
         [-3.0, 0.0],
     ]
-    assert x.graph.edges == [(0, 1), (2, 3), (0, 2), (1, 3)]
+    assert x.graph.edges == ((0, 1), (2, 3), (0, 2), (1, 3))
 
 
 def test_generate_ranges_and_determinism():
