@@ -80,16 +80,26 @@ def _dataset(dataset: str) -> tuple:
     """(application, manifest) of a dataset; the manifest must name its application
     and instances, and every row its id, its file and the fields its application reads."""
     path = Path(dataset) / "manifest.json"
-    manifest = _load(model._read_json, path, "application", "instances")
+    manifest = _load(model._read_json, path)
+    if missing := [key for key in ("application", "instances") if key not in manifest]:
+        raise ValueError(f"{path} has no {missing[0]!r}")
     rows = manifest["instances"]
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
         raise ValueError(f"{path} key 'instances' must be a list of objects")
     _nonempty(str(path), instances=rows)
     app = _application(manifest["application"])
+    # a row's id and file are strings, its bucket and stored fields numbers kept as given
+    fields = dict.fromkeys(("id", "file"), (str, "a string"))
+    fields.update(dict.fromkeys((app.bucket_key, *app.row_keys), ((int, float), "a number")))
     for i, row in enumerate(rows):
-        for key in ("id", "file", app.bucket_key, *app.row_keys):
+        instance = f"instance {row.get('id', i)!r} in {path}"
+        for key, (kind, name) in fields.items():
             if key not in row:
-                raise ValueError(f"instance {row.get('id', i)!r} in {path} has no {key!r}")
+                raise ValueError(f"{instance} has no {key!r}")
+            try:
+                model._typed(row[key], kind, name)
+            except ValueError as exc:
+                raise ValueError(f"{instance} key {key!r}: {exc}") from None
     return app, manifest
 
 
@@ -127,7 +137,7 @@ def _cmd_train(app, manifest: dict, out: Path, /, dataset: str,
     if method == "experience":
         learner = model._read_config("learner", learner or {}, learning.LearnerConfig)
         pert = None
-        if perturbation:
+        if perturbation is not None:
             pert = model.PerturbationConfig(
                 **model._read_config("perturbation", perturbation, model.PerturbationConfig)
             )
@@ -290,8 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        needs = ("dataset",) if args.command in ("train", "eval") else ()
-        config = _load(model._read_json, args.config, *needs)
+        config = _load(model._read_json, args.config)
         if args.command in ("generate", "train", "eval") and args.out is None:
             raise ValueError(f"{args.command} requires --out")
         out = None if args.out is None else Path(args.out)
@@ -302,8 +311,8 @@ def main(argv=None) -> int:
             return _cmd_generate(app, config, out, **settings)
         if args.command == "bounds":
             return _cmd_bounds(config, out)
-        dataset = {"dataset": config["dataset"]}  # read first: it names the application
-        app, manifest = _dataset(**model._read_config(args.command, dataset, _dataset))
+        dataset = {k: v for k, v in config.items() if k == "dataset"}  # it names the application
+        app, manifest = _dataset(**model._read_config(args.config, dataset, _dataset))
         if args.command == "train":
             settings = model._read_config("train", config, _cmd_train, app.loss_config)
             return _cmd_train(app, manifest, out, **settings)

@@ -80,16 +80,13 @@ def _as_number(v):
     return int(v) if float(v).is_integer() else float(v)
 
 
-def _read_json(path, *keys) -> dict:
-    """The JSON object in a file, which must hold each of keys; an error names the file."""
+def _read_json(path, *consumers) -> dict:
+    """The JSON object in a file; given consumers, their settings in it, the file as block."""
     with open(path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise ValueError(f"{path} must hold a JSON object")
-    for key in keys:
-        if key not in payload:
-            raise ValueError(f"{path} has no {key!r}")
-    return payload
+    return _read_config(str(path), payload, *consumers) if consumers else payload
 
 
 def _typed(v, kind, name: str):
@@ -112,7 +109,10 @@ _CASTS = {
     "float": lambda v: float(_typed(v, (int, float), "a number")),
     "tuple[int, ...]": lambda v: tuple(map(_whole, _typed(v, list, "a list"))),
     "list": lambda v: [_typed(e, (int, float), "a number") for e in _typed(v, list, "a list")],
+    "list[list]": lambda v: [_CASTS["list"](e) for e in _typed(v, list, "a list")],
     "list[dict]": lambda v: [_typed(e, dict, "an object") for e in _typed(v, list, "a list")],
+    "int | None": lambda v: None if v is None else _whole(v),
+    "float | None": lambda v: None if v is None else _CASTS["float"](v),
     "str | None": lambda v: _typed(v, (str, type(None)), "a string"),
     "dict | None": lambda v: _typed(v, (dict, type(None)), "an object"),
 }
@@ -151,7 +151,7 @@ def _read_config(block: str, config, *consumers) -> dict:
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{block} key {name!r}: {exc}") from None
         elif param.default is param.empty:
-            raise ValueError(f"missing {block} key {name!r}")
+            raise ValueError(f"{block} has no {name!r}")
         else:
             settings[name] = param.default
     return settings
@@ -179,9 +179,12 @@ def save_weights(path, wv: WeightVector) -> None:
     _write_json(path, {"d": wv.dim, "M": wv.box_radius, "w": [float(v) for v in wv.w]})
 
 
-def load_weights(path) -> WeightVector:
-    payload = _read_json(path, "w", "d", "M")
-    w = np.asarray(payload["w"], dtype=float)
-    if w.shape[0] != int(payload["d"]):
+def _weights(w: list, d: int, M: float) -> WeightVector:
+    """The keys of a weights file: the weights, their count and the box radius."""
+    if len(w) != d:
         raise ValueError("weight file dimension mismatch")
-    return WeightVector(w=w, box_radius=float(payload["M"]))
+    return WeightVector(w=w, box_radius=M)
+
+
+def load_weights(path) -> WeightVector:
+    return _weights(**_read_json(path, _weights))

@@ -395,13 +395,16 @@ def save_sched_instance(path, x: SchedInstance) -> None:
     _write_json(path, payload)
 
 
-def load_sched_instance(path) -> SchedInstance:
-    payload = _read_json(path, "p", "r", "n")
-    p = np.asarray(payload["p"], dtype=float)
-    r = np.asarray(payload["r"], dtype=float)
-    if p.shape[0] != int(payload["n"]):
+def _sched_instance(n: int, p: list, r: list, rho: float | None = None,
+                    seed: int | None = None) -> SchedInstance:
+    """The keys of an instance file: the job count, processing times and release dates."""
+    if len(p) != n:
         raise ValueError("instance file job count mismatch")
-    return SchedInstance(p=p, r=r, rho=payload.get("rho"), seed=payload.get("seed"))
+    return SchedInstance(p=p, r=r, rho=rho, seed=seed)
+
+
+def load_sched_instance(path) -> SchedInstance:
+    return _sched_instance(**_read_json(path, _sched_instance))
 
 
 def experience_loss_config(

@@ -463,22 +463,17 @@ def save_instance(path, x: TwoStageInstance) -> None:
     _write_json(path, payload)
 
 
-def load_instance(path) -> TwoStageInstance:
-    payload = _read_json(path, "width", "c", "d", "num_scenarios")
-    width = int(payload["width"])
+def _grid_instance(width: int, num_scenarios: int, c: list, d: list[list],
+                   K: int | None = None, seed: int | None = None) -> TwoStageInstance:
+    """The keys of an instance file: the grid width, the scenario count and the costs."""
     graph = grid_graph(width, width)
-    c = np.asarray(payload["c"], dtype=float)
-    d = np.asarray(payload["d"], dtype=float)
-    if d.shape != (graph.num_edges, int(payload["num_scenarios"])):
+    if len(d) != graph.num_edges or any(len(row) != num_scenarios for row in d):
         raise ValueError("instance file scenario costs have the wrong shape")
-    return TwoStageInstance(
-        graph=graph,
-        c=c,
-        d=d,
-        width=width,
-        K=payload.get("K"),
-        seed=payload.get("seed"),
-    )
+    return TwoStageInstance(graph=graph, c=c, d=d, width=width, K=K, seed=seed)
+
+
+def load_instance(path) -> TwoStageInstance:
+    return _grid_instance(**_read_json(path, _grid_instance))
 
 
 def pipeline_solution(x: TwoStageInstance, w):

@@ -554,6 +554,8 @@ def _typo_configs(ds, weights, w11, sched):
                                       "sigma", None),
         "perturbation_sigma_bool": ("train", {**train, "perturbation": {"sigma": True}},
                                     "sigma", None),
+        # an empty block is a block: sigma has no default (null is an absent block)
+        "perturbation_empty": ("train", {**train, "perturbation": {}}, "sigma", None),
         # each value is read as its annotation says: a list of numbers for a cell
         # axis, a string for a name, an object for a block
         "generate_K_bool": ("generate", {**two_stage_gen, "K": [True]}, "K", None),
@@ -727,15 +729,22 @@ def test_eval_weights_that_are_no_path_leave_stdout_open(weights, tmp_path, caps
 @pytest.mark.parametrize("case", [
     "instance_no_p_train", "instance_no_p_eval", "instance_p_0", "weights_no_d",
     "weights_leave_box", "config_list_generate", "config_list_bounds", "config_list_train",
-    "config_no_dataset", "manifest_instances_string", "config_not_json", "manifest_not_json"])
+    "config_no_dataset", "manifest_instances_string", "config_not_json", "manifest_not_json",
+    "weights_d_fraction", "weights_M_string", "weights_w_strings", "instance_n_fraction",
+    "instance_p_strings", "instance_unknown_key", "ts_instance_width_fraction",
+    "manifest_file_number", "manifest_n_string", "ts_manifest_lower_bound_string"])
 def test_data_file_error_names_the_file(case, tmp_path, capsys):
-    # an error in an instance, weights, config or manifest file names that file,
-    # never a config key, and leaves --out without content
-    gen = {"application": "scheduling", "n": [4], "rho": [1.0], "per_cell": 1, "seed": 0}
+    # an error in an instance, weights, config or manifest file names that file
+    # (and a manifest error the instance), never a config key, and leaves --out
+    # without content; a file's keys are typed like a config block's
+    gen = ({"application": "two_stage", "widths": [2], "K": [5], "scenarios": [2],
+            "per_cell": 1, "seed": 0, "bound_iters": 5} if case.startswith("ts_") else
+           {"application": "scheduling", "n": [4], "rho": [1.0], "per_cell": 1, "seed": 0})
     ds = tmp_path / "ds"
     assert main(["generate", "--config", _write(tmp_path / "gen.json", gen), "--out", str(ds)]) == 0
     manifest = json.loads((ds / "manifest.json").read_text())
-    inst = ds / manifest["instances"][0]["file"]
+    row = manifest["instances"][0]
+    inst, in_manifest = ds / row["file"], f"instance {row['id']!r} in {ds / 'manifest.json'}"
     x = json.loads(inst.read_text())
     w_path, cfg = tmp_path / "w.json", tmp_path / "cfg.json"
     weights = {"d": 11, "M": 10.0, "w": [0.5] * 11}
@@ -757,6 +766,17 @@ def test_data_file_error_names_the_file(case, tmp_path, capsys):
                                       " key 'instances' must be a list of objects"),
         "config_not_json": ("train", tr, cfg, not_json),
         "manifest_not_json": ("train", tr, ds / "manifest.json", not_json),
+        "weights_d_fraction": ("eval", ev, w_path, " key 'd': 11.7 is not an integer"),
+        "weights_M_string": ("eval", ev, w_path, " key 'M': '10' is not a number"),
+        "weights_w_strings": ("eval", ev, w_path, " key 'w': '0.5' is not a number"),
+        "instance_n_fraction": ("train", tr, inst, " key 'n': 4.9 is not an integer"),
+        "instance_p_strings": ("eval", ev, inst, " key 'p': '28' is not a number"),
+        "instance_unknown_key": ("train", tr, inst, " key 'q'; valid: n, p, r, rho, seed"),
+        "ts_instance_width_fraction": ("train", tr, inst, " key 'width': 3.5 is not an integer"),
+        "manifest_file_number": ("train", tr, in_manifest, " key 'file': 5 is not a string"),
+        "manifest_n_string": ("eval", ev, in_manifest, " key 'n': '4' is not a number"),
+        "ts_manifest_lower_bound_string": ("train", tr, in_manifest,
+                                           " key 'lower_bound': '-12' is not a number"),
     }[case]
     if case.startswith("instance_no_p"):
         del x["p"]
@@ -768,6 +788,14 @@ def test_data_file_error_names_the_file(case, tmp_path, capsys):
         weights["M"] = 0.25
     if case == "manifest_instances_string":
         manifest["instances"] = "instances/"
+    # each of these read as a number before, so the run went on with a guess
+    weights.update({"weights_d_fraction": {"d": 11.7}, "weights_M_string": {"M": "10"},
+                    "weights_w_strings": {"w": ["0.5"] * 11}}.get(case, {}))
+    x.update({"instance_n_fraction": {"n": 4.9}, "instance_unknown_key": {"q": 1},
+              "instance_p_strings": {"p": ["28"] * 4},
+              "ts_instance_width_fraction": {"width": 3.5}}.get(case, {}))
+    row.update({"manifest_file_number": {"file": 5}, "manifest_n_string": {"n": "4"},
+                "ts_manifest_lower_bound_string": {"lower_bound": "-12"}}.get(case, {}))
     _write(inst, x)
     _write(ds / "manifest.json", manifest)
     _write(w_path, weights)
@@ -778,7 +806,8 @@ def test_data_file_error_names_the_file(case, tmp_path, capsys):
     capsys.readouterr()
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err == f"error: {named}{says}\n"
+    unknown = "unknown " if case == "instance_unknown_key" else ""
+    assert err == f"error: {unknown}{named}{says}\n"
     assert "missing config key" not in err
     assert not out.exists() or not any(out.rglob("*"))
 
@@ -802,11 +831,17 @@ def test_null_block_is_an_absent_block(two_stage_dataset, tmp_path):
 
 
 def test_every_config_key_has_a_cast():
-    # each keyword parameter of a config consumer is read by model._CASTS; the one
-    # exception is a kind's weights, a file path that cli._runner reads
+    # each keyword parameter of a config consumer, or of a data file's builder, is
+    # read by model._CASTS; the one exception is a kind's weights, a file path that
+    # cli._runner reads.  A builder is no public function, so the benchmark's
+    # tracer, which wraps each name in a module's __all__, does not count it.
+    builders = {model: model._weights, two_stage: two_stage._grid_instance,
+                scheduling: scheduling._sched_instance}
+    for module, builder in builders.items():
+        assert builder.__name__ not in module.__all__
     consumers = [cli._cmd_generate, cli._dataset, cli._cmd_train, cli._cmd_eval, cli._runner,
                  learning.LearnerConfig, model.PerturbationConfig, learning.fyl_learn,
-                 learning.BoundParams]
+                 learning.BoundParams, *builders.values()]
     costs = []
     for app in (two_stage.APPLICATION, scheduling.APPLICATION):
         consumers += [app.cells, app.loss_config, app.fyl_train]

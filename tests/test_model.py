@@ -92,8 +92,8 @@ def test_weights_round_trip(tmp_path):
     path = tmp_path / "w.json"
     save_weights(path, wv)
     back = load_weights(path)
-    assert np.array_equal(back.w, wv.w)
-    assert back.box_radius == 4.0
+    assert back.w.tobytes() == wv.w.tobytes()
+    assert back.box_radius == 4.0 and type(back.box_radius) is float
     assert back.dim == 3
     # same bytes when saved again (stable serialization)
     again = tmp_path / "w2.json"

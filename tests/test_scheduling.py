@@ -580,9 +580,10 @@ def test_sched_file_round_trip(tmp_path):
     payload = json.loads(path.read_text())
     assert set(payload) == {"n", "rho", "p", "r", "seed"}
     back = load_sched_instance(path)
-    assert np.array_equal(back.p, x.p)
-    assert np.array_equal(back.r, x.r)
-    assert back.rho == 0.2 and back.seed == 31
+    assert back.p.tobytes() == x.p.tobytes()
+    assert back.r.tobytes() == x.r.tobytes()
+    assert back.rho == 0.2 and type(back.rho) is float
+    assert back.seed == 31 and type(back.seed) is int
 
 
 def test_experience_loss_spt_selector_reaches_optimum_over_u():

@@ -935,9 +935,10 @@ def test_instance_file_round_trip(tmp_path):
     assert set(payload) == {"width", "num_scenarios", "c", "d", "seed", "K"}
     assert len(payload["d"]) == x.num_edges  # edge-major
     back = load_instance(path)
-    assert np.array_equal(back.c, x.c)
-    assert np.array_equal(back.d, x.d)
+    assert back.c.tobytes() == x.c.tobytes()
+    assert back.d.tobytes() == x.d.tobytes() and back.d.shape == x.d.shape
     assert back.width == 3 and back.K == 17 and back.seed == 123
+    assert type(back.K) is int and type(back.seed) is int
 
 
 # ---------------------------------------------------------------------------
