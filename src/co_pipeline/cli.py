@@ -39,20 +39,12 @@ def _application(name):
     return _APPLICATIONS[name]
 
 
-def _nonempty(block: str, **lists) -> None:
-    """Reject an empty list, naming its key: a stage run over nothing is a mistake."""
-    for key, value in lists.items():
-        if isinstance(value, list) and not value:
-            raise ValueError(f"{block} key {key!r} is an empty list")
-
-
 # ---------------------------------------------------------------------------
 # generate
 
 
 def _cmd_generate(app, config: dict, out: Path, /, application: str, seed: int,
                   per_cell: int, **axes) -> int:
-    _nonempty("generate", **axes)
     model._at_least(per_cell, 1, "generate key 'per_cell'")
     model._at_least(seed, 0, "generate key 'seed'")
     cells = app.cells(**axes)
@@ -76,22 +68,20 @@ def _cmd_generate(app, config: dict, out: Path, /, application: str, seed: int,
 # dataset loading
 
 
+def _manifest(application: str, instances: list[dict], config: dict | None = None,
+              seed: int | None = None) -> tuple:
+    """The application and the manifest the stages read, from a manifest file's keys."""
+    return _application(application), {"application": application, "instances": instances}
+
+
 def _dataset(dataset: str) -> tuple:
-    """(application, manifest) of a dataset; the manifest must name its application
-    and instances, and every row its id, its file and the fields its application reads."""
+    """(application, manifest) of a dataset; each row names its id, file and application fields."""
     path = Path(dataset) / "manifest.json"
-    manifest = _load(model._read_json, path)
-    if missing := [key for key in ("application", "instances") if key not in manifest]:
-        raise ValueError(f"{path} has no {missing[0]!r}")
-    rows = manifest["instances"]
-    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
-        raise ValueError(f"{path} key 'instances' must be a list of objects")
-    _nonempty(str(path), instances=rows)
-    app = _application(manifest["application"])
+    app, manifest = model._read_json(path, _manifest)
     # a row's id and file are strings, its bucket and stored fields numbers kept as given
     fields = dict.fromkeys(("id", "file"), (str, "a string"))
     fields.update(dict.fromkeys((app.bucket_key, *app.row_keys), ((int, float), "a number")))
-    for i, row in enumerate(rows):
+    for i, row in enumerate(manifest["instances"]):
         instance = f"instance {row.get('id', i)!r} in {path}"
         for key, (kind, name) in fields.items():
             if key not in row:
@@ -103,19 +93,11 @@ def _dataset(dataset: str) -> tuple:
     return app, manifest
 
 
-def _load(load, path, *args):
-    """load(path, *args), with the file named in a ValueError that does not name it yet."""
-    try:
-        return load(path, *args)
-    except ValueError as exc:
-        raise exc if str(path) in str(exc) else ValueError(f"{path}: {exc}") from None
-
-
 def _instances(app, manifest, dataset, application) -> list:
     """The dataset's instances; a config that names its application must match."""
     if application is not None and _application(application) is not app:
         raise ValueError("config application does not match the dataset")
-    return [_load(app.load, Path(dataset) / row["file"]) for row in manifest["instances"]]
+    return [app.load(Path(dataset) / row["file"]) for row in manifest["instances"]]
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +156,7 @@ def _runner(cost, dim: int, /, name: str, kind: str, **keys):
         path = keys["weights"]
         if not isinstance(path, str):
             raise ValueError(f"{kind} entry key 'weights' must be a file path")
-        keys["weights"] = w = _load(model.load_weights, path)
+        keys["weights"] = w = model.load_weights(path)
         if w.dim != dim:
             raise ValueError(f"{kind} entry key 'weights': {path} holds {w.dim} weights, "
                              f"the application takes {dim}")
@@ -183,7 +165,6 @@ def _runner(cost, dim: int, /, name: str, kind: str, **keys):
 
 def _cmd_eval(app, manifest: dict, out: Path, /, dataset: str, algorithms: list[dict],
               application: str | None = None) -> int:
-    _nonempty("eval", algorithms=algorithms)
     instances = _instances(app, manifest, dataset, application)
     kinds = app.algorithms()
     runners = {}
@@ -252,10 +233,16 @@ def _cmd_eval(app, manifest: dict, out: Path, /, dataset: str, algorithms: list[
 # bounds
 
 
+def _sample_counts(n: list) -> list[dict]:
+    """bounds' grid when n is a list of sample counts: one row per count."""
+    return [{"n": count} for count in n]
+
+
 def _cmd_bounds(config: dict, out: Path | None) -> int:
-    # n may be a list of sample counts: one row per count
-    _nonempty("bounds", n=config.get("n"))
-    grid = [{"n": n} for n in config["n"]] if isinstance(config.get("n"), list) else [{}]
+    counts = config.get("n")
+    grid = [{}]
+    if isinstance(counts, list):
+        grid = _sample_counts(**model._read_config("bounds", {"n": counts}, _sample_counts))
     C = learning.constant_C()
     rows = []
     for n in grid:
@@ -300,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _load(model._read_json, args.config)
+        config = model._read_json(args.config)
         if args.command in ("generate", "train", "eval") and args.out is None:
             raise ValueError(f"{args.command} requires --out")
         out = None if args.out is None else Path(args.out)

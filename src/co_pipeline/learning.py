@@ -67,7 +67,7 @@ class LearnerConfig:
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
 
     def __post_init__(self):
-        if self.box_radius <= 0:
+        if not self.box_radius > 0:
             raise ValueError("learner key 'box_radius' must be positive")
         _at_least(self.budget, 1, "learner key 'budget'")
         if len(self.seeds) < 1:
@@ -329,7 +329,7 @@ def fyl_learn(
     for key, value, least in (("epsilon", epsilon, 0), ("n_z", n_z, 1), ("steps", steps, 0),
                               ("seed", seed, 0)):
         _at_least(value, least, f"fyl key {key!r}")
-    if box_radius <= 0:
+    if not box_radius > 0:
         raise ValueError("fyl key 'box_radius' must be positive")
     pairs = list(pairs)
     phis = [features_of(x) for x, _ in pairs]
@@ -377,7 +377,7 @@ class BoundParams:
     expectation_term: float = 1.0
 
     def __post_init__(self):
-        if self.M <= 0:
+        if not self.M > 0:
             raise ValueError("bounds key 'M' must be > 0")
         for key in ("d", "n"):
             _at_least(getattr(self, key), 1, f"bounds key {key!r}")
@@ -385,7 +385,7 @@ class BoundParams:
             raise ValueError("bounds key 'delta' must lie in (0, 1)")
         _at_least(self.sigma, 0, "bounds key 'sigma'")
         for key in ("b", "kappa_phi", "expectation_term"):
-            if getattr(self, key) <= 0:
+            if not getattr(self, key) > 0:
                 raise ValueError(f"bounds key {key!r} must be > 0")
 
 
@@ -397,7 +397,7 @@ def constant_C() -> float:
 def excess_risk_bound(params: BoundParams) -> float:
     """High-probability excess risk of the perturbed empirical minimizer:
     C*M*d/(sigma*sqrt(n)) + sqrt(2*log(2/delta)/n)."""
-    if params.sigma <= 0:
+    if not params.sigma > 0:
         raise ValueError("bounds key 'sigma' must be > 0")
     first = constant_C() * params.M * params.d / (params.sigma * math.sqrt(params.n))
     ratio = 2.0 / params.delta

@@ -13,6 +13,7 @@ from __future__ import annotations
 import difflib
 import inspect
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,7 @@ class WeightVector:
             raise ValueError("w must be a vector")
         if not np.all(np.isfinite(w)):
             raise ValueError("w must be finite")
-        if self.box_radius <= 0:
+        if not self.box_radius > 0:
             raise ValueError("box radius must be positive")
         if np.abs(w).max(initial=0.0) > self.box_radius + 1e-12:
             raise ValueError("w leaves the box")
@@ -65,7 +66,7 @@ class PerturbationConfig:
 
 def _at_least(value, least, name: str) -> None:
     """The lower limit of a setting; name is the setting as the message names it."""
-    if value < least:
+    if not value >= least:
         raise ValueError(f"{name} must be >= {least}")
 
 
@@ -80,19 +81,26 @@ def _as_number(v):
     return int(v) if float(v).is_integer() else float(v)
 
 
-def _read_json(path, *consumers) -> dict:
-    """The JSON object in a file; given consumers, their settings in it, the file as block."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path} must hold a JSON object")
-    return _read_config(str(path), payload, *consumers) if consumers else payload
+def _read_json(path, build=None):
+    """The JSON object in a file, or given build, build(**its settings); errors name the file."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ValueError(f"{path} must hold a JSON object")
+        return payload if build is None else build(**_read_config(str(path), payload, build))
+    except ValueError as exc:
+        raise exc if str(path) in str(exc) else ValueError(f"{path}: {exc}") from None
 
 
 def _typed(v, kind, name: str):
-    """v, if it is a JSON value of the given kind (a boolean is not a number)."""
+    """v, if it is a JSON value of the kind: a finite number but no boolean, a non-empty list."""
     if isinstance(v, bool) or not isinstance(v, kind):
         raise ValueError(f"{v!r} is not {name}")
+    if isinstance(v, (int, float)) and not abs(v) <= sys.float_info.max:
+        raise ValueError(f"{v!r} is not a finite number")
+    if isinstance(v, list) and not v:
+        raise ValueError("[] is an empty list")
     return v
 
 
@@ -124,8 +132,8 @@ def _read_config(block: str, config, *consumers) -> dict:
     The keys of a block are the parameters of its consumers (functions,
     methods or dataclasses) that can be passed by keyword: every parameter
     but the positional-only ones.  A given value is read as its parameter's
-    annotation says (_CASTS; a boolean is never a number), and a value the
-    cast refuses is an error that names the block and the key.  An omitted
+    annotation says (_CASTS, under _typed's rules), and a value the cast
+    refuses is an error that names the block and the key.  An omitted
     key takes its parameter's default and is an error if there is none.
     Any other key is an error that names the block, the key and the
     nearest valid key.
@@ -187,4 +195,4 @@ def _weights(w: list, d: int, M: float) -> WeightVector:
 
 
 def load_weights(path) -> WeightVector:
-    return _weights(**_read_json(path, _weights))
+    return _read_json(path, _weights)

@@ -375,7 +375,7 @@ def brute_force_schedule(x: SchedInstance):
 def generate_sched_instance(n: int, rho: float, seed: int) -> SchedInstance:
     """Random instance: p ~ U{1..100}, r ~ U{1..floor(50.5*n*rho)}."""
     _at_least(n, 1, "n")
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError("rho must be positive")
     rng = np.random.default_rng(seed)
     p = rng.integers(1, 101, size=n).astype(float)
@@ -404,7 +404,7 @@ def _sched_instance(n: int, p: list, r: list, rho: float | None = None,
 
 
 def load_sched_instance(path) -> SchedInstance:
-    return _sched_instance(**_read_json(path, _sched_instance))
+    return _read_json(path, _sched_instance)
 
 
 def experience_loss_config(

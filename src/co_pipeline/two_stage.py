@@ -473,7 +473,7 @@ def _grid_instance(width: int, num_scenarios: int, c: list, d: list[list],
 
 
 def load_instance(path) -> TwoStageInstance:
-    return _grid_instance(**_read_json(path, _grid_instance))
+    return _read_json(path, _grid_instance)
 
 
 def pipeline_solution(x: TwoStageInstance, w):

@@ -208,7 +208,7 @@ def test_manifest_missing_field_is_named(key, two_stage_dataset, tmp_path, capsy
     capsys.readouterr()
     assert main(["eval", "--config", ev, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    want = "key 'instances' is an empty list" if key == "instances=[]" else f"has no {key!r}"
+    want = "key 'instances': [] is an empty list" if key == "instances=[]" else f"has no {key!r}"
     assert want in err and str(ds / "manifest.json") in err
     assert "missing config key" not in err
     if key in ("id", "file", "width", "lower_bound"):
@@ -458,6 +458,7 @@ def _typo_configs(ds, weights, w11, sched):
     weights file and w11 a file of scheduling's 11 weights.  A misspelled key has
     a nearest valid key, any other bad key None."""
     train = {"application": "two_stage", "dataset": ds}
+    nan, inf = float("nan"), float("inf")
     entries = [{"name": "pipeline", "kind": "pipeline", "weights": weights}]
     two_stage_gen = {"application": "two_stage", "widths": [3], "K": [10], "scenarios": [2],
                      "per_cell": 1, "seed": 0, "bound_iters": 5}
@@ -573,7 +574,34 @@ def _typo_configs(ds, weights, w11, sched):
         # a kind that is not a string is an unknown kind
         "eval_kind_list": ("eval", {"dataset": ds, "algorithms": [
             {"name": "a", "kind": ["approx_baseline"]}]}, "approx_baseline", None),
+        # every number is finite: JSON's NaN, Infinity and -Infinity are refused
+        "learner_box_radius_nan": ("train", {**train, "learner": {"box_radius": nan}},
+                                   "box_radius", None),
+        "learner_box_radius_inf": ("train", {**train, "learner": {"box_radius": inf}},
+                                   "box_radius", None),
+        "perturbation_sigma_inf": ("train", {**train, "perturbation": {"sigma": inf}},
+                                   "sigma", None),
+        "bounds_delta_nan": ("bounds", {"M": 10.0, "d": 34, "n": [100], "delta": nan},
+                             "delta", None),
+        "generate_rho_negative_inf": ("generate", {"application": "scheduling", "n": [5],
+                                                   "rho": [1.0, -inf], "per_cell": 1, "seed": 0},
+                                      "rho", None),
     }
+
+
+# the whole message of a value the casts refuse: the block, the key and the value
+_REFUSED = {
+    "learner_box_radius_nan": "learner key 'box_radius': nan is not a finite number",
+    "learner_box_radius_inf": "learner key 'box_radius': inf is not a finite number",
+    "perturbation_sigma_inf": "perturbation key 'sigma': inf is not a finite number",
+    "bounds_delta_nan": "bounds key 'delta': nan is not a finite number",
+    "generate_rho_negative_inf": "generate key 'rho': -inf is not a finite number",
+    "generate_empty_axis": "generate key 'widths': [] is an empty list",
+    "generate_empty_n": "generate key 'n': [] is an empty list",
+    "learner_seeds_empty": "learner key 'seeds': [] is an empty list",
+    "eval_empty": "eval key 'algorithms': [] is an empty list",
+    "bounds_empty_n": "bounds key 'n': [] is an empty list",
+}
 
 
 # the table's block names; the paths given here are never read
@@ -622,6 +650,8 @@ def test_config_typo_exits_before_writing(block, two_stage_dataset, tmp_path, ca
         assert f"{tmp_path / 'w11.json'} holds 11 weights, the application takes 34" in err
     if block == "eval_kind_list":
         assert err == "error: unknown two_stage algorithm kind ['approx_baseline']\n"
+    if block in _REFUSED:
+        assert err == f"error: {_REFUSED[block]}\n"
 
 
 _KINDS = [
@@ -732,11 +762,15 @@ def test_eval_weights_that_are_no_path_leave_stdout_open(weights, tmp_path, caps
     "config_no_dataset", "manifest_instances_string", "config_not_json", "manifest_not_json",
     "weights_d_fraction", "weights_M_string", "weights_w_strings", "instance_n_fraction",
     "instance_p_strings", "instance_unknown_key", "ts_instance_width_fraction",
-    "manifest_file_number", "manifest_n_string", "ts_manifest_lower_bound_string"])
+    "manifest_file_number", "manifest_n_string", "ts_manifest_lower_bound_string",
+    "ts_instance_c_nan", "instance_p_inf", "instance_p_negative_inf", "weights_w_nan",
+    "weights_M_inf", "ts_manifest_lower_bound_nan", "instance_p_empty", "weights_w_empty",
+    "instance_not_json", "weights_not_json"])
 def test_data_file_error_names_the_file(case, tmp_path, capsys):
     # an error in an instance, weights, config or manifest file names that file
     # (and a manifest error the instance), never a config key, and leaves --out
-    # without content; a file's keys are typed like a config block's
+    # without content; a file's keys are typed like a config block's, so a number
+    # must be finite and a list non-empty
     gen = ({"application": "two_stage", "widths": [2], "K": [5], "scenarios": [2],
             "per_cell": 1, "seed": 0, "bound_iters": 5} if case.startswith("ts_") else
            {"application": "scheduling", "n": [4], "rho": [1.0], "per_cell": 1, "seed": 0})
@@ -763,7 +797,7 @@ def test_data_file_error_names_the_file(case, tmp_path, capsys):
         "config_list_train": ("train", [1, 2], cfg, " must hold a JSON object"),
         "config_no_dataset": ("train", {"learner": {"seeds": [0]}}, cfg, " has no 'dataset'"),
         "manifest_instances_string": ("eval", ev, ds / "manifest.json",
-                                      " key 'instances' must be a list of objects"),
+                                      " key 'instances': 'instances/' is not a list"),
         "config_not_json": ("train", tr, cfg, not_json),
         "manifest_not_json": ("train", tr, ds / "manifest.json", not_json),
         "weights_d_fraction": ("eval", ev, w_path, " key 'd': 11.7 is not an integer"),
@@ -777,6 +811,17 @@ def test_data_file_error_names_the_file(case, tmp_path, capsys):
         "manifest_n_string": ("eval", ev, in_manifest, " key 'n': '4' is not a number"),
         "ts_manifest_lower_bound_string": ("train", tr, in_manifest,
                                            " key 'lower_bound': '-12' is not a number"),
+        "ts_instance_c_nan": ("train", tr, inst, " key 'c': nan is not a finite number"),
+        "instance_p_inf": ("eval", ev, inst, " key 'p': inf is not a finite number"),
+        "instance_p_negative_inf": ("train", tr, inst, " key 'p': -inf is not a finite number"),
+        "weights_w_nan": ("eval", ev, w_path, " key 'w': nan is not a finite number"),
+        "weights_M_inf": ("eval", ev, w_path, " key 'M': inf is not a finite number"),
+        "ts_manifest_lower_bound_nan": ("train", tr, in_manifest,
+                                        " key 'lower_bound': nan is not a finite number"),
+        "instance_p_empty": ("train", tr, inst, " key 'p': [] is an empty list"),
+        "weights_w_empty": ("eval", ev, w_path, " key 'w': [] is an empty list"),
+        "instance_not_json": ("train", tr, inst, not_json),
+        "weights_not_json": ("eval", ev, w_path, not_json),
     }[case]
     if case.startswith("instance_no_p"):
         del x["p"]
@@ -789,13 +834,20 @@ def test_data_file_error_names_the_file(case, tmp_path, capsys):
     if case == "manifest_instances_string":
         manifest["instances"] = "instances/"
     # each of these read as a number before, so the run went on with a guess
+    nan, inf = float("nan"), float("inf")
     weights.update({"weights_d_fraction": {"d": 11.7}, "weights_M_string": {"M": "10"},
-                    "weights_w_strings": {"w": ["0.5"] * 11}}.get(case, {}))
+                    "weights_w_strings": {"w": ["0.5"] * 11},
+                    "weights_w_nan": {"w": [0.5] * 10 + [nan]},
+                    "weights_M_inf": {"M": inf}, "weights_w_empty": {"w": []}}.get(case, {}))
     x.update({"instance_n_fraction": {"n": 4.9}, "instance_unknown_key": {"q": 1},
               "instance_p_strings": {"p": ["28"] * 4},
-              "ts_instance_width_fraction": {"width": 3.5}}.get(case, {}))
+              "ts_instance_width_fraction": {"width": 3.5},
+              "ts_instance_c_nan": {"c": [nan, -1.0, -2.0, -3.0]},
+              "instance_p_inf": {"p": [inf] * 4}, "instance_p_negative_inf": {"p": [-inf] * 4},
+              "instance_p_empty": {"p": []}}.get(case, {}))
     row.update({"manifest_file_number": {"file": 5}, "manifest_n_string": {"n": "4"},
-                "ts_manifest_lower_bound_string": {"lower_bound": "-12"}}.get(case, {}))
+                "ts_manifest_lower_bound_string": {"lower_bound": "-12"},
+                "ts_manifest_lower_bound_nan": {"lower_bound": nan}}.get(case, {}))
     _write(inst, x)
     _write(ds / "manifest.json", manifest)
     _write(w_path, weights)
@@ -831,17 +883,18 @@ def test_null_block_is_an_absent_block(two_stage_dataset, tmp_path):
 
 
 def test_every_config_key_has_a_cast():
-    # each keyword parameter of a config consumer, or of a data file's builder, is
-    # read by model._CASTS; the one exception is a kind's weights, a file path that
-    # cli._runner reads.  A builder is no public function, so the benchmark's
-    # tracer, which wraps each name in a module's __all__, does not count it.
-    builders = {model: model._weights, two_stage: two_stage._grid_instance,
-                scheduling: scheduling._sched_instance}
-    for module, builder in builders.items():
+    # each keyword parameter of a config consumer, or of a manifest's, a data
+    # file's or the bounds grid's builder, is read by model._CASTS; the one
+    # exception is a kind's weights, a file path that cli._runner reads.  A builder
+    # is no public function, so the benchmark's tracer, which wraps each name in a
+    # module's __all__, does not count it.
+    builders = [(cli, cli._manifest), (cli, cli._sample_counts), (model, model._weights),
+                (two_stage, two_stage._grid_instance), (scheduling, scheduling._sched_instance)]
+    for module, builder in builders:
         assert builder.__name__ not in module.__all__
     consumers = [cli._cmd_generate, cli._dataset, cli._cmd_train, cli._cmd_eval, cli._runner,
                  learning.LearnerConfig, model.PerturbationConfig, learning.fyl_learn,
-                 learning.BoundParams, *builders.values()]
+                 learning.BoundParams, *(builder for _, builder in builders)]
     costs = []
     for app in (two_stage.APPLICATION, scheduling.APPLICATION):
         consumers += [app.cells, app.loss_config, app.fyl_train]

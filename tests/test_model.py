@@ -1,9 +1,15 @@
-"""Linear model, Gaussian sampling, and weight serialization."""
+"""Linear model, Gaussian sampling, weight serialization and the JSON casts."""
+
+import re
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from co_pipeline import scheduling, two_stage
+from co_pipeline import learning, model, scheduling, two_stage
 from co_pipeline.model import (
     PerturbationConfig,
     WeightVector,
@@ -99,3 +105,69 @@ def test_weights_round_trip(tmp_path):
     again = tmp_path / "w2.json"
     save_weights(again, back)
     assert path.read_bytes() == again.read_bytes()
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("build, name", [
+    pytest.param(lambda: learning.direct_minimize(lambda u: 0.0, [(-1, 1)] * 2, budget=_NAN),
+                 "budget", id="direct_minimize-budget"),
+    pytest.param(lambda: learning.LearnerConfig(box_radius=_NAN), "'box_radius'",
+                 id="LearnerConfig-box_radius"),
+    pytest.param(lambda: learning.LearnerConfig(budget=_NAN), "'budget'", id="LearnerConfig-budget"),
+    pytest.param(lambda: learning.fyl_learn([], None, None, box_radius=_NAN), "'box_radius'",
+                 id="fyl_learn-box_radius"),
+    pytest.param(lambda: learning.fyl_learn([], None, None, epsilon=_NAN), "'epsilon'",
+                 id="fyl_learn-epsilon"),
+    pytest.param(lambda: WeightVector(w=[0.0], box_radius=_NAN), "box radius",
+                 id="WeightVector-box_radius"),
+    pytest.param(lambda: PerturbationConfig(sigma=_NAN), "'sigma'", id="PerturbationConfig-sigma"),
+    *[pytest.param(lambda key=key: learning.BoundParams(**{"M": 1.0, "d": 2, key: _NAN}),
+                   repr(key), id=f"BoundParams-{key}")
+      for key in ("M", "d", "n", "sigma", "delta", "b", "kappa_phi", "expectation_term")],
+    pytest.param(lambda: learning.excess_risk_bound(SimpleNamespace(sigma=_NAN)), "'sigma'",
+                 id="excess_risk_bound-sigma"),
+    pytest.param(lambda: scheduling.generate_sched_instance(3, _NAN, seed=0), "rho",
+                 id="generate_sched_instance-rho"),
+    pytest.param(lambda: two_stage.generate_instance(_NAN, 5, 1, seed=0), "width",
+                 id="generate_instance-width"),
+    pytest.param(lambda: sample_gaussians(PerturbationConfig(sigma=1.0), _NAN), "dim",
+                 id="sample_gaussians-dim"),
+])
+def test_nan_setting_raises_naming_its_parameter(build, name):
+    # every comparison with NaN is false, so each limit is written as `not value >= least`
+    # or `not value > 0`: a NaN fails it like any value out of range
+    with pytest.raises(ValueError, match=re.escape(name)):
+        build()
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=10,
+)
+
+
+def _no_bad_value(v) -> bool:
+    """No boolean, no number a float cannot hold finitely and no empty list in v.
+
+    A dict is a block that its own reader checks key by key, so its values are
+    not walked here."""
+    if isinstance(v, bool):
+        return False
+    if isinstance(v, (int, float)):
+        return abs(v) <= sys.float_info.max
+    if isinstance(v, (list, tuple)):
+        return len(v) > 0 and all(map(_no_bad_value, v))
+    return True
+
+
+@given(st.sampled_from(sorted(model._CASTS)), _JSON_VALUES)
+def test_casts_refuse_non_finite_numbers_empty_lists_and_booleans(kind, value):
+    try:
+        cast = model._CASTS[kind](value)
+    except (TypeError, ValueError):
+        return
+    assert _no_bad_value(cast), (kind, value, cast)
