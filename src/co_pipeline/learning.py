@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import PerturbationConfig, WeightVector, _at_least, sample_gaussians
+from .model import PerturbationConfig, WeightVector, _at_least, _finite, sample_gaussians
 
 __all__ = [
     "LossConfig",
@@ -69,11 +69,13 @@ class LearnerConfig:
     def __post_init__(self):
         if not self.box_radius > 0:
             raise ValueError("learner key 'box_radius' must be positive")
+        _finite(self.box_radius, "learner key 'box_radius'")
         _at_least(self.budget, 1, "learner key 'budget'")
         if len(self.seeds) < 1:
             raise ValueError("learner key 'seeds' must hold at least one seed")
-        if min(self.seeds) < 0:
+        if not all(seed >= 0 for seed in self.seeds):
             raise ValueError("learner key 'seeds' must hold values >= 0")
+        _finite(max(self.seeds), "learner key 'seeds'")
 
 
 def parallel_map(fn, items) -> list:
@@ -331,6 +333,7 @@ def fyl_learn(
         _at_least(value, least, f"fyl key {key!r}")
     if not box_radius > 0:
         raise ValueError("fyl key 'box_radius' must be positive")
+    _finite(box_radius, "fyl key 'box_radius'")
     pairs = list(pairs)
     phis = [features_of(x) for x, _ in pairs]
     if not phis:
@@ -379,6 +382,7 @@ class BoundParams:
     def __post_init__(self):
         if not self.M > 0:
             raise ValueError("bounds key 'M' must be > 0")
+        _finite(self.M, "bounds key 'M'")
         for key in ("d", "n"):
             _at_least(getattr(self, key), 1, f"bounds key {key!r}")
         if not 0 < self.delta < 1:
@@ -387,6 +391,7 @@ class BoundParams:
         for key in ("b", "kappa_phi", "expectation_term"):
             if not getattr(self, key) > 0:
                 raise ValueError(f"bounds key {key!r} must be > 0")
+            _finite(getattr(self, key), f"bounds key {key!r}")
 
 
 def constant_C() -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import difflib
 import inspect
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -42,6 +43,7 @@ class WeightVector:
             raise ValueError("w must be finite")
         if not self.box_radius > 0:
             raise ValueError("box radius must be positive")
+        _finite(self.box_radius, "box radius")
         if np.abs(w).max(initial=0.0) > self.box_radius + 1e-12:
             raise ValueError("w leaves the box")
         object.__setattr__(self, "w", w)
@@ -65,9 +67,16 @@ class PerturbationConfig:
 
 
 def _at_least(value, least, name: str) -> None:
-    """The lower limit of a setting; name is the setting as the message names it."""
+    """The lower limit of a finite setting; name is the setting as the message names it."""
     if not value >= least:
         raise ValueError(f"{name} must be >= {least}")
+    _finite(value, name)
+
+
+def _finite(value, name: str) -> None:
+    """Refuse +inf for a setting that has passed its lower limit (NaN fails that)."""
+    if not value < math.inf:
+        raise ValueError(f"{name} must be finite")
 
 
 def _as_weight_array(w) -> np.ndarray:

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import learning
-from .model import (PerturbationConfig, _as_number, _as_weight_array, _at_least, _read_json,
-                    _write_json)
+from .model import (PerturbationConfig, _as_number, _as_weight_array, _at_least, _finite,
+                    _read_json, _write_json)
 
 __all__ = [
     "SchedInstance",
@@ -377,6 +377,7 @@ def generate_sched_instance(n: int, rho: float, seed: int) -> SchedInstance:
     _at_least(n, 1, "n")
     if not rho > 0:
         raise ValueError("rho must be positive")
+    _finite(rho, "rho")
     rng = np.random.default_rng(seed)
     p = rng.integers(1, 101, size=n).astype(float)
     r_max = max(1, int(50.5 * n * rho))

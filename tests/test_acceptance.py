@@ -88,14 +88,19 @@ def _sched_desk_set(master_seed):
     return out
 
 
+def _float_digest(values):
+    """SHA-256 of one float.hex line per value: a pin on every bit."""
+    digest = hashlib.sha256()
+    for v in values:
+        digest.update(float(v).hex().encode() + b"\n")
+    return digest.hexdigest()
+
+
 def test_desk_lower_bounds_are_pinned():
     # every bit of the 48 stored bounds behind criteria 8-9 (500 iterations
     # each); the digest was recorded with the per-scenario subgradient step
-    digest = hashlib.sha256()
-    for master_seed in (7, 4):
-        for _, lb in _two_stage_desk_set(master_seed):
-            digest.update(float(lb).hex().encode() + b"\n")
-    assert digest.hexdigest() == "3ab5fb18d3574b97d24e87ad8aaa2bacf1360f1f62f245f834cd104412aebefa"
+    bounds = [lb for master_seed in (7, 4) for _, lb in _two_stage_desk_set(master_seed)]
+    assert _float_digest(bounds) == "3ab5fb18d3574b97d24e87ad8aaa2bacf1360f1f62f245f834cd104412aebefa"
 
 
 def _ts_gap(x, lb, z):
@@ -272,6 +277,10 @@ def test_criterion_08_two_stage_learning_beats_baseline():
         f"learned mean gap {learned:.3f}% <= baseline {baseline:.3f}% "
         f"(margin {margin:+.3f} pp vs 1.0 pp target) in {elapsed:.0f}s (< 15 min)",
     )
+    # every bit of w and both gaps, as recorded before evaluate_solution's memo
+    assert _float_digest([*wv.w, learned, baseline]) == (
+        "be6ca1c344e6045ac0f84e8d1518d8e77b8fb04f824226742a024309aeffa0e7"
+    )
 
 
 def test_criterion_09_sigma_sensitivity_ordering():
@@ -291,6 +300,9 @@ def test_criterion_09_sigma_sensitivity_ordering():
         9,
         risks[0.3] >= risks[1e-3],
         f"held-out risk sigma=0.3 ({risks[0.3]:.5f}) >= sigma=1e-3 ({risks[1e-3]:.5f})",
+    )
+    assert _float_digest([risks[1e-3], risks[0.3]]) == (
+        "57bec25b401d491c9a4a19f085d43312e02f6afa8bd4196e8807672577f0eb49"
     )
 
 
@@ -325,6 +337,9 @@ def test_criterion_10_scheduling_desk_scale():
         mean_gap <= 3.0 and pert_violations == 0,
         f"pipeline+LS mean gap {mean_gap:.3f}% (<= 3%), perturbed decode never "
         f"worse ({pert_violations} violations)",
+    )
+    assert _float_digest([*wv.w, mean_gap]) == (
+        "9d126c74d0e43c6019297019b2962565d3dde260ae544bf4d4bf8f9e9e49c482"
     )
 
 
@@ -406,4 +421,7 @@ def test_criterion_12_end_to_end_determinism(tmp_path):
         12,
         first == second,
         f"generate->train->eval twice: identical {len(first)}-byte gap tables",
+    )
+    assert hashlib.sha256(first).hexdigest() == (
+        "bf568705bd5fbe3d284433e87987d3a25eb5dbd537141a99a1d263080d6675c7"
     )

@@ -78,7 +78,7 @@ def test_graph_rejects_disconnected():
         Graph(4, [(0, 1), (2, 3)])
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(connected_graphs(), st.data())
 def test_graph_rejects_exactly_the_disconnected_edge_sets(g, data):
     keep = data.draw(st.lists(st.booleans(), min_size=g.num_edges, max_size=g.num_edges))
@@ -209,7 +209,7 @@ def test_mst_constrained_rejects_forced_cycle():
         mst_constrained(g, [1.0, 1.0, 1.0], {0, 1, 2})
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(connected_graphs(), st.data())
 def test_mst_constrained_rejects_exactly_the_cyclic_forced_sets(g, data):
     # a forced set is a forest iff |F| = |V| - (components of (V, F))
@@ -238,7 +238,7 @@ def test_weight_validation():
 # the per-graph memo of Kruskal trees
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(connected_graphs(), st.data())
 def test_memo_returns_the_memo_free_tree(g, data):
     # a pool with integer ties, 0.0 and -0.0 (equal weights, other bytes),

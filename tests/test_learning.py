@@ -228,7 +228,7 @@ def _objective(kind, target):
 _KINDS = ("sphere", "wavy", "constant", "floor_step", "integer", "holes")
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(
     st.lists(st.tuples(st.floats(-5, 5), st.floats(0.1, 5)), min_size=1, max_size=6),
     st.integers(1, 200),

@@ -116,6 +116,8 @@ _NAN = float("nan")
     pytest.param(lambda: learning.LearnerConfig(box_radius=_NAN), "'box_radius'",
                  id="LearnerConfig-box_radius"),
     pytest.param(lambda: learning.LearnerConfig(budget=_NAN), "'budget'", id="LearnerConfig-budget"),
+    pytest.param(lambda: learning.LearnerConfig(seeds=(0, _NAN)), "'seeds'",
+                 id="LearnerConfig-seeds"),
     pytest.param(lambda: learning.fyl_learn([], None, None, box_radius=_NAN), "'box_radius'",
                  id="fyl_learn-box_radius"),
     pytest.param(lambda: learning.fyl_learn([], None, None, epsilon=_NAN), "'epsilon'",
@@ -139,6 +141,38 @@ def test_nan_setting_raises_naming_its_parameter(build, name):
     # every comparison with NaN is false, so each limit is written as `not value >= least`
     # or `not value > 0`: a NaN fails it like any value out of range
     with pytest.raises(ValueError, match=re.escape(name)):
+        build()
+
+
+_INF = float("inf")
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: learning.LearnerConfig(box_radius=_INF),
+                 "learner key 'box_radius' must be finite", id="LearnerConfig-box_radius"),
+    pytest.param(lambda: learning.LearnerConfig(budget=_INF),
+                 "learner key 'budget' must be finite", id="LearnerConfig-budget"),
+    pytest.param(lambda: learning.LearnerConfig(seeds=(0, _INF)),
+                 "learner key 'seeds' must be finite", id="LearnerConfig-seeds"),
+    pytest.param(lambda: learning.fyl_learn([], None, None, box_radius=_INF),
+                 "fyl key 'box_radius' must be finite", id="fyl_learn-box_radius"),
+    pytest.param(lambda: WeightVector(w=[0.0], box_radius=_INF), "box radius must be finite",
+                 id="WeightVector-box_radius"),
+    pytest.param(lambda: PerturbationConfig(sigma=_INF), "perturbation key 'sigma' must be finite",
+                 id="PerturbationConfig-sigma"),
+    *[pytest.param(lambda key=key: learning.BoundParams(**{"M": 1.0, "d": 2, key: _INF}),
+                   f"bounds key {key!r} must be finite", id=f"BoundParams-{key}")
+      for key in ("M", "d", "n", "sigma", "b", "kappa_phi", "expectation_term")],
+    pytest.param(lambda: scheduling.generate_sched_instance(3, _INF, seed=0), "rho must be finite",
+                 id="generate_sched_instance-rho"),
+    pytest.param(lambda: two_stage.lagrangian_bound(two_stage.generate_instance(2, 5, 1, seed=0),
+                                                    iters=_INF),
+                 "iters must be finite", id="lagrangian_bound-iters"),
+])
+def test_infinite_setting_raises_naming_its_parameter(build, message):
+    # each lower limit comes with an upper one: +inf passes `not value > 0`
+    # and `not value >= least`, and is refused by name before it is used
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
 
 

@@ -286,7 +286,7 @@ def test_brute_force_matches_permutation_enumeration():
         assert tuple(order.tolist()) == first
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.integers(1, 9).flatmap(lambda n: st.tuples(
     st.lists(st.floats(1, 100), min_size=n, max_size=n),
     st.lists(st.floats(0, 500), min_size=n, max_size=n),
@@ -411,7 +411,7 @@ _jobs = st.integers(1, 9).flatmap(lambda n: st.tuples(
 ))
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(_jobs)
 def test_local_search_never_increases_and_is_idempotent(jobs):
     # the output is a permutation, costs no more than the start, is its own

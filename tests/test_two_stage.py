@@ -155,6 +155,17 @@ def test_evaluate_rejects_non_tree():
         evaluate_solution(x, z)
 
 
+def test_evaluate_rejects_cyclic_first_stage():
+    # a first-stage triangle has as many edges as a spanning tree of the
+    # triangle and its pendant vertex, and every second stage is empty
+    x = TwoStageInstance(graph=Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
+                         c=-np.ones(4), d=-np.ones((4, 2)))
+    z = TwoStageSolution(frozenset({0, 1, 2}), (frozenset(), frozenset()))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^scenario 0: edge set is not a spanning tree$"):
+            evaluate_solution(x, z)
+
+
 # ---------------------------------------------------------------------------
 # easy layer and decoding
 
@@ -274,7 +285,7 @@ def _scipy_tree(graph, weights):
     return frozenset(eid[min(u, v), max(u, v)] for u, v in zip(rows.tolist(), cols.tolist()))
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(small_instances(), st.data())
 def test_evaluate_solution_accepts_exactly_the_spanning_trees(x, data):
     # the first stage is part of one scipy tree; each scenario adds either
@@ -306,7 +317,7 @@ def test_evaluate_solution_accepts_exactly_the_spanning_trees(x, data):
             evaluate_solution(x, z)
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(small_instances(), st.data())
 def test_decode_always_feasible(x, data):
     theta = data.draw(st.lists(st.floats(-10, 10), min_size=2 * x.num_edges,
@@ -416,7 +427,7 @@ def test_evaluate_solution_equals_per_edge_sum_on_grids(width):
     _assert_evaluations_match(x, empty)
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(float_cost_instances(), st.data())
 def test_evaluate_solution_equals_per_edge_sum(x, data):
     # the same cost bits on feasible solutions; on broken ones the same
@@ -427,6 +438,117 @@ def test_evaluate_solution_equals_per_edge_sum(x, data):
         z = _broken(rng, x, z, s, data.draw(st.lists(st.sampled_from(["overlap", "cycle", "drop"]),
                                                      max_size=2)))
     _assert_evaluations_match(x, z)
+
+
+# ---------------------------------------------------------------------------
+# evaluate_solution's price memo
+
+
+def _pipeline_outputs(x, data):
+    """Two decodes, the baseline, the heuristic and a pipeline solution of x."""
+    def floats(n):
+        return np.array(data.draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n)))
+
+    _, lam, _ = lagrangian_bound(x, iters=20)
+    return [decode(x, easy_layer(x, floats(x.dim))), decode(x, easy_layer(x, floats(x.dim))),
+            approx_baseline(x), lagrangian_heuristic(x, lam),
+            pipeline_solution(x, floats(TWO_STAGE_FEATURE_DIM))]
+
+
+@settings(max_examples=150)
+@given(float_cost_instances(), st.data())
+def test_memo_prices_every_output_like_a_fresh_check(x, data):
+    # the decode rule prices the same solutions again and again; each call,
+    # the first and every repeat, has the bits of a memo-free evaluation
+    outputs = _pipeline_outputs(x, data)
+    for z in outputs + outputs[::-1] + outputs:
+        two_stage._check_feasible(x, z)
+        assert _same_bits(evaluate_solution(x, z), two_stage._price(x, z))
+        assert _same_bits(evaluate_solution(x, z), _evaluate_per_edge(x, z))
+
+
+@settings(max_examples=100)
+@given(float_cost_instances(), st.data())
+def test_memo_never_stores_an_infeasible_solution(x, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    z = _random_solution(rng, x)
+    s = data.draw(st.integers(0, x.num_scenarios - 1))
+    bad = _broken(rng, x, z, s, data.draw(st.lists(
+        st.sampled_from(["overlap", "cycle", "drop"]), min_size=1, max_size=2)))
+    _, want = _outcome(_evaluate_per_edge, x, bad)
+    if want is None:
+        return  # no kind applied, or a drop and a cycle that made another tree
+    for _ in range(3):
+        with pytest.raises(ValueError) as exc:
+            evaluate_solution(x, bad)
+        assert str(exc.value) == want
+        assert _same_bits(evaluate_solution(x, z), two_stage._price(x, z))
+
+
+def _order_sensitive_instance():
+    """A 4x4 grid whose first-stage costs at edges 1, 9 and 17 sum to other
+    bits in another order, with free second stages completing those edges."""
+    graph = grid_graph(4, 4)
+    c = np.full(graph.num_edges, -1.0)
+    c[[1, 9, 17]] = [-0.1, -0.2, -0.3]
+    x = TwoStageInstance(graph=graph, c=c, d=np.zeros((graph.num_edges, 2)))
+    first = frozenset({1, 9, 17})
+    return x, tuple(mst_constrained(graph, x.d[:, s], first) - first for s in range(2))
+
+
+def test_memo_keeps_each_iteration_order_its_own_bits():
+    # equal first stages built in other orders: the memo must not answer
+    # one with the other's sum
+    x, second = _order_sensitive_instance()
+    firsts = {tuple(f): f for f in map(frozenset, itertools.permutations([1, 9, 17]))}
+    assert len(firsts) > 1  # the test needs sets that iterate differently
+    solutions = [TwoStageSolution(f, second) for f in firsts.values()]
+    assert all(z == solutions[0] for z in solutions)
+    prices = [two_stage._price(x, z) for z in solutions]
+    assert len({p.hex() for p in prices}) > 1
+    for _ in range(2):
+        for z, want in zip(solutions, prices):
+            assert _same_bits(evaluate_solution(x, z), want)
+
+
+def test_memo_is_bounded_and_per_instance(monkeypatch):
+    checks = []
+    check = two_stage._check_feasible
+    monkeypatch.setattr(two_stage, "_check_feasible", lambda x, z: checks.append(z) or check(x, z))
+    rng = np.random.default_rng(5)
+    graph = grid_graph(3, 3)
+    x, twin = (TwoStageInstance(graph=graph, c=-rng.uniform(0, 20, graph.num_edges),
+                                d=-rng.uniform(0, 20, (graph.num_edges, 3))) for _ in range(2))
+    solutions = [_random_solution(rng, x) for _ in range(3 * two_stage._MEMO_PRICES)]
+    for z in solutions:
+        evaluate_solution(x, z)
+        assert len(x._prices) <= two_stage._MEMO_PRICES
+    assert len(x._prices) == two_stage._MEMO_PRICES
+    assert not twin._prices
+    # the most recent prices are answered, the oldest priced again
+    checks.clear()
+    for z in solutions[-two_stage._MEMO_PRICES:]:
+        evaluate_solution(x, z)
+    assert checks == []
+    evaluate_solution(x, solutions[0])
+    assert checks == [solutions[0]]
+    # the same solutions on another instance get that instance's prices
+    for z in solutions[-two_stage._MEMO_PRICES:]:
+        assert _same_bits(evaluate_solution(twin, z), two_stage._price(twin, z))
+        assert evaluate_solution(twin, z) != evaluate_solution(x, z)
+
+
+def test_instance_costs_are_read_only_copies():
+    c = np.array([-1.0, -2.0, -3.0])
+    d = np.array([[-1.0], [-2.0], [-3.0]])
+    x = TwoStageInstance(graph=Graph(3, [(0, 1), (0, 2), (1, 2)]), c=c, d=d)
+    with pytest.raises(ValueError, match="read-only"):
+        x.c[0] = -5.0
+    with pytest.raises(ValueError, match="read-only"):
+        x.d[0, 0] = -5.0
+    c[0] = d[0, 0] = -7.0  # the caller's arrays stay writeable, and apart
+    assert x.c[0] == x.d[0, 0] == -1.0
+    assert x._c_list == [-1.0, -2.0, -3.0] and x._d_cols == [[-1.0, -2.0, -3.0]]
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +839,7 @@ def test_bound_equals_per_scenario_loop_on_grids(width):
         _assert_bound_matches_per_scenario(x, 60)
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(float_cost_instances(max_scenarios=10))
 def test_bound_equals_per_scenario_loop(x):
     _assert_bound_matches_per_scenario(x, 40)
@@ -877,7 +999,7 @@ def test_features_neighbour_quantiles_equal_per_edge_loop_on_grids(width):
     ))
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(float_cost_instances())
 def test_features_neighbour_quantiles_equal_per_edge_loop(x):
     _assert_neighbour_quantiles_match(x)
