@@ -79,7 +79,9 @@ class Graph:
         joined = _joining(list(range(self.num_vertices)), self.edges, range(self.num_edges))
         if len(list(joined)) != self.num_vertices - 1:
             raise ValueError("graph is not connected")
-        self._trees: dict[bytes, frozenset[int]] = {}
+        # see mst_kruskal and mst_constrained
+        self._trees: dict[bytes, tuple[frozenset[int], list[int]]] = {}
+        self._forced: tuple[frozenset, list[int], list[int]] | None = None
 
     @property
     def num_edges(self) -> int:
@@ -94,24 +96,27 @@ class Graph:
         return inc
 
 
-def _check_weights(graph: Graph, weights) -> np.ndarray:
+def _check_shape(graph: Graph, weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.shape != (graph.num_edges,):
         raise ValueError(f"expected {graph.num_edges} edge weights, got shape {w.shape}")
-    if not np.isfinite(w).all():
-        raise ValueError("edge weights must be finite")
     return w
 
 
-def _kruskal(graph: Graph, w: np.ndarray, parent: list, tree: list) -> frozenset[int]:
+def _check_finite(w: np.ndarray) -> None:
+    if not np.isfinite(w).all():
+        raise ValueError("edge weights must be finite")
+
+
+def _kruskal(graph: Graph, order: list, parent: list, tree: list) -> list:
     """Extend the forest `tree` (already linked in parent) to a spanning tree
-    by adding edges in (weight, edge id) order; stops at |V| - 1 edges."""
+    by adding, in turn, the edges of `order` that join two of its trees;
+    stops at |V| - 1 edges and returns the extended `tree`."""
     size = graph.num_vertices - 1
-    order = w.argsort(kind="stable").tolist()
     tree += islice(_joining(parent, graph.edges, order), size - len(tree))
     if len(tree) != size:
         raise ValueError("edge set is not spanning")
-    return frozenset(tree)
+    return tree
 
 
 def mst_kruskal(graph: Graph, weights) -> frozenset[int]:
@@ -119,20 +124,24 @@ def mst_kruskal(graph: Graph, weights) -> frozenset[int]:
 
     Ties are broken by ascending edge id (stable sort on weight), so the
     returned tree is unique given (graph, weights).  The graph remembers its
-    _MEMO_TREES most recent trees by the bytes of the weights; a repeat gets
-    the frozenset the first call built, the same object in the same
-    iteration order.
+    _MEMO_TREES most recent trees by the bytes of the weights, each with its
+    edge ids in the order Kruskal accepted them; a repeat gets the frozenset
+    the first call built, the same object in the same iteration order.  Only
+    finite weights are remembered, so a repeat needs no finiteness check.
     """
-    w = _check_weights(graph, weights)
+    w = _check_shape(graph, weights)
     key = w.tobytes()
     trees = graph._trees
-    tree = trees.pop(key, None)
-    if tree is None:
-        tree = _kruskal(graph, w, list(range(graph.num_vertices)), [])
+    entry = trees.pop(key, None)
+    if entry is None:
+        _check_finite(w)
+        accepted = _kruskal(graph, w.argsort(kind="stable").tolist(),
+                            list(range(graph.num_vertices)), [])
+        entry = (frozenset(accepted), accepted)
         if len(trees) == _MEMO_TREES:
             del trees[next(iter(trees))]
-    trees[key] = tree
-    return tree
+    trees[key] = entry
+    return entry[0]
 
 
 def mst_constrained(graph: Graph, weights, forced) -> frozenset[int]:
@@ -141,17 +150,41 @@ def mst_constrained(graph: Graph, weights, forced) -> frozenset[int]:
     Seeds the forest with the forced edges (error if they close a
     cycle) and completes greedily with the same (weight, edge id) order
     as mst_kruskal.  With forced = ∅ the output equals mst_kruskal.
+
+    Two things the graph already holds save work without changing a bit:
+    - The graph remembers the last forced frozenset (by identity; it cannot
+      change) with its sorted ids and linked forest.  A set or a list is
+      never remembered, and an invalid forced set raises before anything is
+      stored.
+    - When the graph remembers the Kruskal tree T of these weights, only T's
+      edges are scanned, in the order Kruskal accepted them.  Every other
+      edge is the largest, in (weight, edge id) order, on a cycle of
+      lighter T edges, and contracting the forced forest keeps its ends
+      joined by lighter edges, so the full scan would refuse it too.  The
+      lookup leaves the memo's order as it is.
     """
-    w = _check_weights(graph, weights)
-    forced = sorted(int(e) for e in forced)
-    n_edges = graph.num_edges
-    for eid in forced:
-        if not (0 <= eid < n_edges):
-            raise ValueError(f"forced edge id {eid} out of range")
-    parent = list(range(graph.num_vertices))
-    if len(list(_joining(parent, graph.edges, forced))) != len(forced):
-        raise ValueError("forced edges contain a cycle")
-    return _kruskal(graph, w, parent, forced)
+    w = _check_shape(graph, weights)
+    entry = graph._trees.get(w.tobytes())
+    if entry is None:
+        _check_finite(w)
+        order = w.argsort(kind="stable").tolist()
+    else:
+        order = entry[1]
+    last = graph._forced
+    if last is not None and last[0] is forced:
+        ids, parent = last[1], last[2]
+    else:
+        ids = sorted(int(e) for e in forced)
+        n_edges = graph.num_edges
+        for eid in ids:
+            if not (0 <= eid < n_edges):
+                raise ValueError(f"forced edge id {eid} out of range")
+        parent = list(range(graph.num_vertices))
+        if len(list(_joining(parent, graph.edges, ids))) != len(ids):
+            raise ValueError("forced edges contain a cycle")
+        if type(forced) is frozenset:
+            graph._forced = (forced, ids, parent)
+    return frozenset(_kruskal(graph, order, parent.copy(), ids.copy()))
 
 
 def grid_graph(width: int, height: int) -> Graph:

@@ -54,8 +54,9 @@ _PASS_ENTRIES = 2**14
 class SchedInstance:
     """Jobs with processing times p >= 1 and release dates r >= 0.
 
-    Instances compare and hash by identity, so per-instance caches can key
-    on the instance itself.
+    Instances compare and hash by identity, and p and r are read-only
+    copies of the caller's arrays, so per-instance caches can key on the
+    instance itself.
     """
 
     p: np.ndarray
@@ -64,8 +65,8 @@ class SchedInstance:
     seed: int | None = None
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        r = np.asarray(self.r, dtype=float)
+        p = np.array(self.p, dtype=float)
+        r = np.array(self.r, dtype=float)
         if p.ndim != 1 or p.shape != r.shape or p.shape[0] < 1:
             raise ValueError("p and r must be equal-length non-empty vectors")
         if not (np.all(np.isfinite(p)) and np.all(np.isfinite(r))):
@@ -74,6 +75,7 @@ class SchedInstance:
             raise ValueError("processing times must be >= 1")
         if r.min() < 0:
             raise ValueError("release dates must be >= 0")
+        p.flags.writeable = r.flags.writeable = False
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "r", r)
 

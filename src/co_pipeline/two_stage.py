@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -197,9 +198,14 @@ def evaluate_solution(x: TwoStageInstance, z: TwoStageSolution) -> float:
     Each scenario is checked for overlap, then for a spanning tree.  The
     instance remembers its _MEMO_PRICES most recent prices, keyed by every
     set's edge ids in iteration order, so a repeat returns the bits that
-    _price gave it; an infeasible z raises every time.
+    _price gave it; an infeasible z raises every time.  Edge ids must be
+    integers: a float id equals its int and hashes like it, so it would
+    share the int's entry.
     """
-    key = (tuple(z.first_stage), tuple(map(tuple, z.second_stage)))
+    key = first, second = (tuple(z.first_stage), tuple(map(tuple, z.second_stage)))
+    # one sum finds any non-integer id, as an int plus a float is a float
+    if not isinstance(sum(first) + sum(map(sum, second)), numbers.Integral):
+        raise TypeError("edge ids must be integers")
     prices = x._prices
     cost = prices.pop(key, None)
     if cost is None:

@@ -1,4 +1,5 @@
-"""Test oracles, by depth-first search and exhaustive enumeration.
+"""Test oracles, by depth-first search, exhaustive enumeration and plain
+Kruskal.
 
 They share no code with the package, so a test that checks Kruskal or the
 constrained MST against them does not check the package's union-find
@@ -35,6 +36,38 @@ def spanning_trees(graph):
         for combo in itertools.combinations(range(graph.num_edges), graph.num_vertices - 1)
         if connected(graph.num_vertices, [graph.edges[e] for e in combo])
     ]
+
+
+def constrained_reference(graph, weights, forced):
+    """The package's constrained MST, bit for bit, by plain Kruskal: the
+    sorted forced ids, then every edge by (weight, edge id) that joins two
+    components of a fresh union-find, collected in that order into the
+    frozenset (whose iteration order depends on the insertion order).
+    The forced ids must be a forest of graph."""
+    root = list(range(graph.num_vertices))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    ids = sorted(forced)
+    for e in ids:
+        u, v = graph.edges[e]
+        root[find(u)] = find(v)
+    tree = list(ids)
+    for e in sorted(range(graph.num_edges), key=lambda e: (float(weights[e]), e)):
+        ru, rv = (find(v) for v in graph.edges[e])
+        if ru != rv:
+            root[ru] = rv
+            tree.append(e)
+    return frozenset(tree)
+
+
+def kruskal_reference(graph, weights):
+    """The package's MST, bit for bit, by plain Kruskal (see
+    constrained_reference)."""
+    return constrained_reference(graph, weights, ())
 
 
 def lexicographic_optimal_schedule(p, r):

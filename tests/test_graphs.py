@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import connected, spanning_trees
+from oracles import connected, constrained_reference, kruskal_reference, spanning_trees
 from scipy.sparse.csgraph import connected_components
 
 from co_pipeline.graphs import (
     _MEMO_TREES,
     Graph,
     _joining,
-    _kruskal,
     grid_graph,
     mst_constrained,
     mst_kruskal,
@@ -252,7 +251,7 @@ def test_memo_returns_the_memo_free_tree(g, data):
     for i in list(range(len(pool))) + picks:
         w = np.array(pool[i])
         tree = mst_kruskal(g, w)
-        want = _kruskal(g, w, list(range(g.num_vertices)), [])
+        want = kruskal_reference(g, w)
         assert tree == want and list(tree) == list(want)
         if w.tobytes() in recent:
             recent.remove(w.tobytes())
@@ -284,3 +283,73 @@ def test_memo_keeps_weight_validation():
         with pytest.raises(ValueError, match="edge weights"):
             mst_kruskal(g, bad)
     assert len(g._trees) == 1
+
+
+# ---------------------------------------------------------------------------
+# what mst_constrained reuses: the remembered tree and the last forced forest
+
+
+def _same_tree(got, want):
+    assert got == want and list(got) == list(want)
+
+
+@settings(max_examples=200)
+@given(connected_graphs(max_vertices=9), st.data())
+def test_constrained_reuse_keeps_every_bit(g, data):
+    n = g.num_edges
+    weight = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+    pool = data.draw(st.lists(st.lists(weight, min_size=n, max_size=n), min_size=2, max_size=4))
+    pool = [np.array(w) for w in pool]
+
+    def forest():
+        # a subset of some spanning tree of g, so never cyclic
+        tree = sorted(kruskal_reference(g, data.draw(st.sampled_from(pool))))
+        keep = data.draw(st.lists(st.booleans(), min_size=len(tree), max_size=len(tree)))
+        return frozenset(itertools.compress(tree, keep))
+
+    forced = forest()
+    for w in pool:  # cold: neither the tree nor the forest is known
+        _same_tree(mst_constrained(g, w, set(forced)), constrained_reference(g, w, forced))
+    for w in pool:  # the first call remembers the forest, the rest reuse it
+        _same_tree(mst_constrained(g, w, forced), constrained_reference(g, w, forced))
+    for w in pool[:-1]:  # the trees of all weights but the last are known
+        _same_tree(mst_kruskal(g, w), kruskal_reference(g, w))
+    remembered = list(g._trees)
+    for _ in range(2):
+        for f in (forced, frozenset(forced), forest()):
+            for w in pool:
+                _same_tree(mst_constrained(g, w, f), constrained_reference(g, w, f))
+                assert list(g._trees) == remembered  # a peek, not a use
+
+    # a set can change between calls, so it is never remembered
+    mutable = set(forced)
+    for _ in range(3):
+        _same_tree(mst_constrained(g, pool[0], mutable), constrained_reference(g, pool[0], mutable))
+        if mutable:
+            mutable.pop()
+        else:
+            mutable |= forest()
+
+    # an invalid forced set raises on every call, also after a valid one
+    bad = [frozenset({n}), frozenset({-1})]
+    if n >= g.num_vertices:  # not a tree itself, so all edges close a cycle
+        bad.append(frozenset(range(n)))
+    for f in bad:
+        for w in (pool[0], pool[-1]):
+            for _ in range(2):
+                with pytest.raises(ValueError, match="out of range|cycle"):
+                    mst_constrained(g, w, f)
+            _same_tree(mst_constrained(g, w, forced), constrained_reference(g, w, forced))
+    assert list(g._trees) == remembered
+
+
+def test_constrained_reuse_rejects_invalid_weights_on_each_path():
+    g = Graph(3, [(0, 1), (0, 2), (1, 2)])
+    forced = frozenset({2})
+    mst_kruskal(g, [1.0, 2.0, 3.0])
+    assert mst_constrained(g, [1.0, 2.0, 3.0], forced) == frozenset({0, 2})
+    for _ in range(2):
+        with pytest.raises(ValueError, match="finite"):
+            mst_constrained(g, [float("nan"), 2.0, 3.0], forced)
+        with pytest.raises(ValueError, match="edge weights"):
+            mst_constrained(g, [[1.0, 2.0, 3.0]], forced)

@@ -612,3 +612,22 @@ def test_loss_cache_never_serves_a_freed_instance():
         stale += learning.loss(x, w, shared) != learning.loss(x, w, fresh)
         del x
     assert stale == 0
+
+
+def test_instance_arrays_are_read_only_copies():
+    # the loss caches key on the instance, so its arrays must not change
+    p = np.array([5.0, 1.0, 2.0, 3.0])
+    r = np.array([0.0, 4.0, 0.0, 1.0])
+    x = SchedInstance(p=p, r=r)
+    cfg = experience_loss_config(post="ls")
+    w = np.linspace(-1.0, 1.0, SCHED_FEATURE_DIM)
+    before = learning.loss(x, w, cfg)
+    with pytest.raises(ValueError, match="read-only"):
+        x.p[0] = 50.0
+    with pytest.raises(ValueError, match="read-only"):
+        x.r[0] = 9.0
+    p[:] = [50.0, 1.0, 1.0, 1.0]  # the caller's arrays stay writeable, and apart
+    r[0] = 9.0
+    assert x.p.tolist() == [5.0, 1.0, 2.0, 3.0] and x.r.tolist() == [0.0, 4.0, 0.0, 1.0]
+    assert learning.loss(x, w, cfg) == before
+    assert learning.loss(x, w, experience_loss_config(post="ls")) == before

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import connected, spanning_trees
+from oracles import connected, constrained_reference, kruskal_reference, spanning_trees
 from scipy.sparse.csgraph import minimum_spanning_tree
 from test_graphs import components, connected_graphs
 
@@ -511,6 +511,28 @@ def test_memo_keeps_each_iteration_order_its_own_bits():
             assert _same_bits(evaluate_solution(x, z), want)
 
 
+def test_memo_refuses_non_integer_ids():
+    # a float id equals its int and hashes like it, so without the check a
+    # float copy would get the int solution's price, and raise only when fresh
+    def recast(z, kind):
+        return TwoStageSolution(frozenset(map(kind, z.first_stage)),
+                                tuple(frozenset(map(kind, es)) for es in z.second_stage))
+
+    fresh = generate_instance(2, 5, 1, seed=0)
+    want = evaluate_solution(fresh, approx_baseline(fresh))
+    for floats_first in (False, True):
+        x = generate_instance(2, 5, 1, seed=0)
+        z = approx_baseline(x)
+        calls = [recast(z, float), z] if floats_first else [z, recast(z, float)]
+        for zz in calls + calls:
+            if zz is z:
+                assert _same_bits(evaluate_solution(x, zz), want)
+            else:
+                with pytest.raises(TypeError, match="edge ids must be integers"):
+                    evaluate_solution(x, zz)
+        assert _same_bits(evaluate_solution(x, recast(z, np.int64)), want)
+
+
 def test_memo_is_bounded_and_per_instance(monkeypatch):
     checks = []
     check = two_stage._check_feasible
@@ -879,17 +901,14 @@ def test_kruskal_memo_keeps_every_bit(monkeypatch):
         calls += 1
         return mst(*args)
 
-    def memo_free(graph, weights):
-        w = graphs._check_weights(graph, weights)
-        return kruskal(graph, w, list(range(graph.num_vertices)), [])
-
     cells = list(itertools.product((4, 6), (10, 20), range(2)))
     with monkeypatch.context() as m:
         m.setattr(graphs, "_kruskal", counted_kruskal)
         m.setattr(two_stage, "mst_kruskal", counted_mst)
         memo = [_bound_and_solutions(generate_instance(w, K, 4, seed=s)) for w, K, s in cells]
     assert misses < calls / 2  # the memo answered most calls
-    monkeypatch.setattr(two_stage, "mst_kruskal", memo_free)
+    monkeypatch.setattr(two_stage, "mst_kruskal", kruskal_reference)
+    monkeypatch.setattr(two_stage, "mst_constrained", constrained_reference)
     for (w, K, s), got in zip(cells, memo):
         assert got == _bound_and_solutions(generate_instance(w, K, 4, seed=s))
 
