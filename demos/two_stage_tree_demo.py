@@ -18,7 +18,7 @@ print("first-stage costs c:", x.c.astype(int))
 # two-stage solution.
 theta = two_stage.theta_tilde(x)
 y = two_stage.easy_layer(x, theta)
-z_base = two_stage.decode(x, y)
+z_base = two_stage.decode(x, y.first_stage)
 print("\nsurrogate first stage:", sorted(y.first_stage))
 print("decoded first stage:  ", sorted(z_base.first_stage))
 print("baseline cost:", two_stage.evaluate_solution(x, z_base))

@@ -3,11 +3,12 @@
 Edges are identified by their position in the edge list.  All tree
 computations break weight ties by ascending edge id, so every function in
 this module is a pure deterministic map from its inputs.  That lets each
-graph remember its most recent Kruskal trees (see _MEMO_TREES).
+graph remember its recent Kruskal trees and its last forced forest (_recall).
 """
 
 from __future__ import annotations
 
+import numbers
 from itertools import islice
 
 import numpy as np
@@ -29,6 +30,18 @@ __all__ = [
 # memory.  Repeats that come back only after 100 or more other weight
 # vectors, like DIRECT seeds that share points, are left to recompute.
 _MEMO_TREES = 16
+
+
+def _recall(memo: dict, key, size: int, make, *args):
+    """memo[key], or make(*args) (never None) stored under key on a miss; the
+    memo keeps its `size` most recently used entries, and nothing that raised."""
+    value = memo.pop(key, None)
+    if value is None:
+        value = make(*args)
+        if len(memo) >= size:
+            del memo[next(iter(memo))]
+    memo[key] = value
+    return value
 
 
 def _joining(parent: list, edges, ids):
@@ -56,15 +69,18 @@ class Graph:
     num_vertices : int
         Vertices are 0..num_vertices-1.
     edges : sequence of (u, v)
-        No self-loops, no duplicate unordered pairs.  The position of an
-        edge in this sequence is its edge id.  Stored as a tuple, so the
-        trees the graph remembers cannot go stale.
+        Integer vertex ids (a float raises TypeError), no self-loops, no
+        duplicate unordered pairs.  The position of an edge in this sequence
+        is its edge id.  Stored as a tuple, so remembered trees cannot go stale.
     """
 
     def __init__(self, num_vertices: int, edges):
         if num_vertices < 1:
             raise ValueError("graph needs at least one vertex")
         self.num_vertices = int(num_vertices)
+        edges = [tuple(edge) for edge in edges]
+        if not all(isinstance(end, numbers.Integral) for edge in edges for end in edge):
+            raise TypeError("vertex ids must be integers")
         self.edges = tuple((int(u), int(v)) for u, v in edges)
         seen = set()
         for eid, (u, v) in enumerate(self.edges):
@@ -81,7 +97,7 @@ class Graph:
             raise ValueError("graph is not connected")
         # see mst_kruskal and mst_constrained
         self._trees: dict[bytes, tuple[frozenset[int], list[int]]] = {}
-        self._forced: tuple[frozenset, list[int], list[int]] | None = None
+        self._forced: dict[frozenset, tuple[list[int], list[int]]] = {}
 
     @property
     def num_edges(self) -> int:
@@ -119,6 +135,27 @@ def _kruskal(graph: Graph, order: list, parent: list, tree: list) -> list:
     return tree
 
 
+def _kruskal_tree(graph: Graph, w: np.ndarray) -> tuple[frozenset[int], list[int]]:
+    """The tree of finite weights w, and its edge ids in the order Kruskal accepted them."""
+    _check_finite(w)
+    accepted = _kruskal(graph, w.argsort(kind="stable").tolist(),
+                        list(range(graph.num_vertices)), [])
+    return frozenset(accepted), accepted
+
+
+def _forced_forest(graph: Graph, forced: frozenset) -> tuple[list[int], list[int]]:
+    """The sorted ids of a forced edge set and the parent list of the forest they link."""
+    ids = sorted(int(e) for e in forced)
+    n_edges = graph.num_edges
+    for eid in ids:
+        if not (0 <= eid < n_edges):
+            raise ValueError(f"forced edge id {eid} out of range")
+    parent = list(range(graph.num_vertices))
+    if len(list(_joining(parent, graph.edges, ids))) != len(ids):
+        raise ValueError("forced edges contain a cycle")
+    return ids, parent
+
+
 def mst_kruskal(graph: Graph, weights) -> frozenset[int]:
     """Minimum spanning tree (set of edge ids) by Kruskal's algorithm.
 
@@ -130,18 +167,7 @@ def mst_kruskal(graph: Graph, weights) -> frozenset[int]:
     finite weights are remembered, so a repeat needs no finiteness check.
     """
     w = _check_shape(graph, weights)
-    key = w.tobytes()
-    trees = graph._trees
-    entry = trees.pop(key, None)
-    if entry is None:
-        _check_finite(w)
-        accepted = _kruskal(graph, w.argsort(kind="stable").tolist(),
-                            list(range(graph.num_vertices)), [])
-        entry = (frozenset(accepted), accepted)
-        if len(trees) == _MEMO_TREES:
-            del trees[next(iter(trees))]
-    trees[key] = entry
-    return entry[0]
+    return _recall(graph._trees, w.tobytes(), _MEMO_TREES, _kruskal_tree, graph, w)[0]
 
 
 def mst_constrained(graph: Graph, weights, forced) -> frozenset[int]:
@@ -151,39 +177,22 @@ def mst_constrained(graph: Graph, weights, forced) -> frozenset[int]:
     cycle) and completes greedily with the same (weight, edge id) order
     as mst_kruskal.  With forced = ∅ the output equals mst_kruskal.
 
-    Two things the graph already holds save work without changing a bit:
-    - The graph remembers the last forced frozenset (by identity; it cannot
-      change) with its sorted ids and linked forest.  A set or a list is
-      never remembered, and an invalid forced set raises before anything is
-      stored.
-    - When the graph remembers the Kruskal tree T of these weights, only T's
-      edges are scanned, in the order Kruskal accepted them.  Every other
-      edge is the largest, in (weight, edge id) order, on a cycle of
-      lighter T edges, and contracting the forced forest keeps its ends
-      joined by lighter edges, so the full scan would refuse it too.  The
-      lookup leaves the memo's order as it is.
+    Two memos of the graph save work without changing a bit:
+    - The Kruskal tree T of the weights, read from or added to mst_kruskal's
+      memo: only T's edges are scanned, in the order Kruskal accepted them.
+      Every other edge is the largest, in (weight, edge id) order, on a
+      cycle of lighter T edges, and contracting the forced forest keeps its
+      ends joined by lighter edges, so the full scan would refuse it too.
+    - The last forced set, by value, with its sorted ids and linked forest.
+      Its ids must be integers, checked first, as a float id equals its
+      int; an invalid forced set raises before anything is stored.
     """
     w = _check_shape(graph, weights)
-    entry = graph._trees.get(w.tobytes())
-    if entry is None:
-        _check_finite(w)
-        order = w.argsort(kind="stable").tolist()
-    else:
-        order = entry[1]
-    last = graph._forced
-    if last is not None and last[0] is forced:
-        ids, parent = last[1], last[2]
-    else:
-        ids = sorted(int(e) for e in forced)
-        n_edges = graph.num_edges
-        for eid in ids:
-            if not (0 <= eid < n_edges):
-                raise ValueError(f"forced edge id {eid} out of range")
-        parent = list(range(graph.num_vertices))
-        if len(list(_joining(parent, graph.edges, ids))) != len(ids):
-            raise ValueError("forced edges contain a cycle")
-        if type(forced) is frozenset:
-            graph._forced = (forced, ids, parent)
+    order = _recall(graph._trees, w.tobytes(), _MEMO_TREES, _kruskal_tree, graph, w)[1]
+    forced = frozenset(forced)
+    if not isinstance(sum(forced), numbers.Integral):
+        raise TypeError("forced edge ids must be integers")
+    ids, parent = _recall(graph._forced, forced, 1, _forced_forest, graph, forced)
     return frozenset(_kruskal(graph, order, parent.copy(), ids.copy()))
 
 

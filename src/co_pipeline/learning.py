@@ -13,6 +13,7 @@ with a perturbed Fenchel-Young loss, and the excess-risk bound constants.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -21,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import PerturbationConfig, WeightVector, _at_least, _finite, sample_gaussians
+from .model import PerturbationConfig, WeightVector, _at_least, _finite, _positive, sample_gaussians
 
 __all__ = [
     "LossConfig",
@@ -67,9 +68,7 @@ class LearnerConfig:
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
 
     def __post_init__(self):
-        if not self.box_radius > 0:
-            raise ValueError("learner key 'box_radius' must be positive")
-        _finite(self.box_radius, "learner key 'box_radius'")
+        _positive(self.box_radius, "learner key 'box_radius'")
         _at_least(self.budget, 1, "learner key 'budget'")
         if len(self.seeds) < 1:
             raise ValueError("learner key 'seeds' must hold at least one seed")
@@ -81,6 +80,13 @@ class LearnerConfig:
 def parallel_map(fn, items) -> list:
     """Order-preserving map."""
     return [fn(item) for item in items]
+
+
+def _cached_pipeline(features, layer, cost) -> Callable:
+    """The loss (x, w) -> cost(x, layer(x, features(x) @ w)), running features once per instance
+    and cost once per (instance, layer output: a hashable key), in tables keyed by the instance."""
+    phi_of, cost_of = functools.cache(features), functools.cache(cost)
+    return lambda x, w: cost_of(x, layer(x, phi_of(x) @ w))
 
 
 def loss(x, w, cfg: LossConfig) -> float:
@@ -331,9 +337,7 @@ def fyl_learn(
     for key, value, least in (("epsilon", epsilon, 0), ("n_z", n_z, 1), ("steps", steps, 0),
                               ("seed", seed, 0)):
         _at_least(value, least, f"fyl key {key!r}")
-    if not box_radius > 0:
-        raise ValueError("fyl key 'box_radius' must be positive")
-    _finite(box_radius, "fyl key 'box_radius'")
+    _positive(box_radius, "fyl key 'box_radius'")
     pairs = list(pairs)
     phis = [features_of(x) for x, _ in pairs]
     if not phis:
@@ -380,18 +384,14 @@ class BoundParams:
     expectation_term: float = 1.0
 
     def __post_init__(self):
-        if not self.M > 0:
-            raise ValueError("bounds key 'M' must be > 0")
-        _finite(self.M, "bounds key 'M'")
+        _positive(self.M, "bounds key 'M'")
         for key in ("d", "n"):
             _at_least(getattr(self, key), 1, f"bounds key {key!r}")
         if not 0 < self.delta < 1:
             raise ValueError("bounds key 'delta' must lie in (0, 1)")
         _at_least(self.sigma, 0, "bounds key 'sigma'")
         for key in ("b", "kappa_phi", "expectation_term"):
-            if not getattr(self, key) > 0:
-                raise ValueError(f"bounds key {key!r} must be > 0")
-            _finite(getattr(self, key), f"bounds key {key!r}")
+            _positive(getattr(self, key), f"bounds key {key!r}")
 
 
 def constant_C() -> float:

@@ -41,9 +41,7 @@ class WeightVector:
             raise ValueError("w must be a vector")
         if not np.all(np.isfinite(w)):
             raise ValueError("w must be finite")
-        if not self.box_radius > 0:
-            raise ValueError("box radius must be positive")
-        _finite(self.box_radius, "box radius")
+        _positive(self.box_radius, "box radius")
         if np.abs(w).max(initial=0.0) > self.box_radius + 1e-12:
             raise ValueError("w leaves the box")
         object.__setattr__(self, "w", w)
@@ -70,6 +68,13 @@ def _at_least(value, least, name: str) -> None:
     """The lower limit of a finite setting; name is the setting as the message names it."""
     if not value >= least:
         raise ValueError(f"{name} must be >= {least}")
+    _finite(value, name)
+
+
+def _positive(value, name: str) -> None:
+    """A finite setting that must be > 0; name is the setting as the message names it."""
+    if not value > 0:
+        raise ValueError(f"{name} must be > 0")
     _finite(value, name)
 
 

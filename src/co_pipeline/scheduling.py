@@ -12,7 +12,6 @@ Jobs are indexed 0..n-1; a schedule is a permutation of all job indices.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import learning
-from .model import (PerturbationConfig, _as_number, _as_weight_array, _at_least, _finite,
+from .model import (PerturbationConfig, _as_number, _as_weight_array, _at_least, _positive,
                     _read_json, _write_json)
 
 __all__ = [
@@ -94,10 +93,12 @@ class SrptStats:
 
 
 def _check_permutation(x: SchedInstance, order) -> np.ndarray:
-    order = np.asarray(order, dtype=int)
+    order = np.asarray(order)
+    if order.dtype.kind not in "iu":
+        raise TypeError("job ids must be integers")
     if order.shape != (x.n,) or not np.array_equal(np.sort(order), np.arange(x.n)):
         raise ValueError("schedule must be a permutation of all jobs")
-    return order
+    return order.astype(int, copy=False)
 
 
 def _totals(p_ord: np.ndarray, r_ord: np.ndarray) -> np.ndarray:
@@ -377,9 +378,7 @@ def brute_force_schedule(x: SchedInstance):
 def generate_sched_instance(n: int, rho: float, seed: int) -> SchedInstance:
     """Random instance: p ~ U{1..100}, r ~ U{1..floor(50.5*n*rho)}."""
     _at_least(n, 1, "n")
-    if not rho > 0:
-        raise ValueError("rho must be positive")
-    _finite(rho, "rho")
+    _positive(rho, "rho")
     rng = np.random.default_rng(seed)
     p = rng.integers(1, 101, size=n).astype(float)
     r_max = max(1, int(50.5 * n * rho))
@@ -416,21 +415,18 @@ def experience_loss_config(
     """Loss for learning by experience: pipeline total normalized by n(n+1).
 
     The normalizer keeps instances of different sizes on one scale (the
-    worst total grows quadratically in n).  Features are computed once
-    per instance and local-search totals are memoized by starting order.
-    The caches are keyed by the instance, which hashes by identity and
-    stays alive as long as the loss does.
+    worst total grows quadratically in n).  The cost, local search included,
+    is computed once per distinct SPT order (learning._cached_pipeline).
     """
     _check_post(post)
-    phi_of = functools.cache(features)
-    searched = functools.cache(lambda x, order: _total(x, local_search(x, order)))
 
-    def pipeline_loss(x: SchedInstance, w: np.ndarray) -> float:
-        order = spt_layer(phi_of(x) @ w)
-        cost = _total(x, order) if post == "none" else searched(x, tuple(order.tolist()))
-        return cost / (x.n * (x.n + 1))
+    def cost(x: SchedInstance, order: tuple) -> float:
+        order = np.array(order)  # the tuple would index x.p as a multi-index
+        return _total(x, local_search(x, order) if post == "ls" else order) / (x.n * (x.n + 1))
 
-    return learning.LossConfig(pipeline_loss, SCHED_FEATURE_DIM, perturbation)
+    loss = learning._cached_pipeline(
+        features, lambda x, theta: tuple(spt_layer(theta).tolist()), cost)
+    return learning.LossConfig(loss, SCHED_FEATURE_DIM, perturbation)
 
 
 class SchedulingApplication:

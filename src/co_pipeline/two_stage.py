@@ -8,8 +8,8 @@ objective  sum_{E1} c_e + (1/|S|) sum_s sum_{E_s} d_es  is minimized
 
 Easy problem used as the pipeline's optimization layer: a single MST on
 parametrized per-edge, per-stage weights (cbar, dbar).  The decoder turns
-an easy solution into a feasible hard solution by completing the chosen
-first stage optimally per scenario, against the candidate that buys
+an easy solution's first stage into a feasible hard solution by
+completing it optimally per scenario, against the candidate that buys
 everything in the second stage.
 """
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import learning, model
-from .graphs import Graph, _joining, grid_graph, mst_constrained, mst_kruskal
+from .graphs import Graph, _joining, _recall, grid_graph, mst_constrained, mst_kruskal
 from .model import (PerturbationConfig, _as_number, _as_weight_array, _at_least, _read_json,
                     _write_json)
 
@@ -192,29 +192,26 @@ def _check_feasible(x: TwoStageInstance, z: TwoStageSolution) -> None:
             raise ValueError(f"scenario {s}: edge set is not a spanning tree")
 
 
+def _checked_price(x: TwoStageInstance, z: TwoStageSolution) -> float:
+    _check_feasible(x, z)
+    return _price(x, z)
+
+
 def evaluate_solution(x: TwoStageInstance, z: TwoStageSolution) -> float:
     """Hard-problem cost of z (see _price); raises if z is infeasible.
 
     Each scenario is checked for overlap, then for a spanning tree.  The
-    instance remembers its _MEMO_PRICES most recent prices, keyed by every
-    set's edge ids in iteration order, so a repeat returns the bits that
-    _price gave it; an infeasible z raises every time.  Edge ids must be
-    integers: a float id equals its int and hashes like it, so it would
-    share the int's entry.
+    instance remembers its _MEMO_PRICES most recent prices (graphs._recall),
+    keyed by every set's edge ids in iteration order, so a repeat returns
+    the bits that _price gave it; an infeasible z raises every time.  Edge
+    ids must be integers: a float id equals its int and hashes like it, so
+    it would share the int's entry.
     """
     key = first, second = (tuple(z.first_stage), tuple(map(tuple, z.second_stage)))
     # one sum finds any non-integer id, as an int plus a float is a float
     if not isinstance(sum(first) + sum(map(sum, second)), numbers.Integral):
         raise TypeError("edge ids must be integers")
-    prices = x._prices
-    cost = prices.pop(key, None)
-    if cost is None:
-        _check_feasible(x, z)
-        cost = _price(x, z)
-        if len(prices) == _MEMO_PRICES:
-            del prices[next(iter(prices))]
-    prices[key] = cost
-    return cost
+    return _recall(x._prices, key, _MEMO_PRICES, _checked_price, x, z)
 
 
 def easy_layer(x: TwoStageInstance, theta) -> EasySolution:
@@ -261,7 +258,7 @@ def _completed(x: TwoStageInstance, first: frozenset[int]) -> TwoStageSolution:
 
 
 def _complete_or_empty(x: TwoStageInstance, first: frozenset[int]) -> TwoStageSolution:
-    """The decode rule (see decode) for a given first stage."""
+    """decode's rule, which lagrangian_heuristic calls without counting as a decode."""
     cand = _completed(x, first)
     cost = evaluate_solution(x, cand)
     empty_second = tuple(mst_kruskal(x.graph, x.d[:, s]) for s in range(x.num_scenarios))
@@ -269,15 +266,15 @@ def _complete_or_empty(x: TwoStageInstance, first: frozenset[int]) -> TwoStageSo
     return cand if cost <= evaluate_solution(x, empty) else empty
 
 
-def decode(x: TwoStageInstance, y: EasySolution) -> TwoStageSolution:
-    """Feasible hard solution from an easy one.
+def decode(x: TwoStageInstance, first: frozenset[int]) -> TwoStageSolution:
+    """Feasible hard solution from an easy solution's first stage.
 
-    Candidate A keeps y's first stage and completes it per scenario with
+    Candidate A keeps the first stage and completes it per scenario with
     a constrained MST on that scenario's costs (the optimal completion);
     candidate B postpones everything to the second stage.  Returns the
     cheaper candidate, ties toward A.
     """
-    return _complete_or_empty(x, y.first_stage)
+    return _complete_or_empty(x, first)
 
 
 def theta_tilde(x: TwoStageInstance) -> np.ndarray:
@@ -287,7 +284,7 @@ def theta_tilde(x: TwoStageInstance) -> np.ndarray:
 
 def approx_baseline(x: TwoStageInstance) -> TwoStageSolution:
     """Decode the easy solution at theta_tilde; 1/2|C*| + additive guarantee."""
-    return decode(x, easy_layer(x, theta_tilde(x)))
+    return decode(x, easy_layer(x, theta_tilde(x)).first_stage)
 
 
 def features(x: TwoStageInstance) -> np.ndarray:
@@ -522,7 +519,7 @@ def load_instance(path) -> TwoStageInstance:
 
 def pipeline_solution(x: TwoStageInstance, w):
     """Full pipeline at weights w: features -> theta -> easy layer -> decode."""
-    return decode(x, easy_layer(x, features(x) @ _as_weight_array(w)))
+    return decode(x, easy_layer(x, features(x) @ _as_weight_array(w)).first_stage)
 
 
 def experience_loss_config(
@@ -530,27 +527,20 @@ def experience_loss_config(
 ) -> learning.LossConfig:
     """Loss for learning by experience on (instance, lower_bound) pairs.
 
-    The pipeline cost is normalized to the shifted relative gap
-    (cost - LB) / max(1, |LB|) so instances of different sizes are
-    comparable; an instance outside the pairs raises KeyError.  Features
-    are computed once per instance and gaps are stored by first-stage set,
-    so decode runs once per distinct first stage.  Both caches are keyed by
-    the instance, which hashes by identity and stays alive as long as the
-    loss does.
+    The pipeline cost is normalized to the shifted relative gap (cost - LB) /
+    max(1, |LB|), so instances of different sizes are comparable; an instance
+    outside the pairs raises KeyError.  The gap is computed once per distinct
+    first stage, all that decode reads (learning._cached_pipeline).
     """
     lower = {x: float(lb) for x, lb in pairs}
-    phi_of = functools.cache(features)
-    gaps: dict[tuple[TwoStageInstance, frozenset[int]], float] = {}
 
-    def pipeline_loss(x: TwoStageInstance, w: np.ndarray) -> float:
+    def gap(x: TwoStageInstance, first: frozenset[int]) -> float:
         lb = lower[x]
-        y = easy_layer(x, phi_of(x) @ w)
-        key = (x, y.first_stage)
-        if key not in gaps:
-            gaps[key] = (evaluate_solution(x, decode(x, y)) - lb) / max(1.0, abs(lb))
-        return gaps[key]
+        return (evaluate_solution(x, decode(x, first)) - lb) / max(1.0, abs(lb))
 
-    return learning.LossConfig(pipeline_loss, TWO_STAGE_FEATURE_DIM, perturbation)
+    loss = learning._cached_pipeline(
+        features, lambda x, theta: easy_layer(x, theta).first_stage, gap)
+    return learning.LossConfig(loss, TWO_STAGE_FEATURE_DIM, perturbation)
 
 
 class TwoStageApplication:

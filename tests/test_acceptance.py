@@ -150,7 +150,7 @@ def test_criterion_02_perturbation_inequality():
             scale = rng.uniform(0.0, 10.0)
             norm1 = float(np.abs(p).sum())
             p *= scale / max(norm1, 1e-12)
-            z = two_stage.decode(x, two_stage.easy_layer(x, base + p))
+            z = two_stage.decode(x, two_stage.easy_layer(x, base + p).first_stage)
             slack = (
                 two_stage.evaluate_solution(x, z)
                 - opt

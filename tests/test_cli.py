@@ -2,6 +2,7 @@
 
 import csv
 import functools
+import hashlib
 import inspect
 import json
 import os
@@ -324,6 +325,82 @@ def test_end_to_end_byte_identical_csvs(tmp_path):
     csv_b, w_b = chain("b")
     assert csv_a == csv_b
     assert w_a == w_b
+
+
+# SHA-256 of every file a tiny chain per application writes (criterion 12's
+# sizes), of one fyl train and of one bounds.csv; eval's timings.json holds
+# wall times, so it is left out.
+_PINNED_OUTPUTS = {
+    "b/bounds.csv":
+        "db11e96f9b4ec8f4ced92c4690d142f216f711fb6c9304016a694a036a072002",
+    "sm/instances/sm_n4_rho1_000.json":
+        "63ad4741ba32680cbd0ed732ea6519b09ce878b3acde230dd909e04771f17ea0",
+    "sm/instances/sm_n4_rho1_001.json":
+        "64c09b81401c98210bebc1bc4f1c256bd8979eeec7f2bd43ce3e49db6a27cde9",
+    "sm/manifest.json":
+        "0c2158b028d3ac215931f9ba355121b586e2ce58dec2a9059973e079786d0b64",
+    "sm_ev/gaps.csv":
+        "79778cdc6373ada90c2ba380ecb95d0bc7e9958d7d6712a7646c69649d75d7f5",
+    "sm_none/report.json":
+        "3fa976182fe14c49bc5c50f312b9dbb475fde92a60703a19751c323406bb81ca",
+    "sm_none/weights.json":
+        "1425de9673b66d20a3cbf7ea6725678ebdcd0f9b9f3680c5f1ee63dad48c884d",
+    "sm_w/report.json":
+        "c44ad1bf26dd9bc5952f01421ca9275a4556bc6bf00ba1b10a6ade313275d21a",
+    "sm_w/weights.json":
+        "77c52016d3879d64e8353260b7943066b993c24bc1b13b28c4473547070a2789",
+    "ts/instances/ts_w3_K10_S2_000.json":
+        "db7c3ce01eccce221ccb5acdc670195b57a5edc74ac9c82fac1691da6c931a7c",
+    "ts/instances/ts_w3_K10_S2_001.json":
+        "5a4e81858c180229ab8afcc6dcc5b21550bc918ce598593480d5bb792cfd524a",
+    "ts/manifest.json":
+        "b84fa32521c7fcc950a24122c4aef646c004fb3afd498a9630800ad8feee742b",
+    "ts_ev/gaps.csv":
+        "2a1c57ce4cc3576216244795e009cdf24c7d651628a15777c1f3f2034b5142b0",
+    "ts_fyl/report.json":
+        "616268be019b3a65ca09e167649e71468c433301a78f6cdf4dc6006ecbb31b27",
+    "ts_fyl/weights.json":
+        "ad008ffc31ff2d475cec6fa238c5c2996aa1539c98c9d0b125565e0fd110c4b3",
+    "ts_w/report.json":
+        "d4ef436347dea48a86c8c398ebfbdccdc0c0060d647c10ffe66a0904f4e4ba6b",
+    "ts_w/weights.json":
+        "c2de5f8ad2fb19f8a81947d0613c74e246142bbbe7e81b710c5826dc19688e79",
+}
+
+
+def test_cli_output_bytes_are_pinned(tmp_path):
+    def run(command, name, config):
+        cfg = _write(tmp_path / f"{name}.json", config)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out" / name)]) == 0
+
+    def weights(name):
+        return {"weights": str(tmp_path / "out" / name / "weights.json")}
+
+    ts = {"application": "two_stage", "dataset": str(tmp_path / "out" / "ts")}
+    run("generate", "ts", {"application": "two_stage", "widths": [3], "K": [10],
+                           "scenarios": [2], "per_cell": 2, "seed": 99, "bound_iters": 150})
+    run("train", "ts_w", {**ts, "learner": {"budget": 60, "seeds": [0, 1]}})
+    run("train", "ts_fyl", {**ts, "method": "fyl", "fyl": {"epsilon": 1.0, "n_z": 5, "steps": 30,
+                                                           "rate": 0.05, "bound_iters": 50}})
+    run("eval", "ts_ev", {**ts, "algorithms": [
+        {"name": "approx_baseline", "kind": "approx_baseline"},
+        {"name": "pipeline", "kind": "pipeline", **weights("ts_w")},
+        {"name": "lagr", "kind": "lagrangian_heuristic", "iters": 50}]})
+    sm = {"application": "scheduling", "dataset": str(tmp_path / "out" / "sm")}
+    run("generate", "sm", {"application": "scheduling", "n": [4], "rho": [1.0], "per_cell": 2,
+                           "seed": 12})
+    run("train", "sm_w", {**sm, "post": "ls", "learner": {"budget": 25, "seeds": [0]}})
+    run("train", "sm_none", {**sm, "post": "none", "learner": {"budget": 25, "seeds": [0]},
+                             "perturbation": {"sigma": 0.5, "nsamples": 3}})
+    run("eval", "sm_ev", {**sm, "algorithms": [
+        {"name": "spt", "kind": "spt"},
+        {"name": "pipeline", "kind": "pipeline", **weights("sm_none")},
+        {"name": "pipeline_ls", "kind": "pipeline_ls", **weights("sm_w")}]})
+    run("bounds", "b", {"M": 10.0, "d": 34, "sigma": 1.0, "delta": 0.05, "n": [100, 400, 1600]})
+    out = tmp_path / "out"
+    got = {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in sorted(out.rglob("*")) if path.is_file() and path.name != "timings.json"}
+    assert got == _PINNED_OUTPUTS
 
 
 def test_bounds_command(tmp_path, capsys):

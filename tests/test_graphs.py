@@ -13,6 +13,7 @@ from co_pipeline.graphs import (
     _MEMO_TREES,
     Graph,
     _joining,
+    _recall,
     grid_graph,
     mst_constrained,
     mst_kruskal,
@@ -293,6 +294,12 @@ def _same_tree(got, want):
     assert got == want and list(got) == list(want)
 
 
+def _assert_latest_tree(g, w):
+    key, (tree, _) = next(reversed(g._trees.items()))
+    assert key == w.tobytes()
+    _same_tree(tree, kruskal_reference(g, w))
+
+
 @settings(max_examples=200)
 @given(connected_graphs(max_vertices=9), st.data())
 def test_constrained_reuse_keeps_every_bit(g, data):
@@ -314,12 +321,11 @@ def test_constrained_reuse_keeps_every_bit(g, data):
         _same_tree(mst_constrained(g, w, forced), constrained_reference(g, w, forced))
     for w in pool[:-1]:  # the trees of all weights but the last are known
         _same_tree(mst_kruskal(g, w), kruskal_reference(g, w))
-    remembered = list(g._trees)
     for _ in range(2):
         for f in (forced, frozenset(forced), forest()):
             for w in pool:
                 _same_tree(mst_constrained(g, w, f), constrained_reference(g, w, f))
-                assert list(g._trees) == remembered  # a peek, not a use
+                _assert_latest_tree(g, w)  # read and filled like mst_kruskal's
 
     # a set can change between calls, so it is never remembered
     mutable = set(forced)
@@ -340,7 +346,7 @@ def test_constrained_reuse_keeps_every_bit(g, data):
                 with pytest.raises(ValueError, match="out of range|cycle"):
                     mst_constrained(g, w, f)
             _same_tree(mst_constrained(g, w, forced), constrained_reference(g, w, forced))
-    assert list(g._trees) == remembered
+            _assert_latest_tree(g, w)
 
 
 def test_constrained_reuse_rejects_invalid_weights_on_each_path():
@@ -353,3 +359,63 @@ def test_constrained_reuse_rejects_invalid_weights_on_each_path():
             mst_constrained(g, [float("nan"), 2.0, 3.0], forced)
         with pytest.raises(ValueError, match="edge weights"):
             mst_constrained(g, [[1.0, 2.0, 3.0]], forced)
+
+
+# ---------------------------------------------------------------------------
+# _recall, the one lookup, fill and eviction of every bounded memo
+
+
+@settings(max_examples=100)
+@given(st.sampled_from([1, 4, _MEMO_TREES]), st.lists(st.integers(0, 20), max_size=60))
+def test_recall_keeps_the_most_recently_used_entries(size, keys):
+    memo, made, recent = {}, [], []  # recent: keys from least to most recently used
+    for key in keys:
+        remembered, calls = key in recent[-size:], len(made)
+        assert _recall(memo, key, size, lambda k: made.append(k) or -k, key) == -key
+        assert made[calls:] == ([] if remembered else [key])
+        if key in recent:
+            recent.remove(key)
+        recent.append(key)
+        assert list(memo) == recent[-size:]
+        assert memo == {k: -k for k in recent[-size:]}
+
+
+def test_recall_stores_nothing_when_make_raises():
+    def make(key):
+        if key < 0:
+            raise ValueError("refused")
+        return key
+
+    memo = {}
+    for key in (1, 2):
+        _recall(memo, key, 2, make, key)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="refused"):
+            _recall(memo, -1, 2, make, -1)
+        assert list(memo) == [1, 2]
+
+
+# ---------------------------------------------------------------------------
+# ids must be integers: a float, even an integral one, would be truncated
+
+
+def test_graph_refuses_non_integer_vertex_ids():
+    for edges in ([(0.5, 1), (1, 2.9)], [(0.0, 1), (1, 2)], [(0, 1), (1, np.float64(2))]):
+        with pytest.raises(TypeError, match="vertex ids must be integers"):
+            Graph(3, edges)
+    g = Graph(3, np.array([[0, 1], [1, 2]], dtype=np.int32))
+    assert g.edges == ((0, 1), (1, 2)) and all(type(end) is int for edge in g.edges for end in edge)
+
+
+def test_mst_constrained_refuses_non_integer_forced_ids():
+    g = grid_graph(2, 2)
+    w = np.array([0.0, 1.0, 2.0, 3.0])
+    want = mst_constrained(g, w, frozenset({1}))
+    # the forced forest is remembered by value and frozenset({1.0}) == frozenset({1}),
+    # so the check comes before the memo is read
+    for forced in ({0.7}, frozenset({1.0}), {np.float64(1.0)}, [1, 0.5]):
+        with pytest.raises(TypeError, match="forced edge ids must be integers"):
+            mst_constrained(g, w, forced)
+    for forced in ({np.int64(1)}, [np.int32(1)], (1,)):
+        _same_tree(mst_constrained(g, w, forced), want)
+        assert all(type(e) is int for e in mst_constrained(g, w, forced))

@@ -176,6 +176,25 @@ def test_infinite_setting_raises_naming_its_parameter(build, message):
         build()
 
 
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: learning.LearnerConfig(box_radius=0.0),
+                 "learner key 'box_radius' must be > 0", id="LearnerConfig-box_radius"),
+    pytest.param(lambda: learning.fyl_learn([], None, None, box_radius=-1.0),
+                 "fyl key 'box_radius' must be > 0", id="fyl_learn-box_radius"),
+    pytest.param(lambda: WeightVector(w=[0.0], box_radius=0.0), "box radius must be > 0",
+                 id="WeightVector-box_radius"),
+    *[pytest.param(lambda key=key: learning.BoundParams(**{"M": 1.0, "d": 2, key: 0.0}),
+                   f"bounds key {key!r} must be > 0", id=f"BoundParams-{key}")
+      for key in ("M", "b", "kappa_phi", "expectation_term")],
+    pytest.param(lambda: scheduling.generate_sched_instance(3, 0.0, seed=0), "rho must be > 0",
+                 id="generate_sched_instance-rho"),
+])
+def test_positive_setting_at_zero_raises_naming_its_parameter(build, message):
+    # one check (model._positive) writes every "must be > 0" limit of a finite setting
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,

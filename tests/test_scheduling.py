@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from co_pipeline import learning
+from co_pipeline import learning, scheduling
 from co_pipeline.model import WeightVector
 from co_pipeline.scheduling import (
     BRUTE_FORCE_JOB_LIMIT,
@@ -612,6 +612,67 @@ def test_loss_cache_never_serves_a_freed_instance():
         stale += learning.loss(x, w, shared) != learning.loss(x, w, fresh)
         del x
     assert stale == 0
+
+
+def _uncached_loss(x, w, post):
+    return evaluate_schedule(x, pipeline_order(x, w, post=post))[0] / (x.n * (x.n + 1))
+
+
+_WEIGHTS = st.lists(st.floats(-10, 10), min_size=SCHED_FEATURE_DIM, max_size=SCHED_FEATURE_DIM)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(["none", "ls"]), st.lists(_WEIGHTS, min_size=1, max_size=6))
+def test_cached_loss_has_the_bits_of_an_uncached_pipeline(post, weights):
+    xs = [generate_sched_instance(n, 1.0, seed=n) for n in (1, 5, 8)]
+    cfg = experience_loss_config(post=post)
+    for w in map(np.array, weights + weights[::-1]):
+        for x in xs:
+            assert cfg.pipeline_loss(x, w).hex() == _uncached_loss(x, w, post).hex()
+
+
+@pytest.mark.parametrize("post, cost", [("none", "_total"), ("ls", "local_search")])
+def test_cached_loss_computes_features_once_per_instance_and_cost_once_per_order(
+        post, cost, monkeypatch):
+    calls = {"features": [], cost: []}
+
+    def counting(name):
+        fn = getattr(scheduling, name)
+
+        def counted(x, *order):
+            calls[name].append((x, *(tuple(o.tolist()) for o in order)))
+            return fn(x, *order)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(scheduling, name, counting(name))
+    xs = [generate_sched_instance(6, 1.0, seed=seed) for seed in (1, 2)]
+    weights = list(np.random.default_rng(9).uniform(-1, 1, (5, SCHED_FEATURE_DIM)))
+    for _ in range(2):  # two configs never share an entry
+        cfg = experience_loss_config(post=post)
+        for w in weights + weights:
+            for x in xs:
+                cfg.pipeline_loss(x, w)
+    orders = {(x, tuple(spt_layer(features(x) @ w).tolist())) for x in xs for w in weights}
+    assert calls["features"] == [(x,) for x in xs] * 2
+    first, second = calls[cost][:len(orders)], calls[cost][len(orders):]
+    assert len(first) == len(orders) and set(first) == orders and second == first
+
+
+def test_job_ids_must_be_integers():
+    # a float id used to be truncated: [0.9, 1.2, 2.5, 3.7] scored as [0, 1, 2, 3]
+    x = generate_sched_instance(4, 1.0, seed=0)
+    total, by_job = evaluate_schedule(x, [0, 1, 2, 3])
+    searched = local_search(x, [0, 1, 2, 3])
+    for order in ([0.9, 1.2, 2.5, 3.7], [0.0, 1.0, 2.0, 3.0], np.arange(4.0)):
+        for fn in (evaluate_schedule, local_search):
+            with pytest.raises(TypeError, match="job ids must be integers"):
+                fn(x, order)
+    for order in (np.arange(4, dtype=np.int32), np.arange(4, dtype=np.uint8),
+                  [np.int64(j) for j in range(4)]):
+        got_total, got_by_job = evaluate_schedule(x, order)
+        assert got_total.hex() == total.hex() and got_by_job.tobytes() == by_job.tobytes()
+        assert local_search(x, order).tolist() == searched.tolist()
 
 
 def test_instance_arrays_are_read_only_copies():

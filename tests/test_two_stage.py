@@ -231,18 +231,18 @@ def test_easy_layer_objective_minimal_over_enumerated_splits():
 def test_decode_two_candidates():
     x = _one_edge(-5, [-3])
     y = EasySolution(frozenset({0}), frozenset())
-    z = decode(x, y)
+    z = decode(x, y.first_stage)
     assert z.first_stage == frozenset({0})  # candidate A wins at -5 vs -3
 
     x2 = _one_edge(-1, [-5])
-    z2 = decode(x2, y)
+    z2 = decode(x2, y.first_stage)
     assert z2.first_stage == frozenset()  # candidate B (all second stage) wins
     assert z2.second_stage == (frozenset({0}),)
 
 
 def test_decode_tie_keeps_candidate_a():
     x = _one_edge(-4, [-4])
-    z = decode(x, EasySolution(frozenset({0}), frozenset()))
+    z = decode(x, frozenset({0}))
     assert z.first_stage == frozenset({0})
 
 
@@ -250,7 +250,7 @@ def test_decode_empty_first_stage_candidates_coincide():
     rng = np.random.default_rng(8)
     x = _random_small_instance(rng)
     y = EasySolution(frozenset(), frozenset())
-    z = decode(x, y)
+    z = decode(x, y.first_stage)
     assert z.first_stage == frozenset()
     trees = spanning_trees(x.graph)
     want = np.mean([min(sum(x.d[e, s] for e in t) for t in trees) for s in range(x.num_scenarios)])
@@ -322,7 +322,7 @@ def test_evaluate_solution_accepts_exactly_the_spanning_trees(x, data):
 def test_decode_always_feasible(x, data):
     theta = data.draw(st.lists(st.floats(-10, 10), min_size=2 * x.num_edges,
                                max_size=2 * x.num_edges))
-    z = decode(x, easy_layer(x, np.array(theta)))
+    z = decode(x, easy_layer(x, np.array(theta)).first_stage)
     evaluate_solution(x, z)  # raises if infeasible
     assert all(_spans(x, z.first_stage | es) for es in z.second_stage)
 
@@ -450,7 +450,8 @@ def _pipeline_outputs(x, data):
         return np.array(data.draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n)))
 
     _, lam, _ = lagrangian_bound(x, iters=20)
-    return [decode(x, easy_layer(x, floats(x.dim))), decode(x, easy_layer(x, floats(x.dim))),
+    return [decode(x, easy_layer(x, floats(x.dim)).first_stage),
+            decode(x, easy_layer(x, floats(x.dim)).first_stage),
             approx_baseline(x), lagrangian_heuristic(x, lam),
             pipeline_solution(x, floats(TWO_STAGE_FEATURE_DIM))]
 
@@ -672,7 +673,7 @@ def test_perturbed_baseline_inequality():
         for _ in range(5):
             p = rng.normal(size=2 * x.num_edges)
             p *= rng.uniform(0, 10) / max(np.abs(p).sum(), 1e-12)
-            z = decode(x, easy_layer(x, base + p))
+            z = decode(x, easy_layer(x, base + p).first_stage)
             cost = evaluate_solution(x, z)
             assert cost - opt <= 0.5 * abs(opt) + np.abs(p).sum() + 1e-9
 
@@ -1117,6 +1118,53 @@ def test_experience_loss_gap_formula():
         assert cfg.pipeline_loss(x, w) == pytest.approx(
             (cost - lb) / max(1.0, abs(lb)), abs=1e-12
         )
+
+
+def _loss_pairs():
+    xs = [generate_instance(3, 20, 2, seed=seed) for seed in (3, 4)]
+    return [(x, lagrangian_bound(x, iters=30)[0]) for x in xs]
+
+
+_LOSS_PAIRS = _loss_pairs()
+_WEIGHTS = st.lists(st.floats(-10, 10), min_size=TWO_STAGE_FEATURE_DIM,
+                    max_size=TWO_STAGE_FEATURE_DIM)
+
+
+@settings(max_examples=60)
+@given(st.lists(_WEIGHTS, min_size=1, max_size=6))
+def test_cached_loss_has_the_bits_of_an_uncached_pipeline(weights):
+    cfg = experience_loss_config(_LOSS_PAIRS, None)
+    for w in map(np.array, weights + weights[::-1]):
+        for x, lb in _LOSS_PAIRS:
+            want = (evaluate_solution(x, pipeline_solution(x, w)) - lb) / max(1.0, abs(lb))
+            assert _same_bits(cfg.pipeline_loss(x, w), want)
+
+
+def test_cached_loss_computes_features_once_per_instance_and_decode_once_per_first_stage(
+        monkeypatch):
+    calls = {"features": [], "decode": []}
+
+    def counting(name):
+        fn = getattr(two_stage, name)
+
+        def counted(x, *first):
+            calls[name].append((x, *first))
+            return fn(x, *first)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(two_stage, name, counting(name))
+    weights = list(np.random.default_rng(9).uniform(-1, 1, (5, TWO_STAGE_FEATURE_DIM)))
+    xs = [x for x, _ in _LOSS_PAIRS]
+    for _ in range(2):  # two configs never share an entry
+        cfg = experience_loss_config(_LOSS_PAIRS, None)
+        for w in weights + weights:
+            for x in xs:
+                cfg.pipeline_loss(x, w)
+    firsts = {(x, easy_layer(x, features(x) @ w).first_stage) for x in xs for w in weights}
+    assert calls["features"] == [(x,) for x in xs] * 2
+    first, second = calls["decode"][:len(firsts)], calls["decode"][len(firsts):]
+    assert len(first) == len(firsts) and set(first) == firsts and second == first
 
 
 def test_loss_rejects_an_instance_outside_its_pairs():
