@@ -29,6 +29,16 @@ def _child_seeds(master_seed: int, count: int) -> list[int]:
     return [int(child.generate_state(1)[0]) for child in children]
 
 
+def _repeat(ids):
+    """The first id that an earlier one equals, or None."""
+    seen = set()
+    for inst_id in ids:
+        if inst_id in seen:
+            return inst_id
+        seen.add(inst_id)
+    return None
+
+
 _APPLICATIONS = {"two_stage": two_stage.APPLICATION, "scheduling": scheduling.APPLICATION}
 
 
@@ -47,16 +57,17 @@ def _cmd_generate(app, config: dict, out: Path, /, application: str, seed: int,
                   per_cell: int, **axes) -> int:
     model._at_least(per_cell, 1, "generate key 'per_cell'")
     model._at_least(seed, 0, "generate key 'seed'")
-    cells = app.cells(**axes)
+    named = [(cell, app.instance_id(cell, i)) for cell in app.cells(**axes)
+             for i in range(per_cell)]
+    repeat = _repeat(inst_id for _, inst_id in named)
+    if repeat is not None:
+        raise ValueError(f"generate gives two instances the id {repeat!r}")
     inst_dir = out / "instances"
     inst_dir.mkdir(parents=True, exist_ok=True)
-    seeds = iter(_child_seeds(seed, len(cells) * per_cell))
     rows = []
-    for cell in cells:
-        for i in range(per_cell):
-            inst_id = app.instance_id(cell, i)
-            fields = app.generate(cell, next(seeds), inst_dir / f"{inst_id}.json")
-            rows.append({"id": inst_id, "file": f"instances/{inst_id}.json", **fields})
+    for (cell, inst_id), child in zip(named, _child_seeds(seed, len(named))):
+        fields = app.generate(cell, child, inst_dir / f"{inst_id}.json")
+        rows.append({"id": inst_id, "file": f"instances/{inst_id}.json", **fields})
     manifest = {"application": application, "config": config, "seed": seed,
                 "instances": rows}
     model._write_json(out / "manifest.json", manifest)
@@ -90,6 +101,9 @@ def _dataset(dataset: str) -> tuple:
                 model._typed(row[key], kind, name)
             except ValueError as exc:
                 raise ValueError(f"{instance} key {key!r}: {exc}") from None
+    repeat = _repeat(row["id"] for row in manifest["instances"])
+    if repeat is not None:
+        raise ValueError(f"instance {repeat!r} in {path} repeats an earlier row's id")
     return app, manifest
 
 

@@ -1,5 +1,5 @@
-"""Test oracles, by depth-first search, exhaustive enumeration and plain
-Kruskal.
+"""Test oracles, by depth-first search, exhaustive enumeration, plain
+Kruskal and scipy's csgraph.
 
 They share no code with the package, so a test that checks Kruskal or the
 constrained MST against them does not check the package's union-find
@@ -10,6 +10,7 @@ separate copy of its search.
 import itertools
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
 
 def connected(num_vertices, pairs):
@@ -26,6 +27,27 @@ def connected(num_vertices, pairs):
                 seen.add(nxt)
                 stack.append(nxt)
     return len(seen) == num_vertices
+
+
+def components(num_vertices, pairs):
+    """Number of connected components of ({0..num_vertices-1}, pairs), by scipy."""
+    adj = np.zeros((num_vertices, num_vertices))
+    for u, v in pairs:
+        adj[u, v] = 1.0
+    return connected_components(adj, directed=False)[0]
+
+
+def scipy_tree(graph, weights):
+    """Edge ids of scipy's minimum spanning tree.  csgraph reads a weight of
+    0 as a missing edge, so the weights must be positive; distinct weights
+    make the tree unique."""
+    dense = np.zeros((graph.num_vertices, graph.num_vertices))
+    eid = {}
+    for e, (u, v) in enumerate(graph.edges):
+        dense[min(u, v), max(u, v)] = weights[e]
+        eid[min(u, v), max(u, v)] = e
+    rows, cols = minimum_spanning_tree(dense).nonzero()
+    return frozenset(eid[min(u, v), max(u, v)] for u, v in zip(rows.tolist(), cols.tolist()))
 
 
 def spanning_trees(graph):

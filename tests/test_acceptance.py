@@ -7,7 +7,6 @@ and learner budgets; every run of this file reproduces the same numbers.
 """
 
 import hashlib
-import itertools
 import json
 import math
 import time
@@ -15,12 +14,13 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from oracles import connected, spanning_trees
+from generators import random_connected_graph, random_two_stage
+from oracles import spanning_trees
 from scipy import integrate
 
 from co_pipeline import learning, model, scheduling, two_stage
 from co_pipeline.cli import main as cli_main
-from co_pipeline.graphs import Graph, mst_constrained, mst_kruskal
+from co_pipeline.graphs import mst_constrained, mst_kruskal
 
 
 def _report(num, ok, detail):
@@ -30,30 +30,6 @@ def _report(num, ok, detail):
 
 # ---------------------------------------------------------------------------
 # shared generators
-
-
-def _random_graph(rng, max_vertices=6, max_edges=None):
-    while True:
-        n = int(rng.integers(3, max_vertices + 1))
-        pairs = list(itertools.combinations(range(n), 2))
-        keep = rng.random(len(pairs)) < 0.6
-        edges = [pairs[i] for i in range(len(pairs)) if keep[i]]
-        if len(edges) < n - 1:
-            continue
-        if max_edges is not None and len(edges) > max_edges:
-            continue
-        if connected(n, edges):
-            return Graph(n, edges)
-
-
-def _random_two_stage(rng, max_edges=8, max_scenarios=3):
-    g = _random_graph(rng, max_vertices=5, max_edges=max_edges)
-    n_scen = int(rng.integers(1, max_scenarios + 1))
-    return two_stage.TwoStageInstance(
-        graph=g,
-        c=-rng.integers(0, 21, size=g.num_edges).astype(float),
-        d=-rng.integers(0, 21, size=(g.num_edges, n_scen)).astype(float),
-    )
 
 
 @lru_cache(maxsize=None)
@@ -116,7 +92,7 @@ def test_criterion_01_mst_oracle_equivalence():
     rng = np.random.default_rng(10_001)
     checked = 0
     for _ in range(500):
-        g = _random_graph(rng)
+        g = random_connected_graph(rng)
         w = rng.normal(size=g.num_edges)
         trees = spanning_trees(g)
         weight = lambda t: sum(w[e] for e in t)  # noqa: E731
@@ -142,7 +118,7 @@ def test_criterion_02_perturbation_inequality():
     violations = 0
     worst = -np.inf
     for _ in range(300):
-        x = _random_two_stage(rng)
+        x = random_two_stage(rng)
         opt, _ = two_stage.brute_force_optimum(x)
         base = two_stage.theta_tilde(x)
         for _ in range(10):
@@ -173,7 +149,7 @@ def test_criterion_03_baseline_half_ratio():
     rng = np.random.default_rng(30_003)
     violations = 0
     for _ in range(300):
-        x = _random_two_stage(rng)
+        x = random_two_stage(rng)
         opt, _ = two_stage.brute_force_optimum(x)
         cost = two_stage.evaluate_solution(x, two_stage.approx_baseline(x))
         if cost - opt > 0.5 * abs(opt) + 1e-9:
@@ -185,7 +161,7 @@ def test_criterion_04_lagrangian_bound_sanity():
     rng = np.random.default_rng(40_004)
     below = tight = singles = 0
     for i in range(200):
-        x = _random_two_stage(rng, max_scenarios=1 if i % 2 == 0 else 3)
+        x = random_two_stage(rng, max_scenarios=1 if i % 2 == 0 else 3)
         lb, _, _ = two_stage.lagrangian_bound(x, iters=60)
         opt, _ = two_stage.brute_force_optimum(x)
         if lb <= opt + 1e-9:

@@ -5,11 +5,13 @@ import functools
 import hashlib
 import inspect
 import json
+import operator
 import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -187,35 +189,6 @@ def test_eval_reference_is_never_above_a_cost(tmp_path):
         rows = list(csv.reader(fh))[1:]
     assert rows[0] == ["a", "lagr", "-257.8", "-257.8", "0.000000", "0.0"]
     assert not any(r[4].startswith("-") for r in rows)
-
-
-@pytest.mark.parametrize("key", ["application", "instances", "id", "file", "width",
-                                 "lower_bound", "instances=[]"])
-def test_manifest_missing_field_is_named(key, two_stage_dataset, tmp_path, capsys):
-    # the manifest and the instance are named, not the config, before any
-    # entry runs or --out is created
-    _, ds = two_stage_dataset
-    manifest = json.loads((ds / "manifest.json").read_text())
-    if key == "instances=[]":
-        manifest["instances"] = []
-    elif key in manifest:
-        del manifest[key]
-    else:
-        del manifest["instances"][1][key]
-    (ds / "manifest.json").write_text(json.dumps(manifest))
-    ev = _write(tmp_path / "ev.json", {"dataset": str(ds), "algorithms": [
-        {"name": "base", "kind": "approx_baseline"}]})
-    out = tmp_path / "ev"
-    capsys.readouterr()
-    assert main(["eval", "--config", ev, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    want = "key 'instances': [] is an empty list" if key == "instances=[]" else f"has no {key!r}"
-    assert want in err and str(ds / "manifest.json") in err
-    assert "missing config key" not in err
-    if key in ("id", "file", "width", "lower_bound"):
-        row = manifest["instances"][1]
-        assert f"instance {row.get('id', 1)!r}" in err
-    assert not out.exists()
 
 
 def test_scheduling_round_trip_with_brute_reference(tmp_path):
@@ -421,315 +394,34 @@ def test_bounds_command(tmp_path, capsys):
     assert float(rows[2][2]) == pytest.approx(float(rows[1][2]) / 2.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("key, value, message", [
-    ("M", 0, "bounds key 'M' must be > 0"),
-    ("d", 0, "bounds key 'd' must be >= 1"),
-    ("n", [100, 0], "bounds key 'n' must be >= 1"),
-    ("delta", 1.0, "bounds key 'delta' must lie in (0, 1)"),
-    ("sigma", -0.5, "bounds key 'sigma' must be >= 0"),
-    ("sigma", 0, "bounds key 'sigma' must be > 0"),
-    ("b", 0, "bounds key 'b' must be > 0"),
-    ("kappa_phi", -1, "bounds key 'kappa_phi' must be > 0"),
-    ("expectation_term", 0, "bounds key 'expectation_term' must be > 0"),
-])
-def test_bounds_range_error_names_its_key(key, value, message, tmp_path, capsys):
-    cfg = _write(tmp_path / "bounds.json", {"M": 10.0, "d": 34, "n": [100], key: value})
-    out = tmp_path / "b"
-    capsys.readouterr()
-    assert main(["bounds", "--config", cfg, "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.strip() == f"error: {message}"
-    assert captured.out == ""
-    assert not out.exists()
+# ---------------------------------------------------------------------------
+# refused command lines: one row shape, one runner
 
+# Each row runs in its own copy of the same files, named relative to the
+# directory it runs in: a two-stage and a scheduling dataset, and a weights
+# file for each application.
+_TS_M, _TS_X = "ts/manifest.json", "ts/instances/ts_w3_K10_S2_000.json"
+_SM_M, _SM_X = "sm/manifest.json", "sm/instances/sm_n4_rho1_000.json"
+_TS_ROW = f"instance 'ts_w3_K10_S2_000' in {_TS_M}"
+_SM_ROW = f"instance 'sm_n4_rho1_000' in {_SM_M}"
+_W34, _W11 = "w34.json", "w11.json"
+_DATASETS = {"two_stage": "ts", "scheduling": "sm"}
 
-def test_cli_error_exits(tmp_path, capsys):
-    assert main(["eval", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o")]) == 1
-    assert "error:" in capsys.readouterr().err
-    bad = _write(tmp_path / "bad.json", {"application": "nope", "seed": 0})
-    assert main(["generate", "--config", bad, "--out", str(tmp_path / "o2")]) == 1
-    gen = _write(
-        tmp_path / "gen.json",
-        {"application": "scheduling", "n": [3], "rho": [1.0], "per_cell": 1, "seed": 0},
-    )
-    assert main(["generate", "--config", gen]) == 1  # --out is required
-    capsys.readouterr()
-    # a misspelled application in a manifest or a train config is named,
-    # never loaded as the other application
-    ds = tmp_path / "ds"
-    assert main(["generate", "--config", gen, "--out", str(ds)]) == 0
-    manifest = json.loads((ds / "manifest.json").read_text())
-    (ds / "manifest.json").write_text(json.dumps({**manifest, "application": "two_stagee"}))
-    ev = _write(
-        tmp_path / "ev.json", {"dataset": str(ds), "algorithms": [{"name": "spt", "kind": "spt"}]}
-    )
-    assert main(["eval", "--config", ev, "--out", str(tmp_path / "o3")]) == 1
-    err = capsys.readouterr().err
-    assert "'two_stagee'" in err and "two_stage, scheduling" in err
-    (ds / "manifest.json").write_text(json.dumps(manifest))
-    # two eval entries with one name would share one row of costs
-    dup = _write(tmp_path / "dup.json", {"dataset": str(ds), "algorithms": [
-        {"name": "a", "kind": "brute_force"}, {"name": "a", "kind": "spt"}]})
-    assert main(["eval", "--config", dup, "--out", str(tmp_path / "o_dup")]) == 1
-    assert "'a'" in capsys.readouterr().err
-    assert not (tmp_path / "o_dup").exists()
-    # brute force takes at most 9 jobs: a larger instance fails before any
-    # entry runs or --out is created
-    big = tmp_path / "big"
-    big_gen = _write(tmp_path / "big_gen.json", {"application": "scheduling", "n": [3, 10],
-                                                 "rho": [1.0], "per_cell": 1, "seed": 0})
-    assert main(["generate", "--config", big_gen, "--out", str(big)]) == 0
-    brute = _write(tmp_path / "brute.json", {"dataset": str(big), "algorithms": [
-        {"name": "spt", "kind": "spt"}, {"name": "bf", "kind": "brute_force"}]})
-    assert main(["eval", "--config", brute, "--out", str(tmp_path / "o_brute")]) == 1
-    assert "brute force limited to 9 jobs" in capsys.readouterr().err
-    assert not (tmp_path / "o_brute").exists()
-    tr = _write(tmp_path / "tr.json", {"application": "schedule", "dataset": str(ds)})
-    assert main(["train", "--config", tr, "--out", str(tmp_path / "o4")]) == 1
-    err = capsys.readouterr().err
-    assert "'schedule'" in err and "two_stage, scheduling" in err
-    # a manifest row without its file, or a two-stage row without its lower
-    # bound, is named with its manifest
-    row = manifest["instances"][0]
-    no_file = {k: v for k, v in row.items() if k != "file"}
-    (ds / "manifest.json").write_text(json.dumps({**manifest, "instances": [no_file]}))
-    assert main(["eval", "--config", ev, "--out", str(tmp_path / "o5")]) == 1
-    err = capsys.readouterr().err
-    assert f"instance {row['id']!r}" in err and str(ds / "manifest.json") in err
-    ts = tmp_path / "ts"
-    ts_gen = _write(tmp_path / "ts_gen.json", {"application": "two_stage", "widths": [2], "K": [5],
-                                               "scenarios": [1], "per_cell": 1, "seed": 0,
-                                               "bound_iters": 5})
-    assert main(["generate", "--config", ts_gen, "--out", str(ts)]) == 0
-    manifest = json.loads((ts / "manifest.json").read_text())
-    row = manifest["instances"][0]
-    del row["lower_bound"]
-    (ts / "manifest.json").write_text(json.dumps(manifest))
-    tr = _write(tmp_path / "tr_ts.json", {"dataset": str(ts), "learner": {"budget": 5, "seeds": [0]}})
-    assert main(["train", "--config", tr, "--out", str(tmp_path / "o6")]) == 1
-    err = capsys.readouterr().err
-    assert f"instance {row['id']!r}" in err and "'lower_bound'" in err
-    # a block the training method never reads is named with the method
-    ok = tmp_path / "ok"
-    assert main(["generate", "--config", ts_gen, "--out", str(ok)]) == 0
-    for method, block in (("experience", "fyl"), ("fyl", "learner"), ("fyl", "perturbation")):
-        tr = _write(tmp_path / "tr_block.json", {"dataset": str(ok), "method": method, block: {}})
-        assert main(["train", "--config", tr, "--out", str(tmp_path / "o7")]) == 1
-        err = capsys.readouterr().err
-        assert f"{method!r}" in err and f"{block!r}" in err
-    assert not (tmp_path / "o7").exists()
-    # the config is the whole run: every subcommand takes --config and --out
-    # only, and --seed or --json exits 2 before anything is written
-    for command, config in (("generate", ts_gen), ("train", tr), ("eval", ev), ("bounds", ts_gen)):
-        for flag in (["--seed", "5"], ["--json"]):
-            with pytest.raises(SystemExit) as exc:
-                main([command, "--config", config, "--out", str(tmp_path / "o8"), *flag])
-            assert exc.value.code == 2
-            assert not (tmp_path / "o8").exists()
-
-
-def _typo_configs(ds, weights, w11, sched):
-    """block -> (command, config, key, nearest valid key) of one bad key in `block`.
-
-    ds is a two-stage dataset and sched a scheduling one; weights is a two-stage
-    weights file and w11 a file of scheduling's 11 weights.  A misspelled key has
-    a nearest valid key, any other bad key None."""
-    train = {"application": "two_stage", "dataset": ds}
-    nan, inf = float("nan"), float("inf")
-    entries = [{"name": "pipeline", "kind": "pipeline", "weights": weights}]
-    two_stage_gen = {"application": "two_stage", "widths": [3], "K": [10], "scenarios": [2],
-                     "per_cell": 1, "seed": 0, "bound_iters": 5}
-    return {
-        "generate": ("generate", {**two_stage_gen, "bound_iter": 5}, "bound_iter", "bound_iters"),
-        "train": ("train", {**train, "methd": "fyl"}, "methd", "method"),
-        "learner": ("train", {**train, "learner": {"bugdet": 50, "seeds": [0]}}, "bugdet", "budget"),
-        "perturbation": ("train", {**train, "perturbation": {"sigma": 0.5, "nsample": 3}},
-                         "nsample", "nsamples"),
-        "fyl": ("train", {**train, "method": "fyl", "fyl": {"epsilom": 0.5}}, "epsilom", "epsilon"),
-        "eval": ("eval", {"dataset": ds, "algorithms": entries, "aplication": "two_stage"},
-                 "aplication", "application"),
-        "eval_entry": ("eval", {"dataset": ds, "algorithms": [
-            *entries, {"name": "lagr", "kind": "lagrangian_heuristic", "iter": 5}]}, "iter", "iters"),
-        # a positional-only parameter of a consumer is not a key
-        "eval_entry_x": ("eval", {"dataset": ds, "algorithms": [
-            {"name": "lagr", "kind": "lagrangian_heuristic", "x": 5}]}, "x", None),
-        "fyl_pairs": ("train", {**train, "method": "fyl", "fyl": {"pairs": []}}, "pairs", None),
-        "bounds": ("bounds", {"M": 10.0, "d": 34, "n": [100, 400], "sigm": 0.5}, "sigm", "sigma"),
-        # beta moves no bound, so it is not a bounds key
-        "bounds_beta": ("bounds", {"M": 10.0, "d": 34, "beta": 2}, "beta", "delta"),
-        # a stage run over an empty list, or zero instances per cell, does nothing
-        "generate_empty_axis": ("generate", {**two_stage_gen, "widths": []}, "widths", None),
-        "generate_empty_n": ("generate", {"application": "scheduling", "n": [], "rho": [1.0],
-                                          "per_cell": 1, "seed": 0}, "n", None),
-        "generate_per_cell_0": ("generate", {**two_stage_gen, "per_cell": 0}, "per_cell", None),
-        # an out-of-range value fails before any instance is written
-        "generate_width_1": ("generate", {**two_stage_gen, "widths": [3, 1]}, "widths", None),
-        "generate_rho_0": ("generate", {"application": "scheduling", "n": [5], "rho": [1.0, 0],
-                                        "per_cell": 1, "seed": 0}, "rho", None),
-        "generate_seed_negative": ("generate", {**two_stage_gen, "seed": -2}, "seed", None),
-        "learner_seed_negative": ("train", {**train, "learner": {"budget": 5, "seeds": [-1]}},
-                                  "seeds", None),
-        "fyl_seed_negative": ("train", {**train, "method": "fyl", "fyl": {"seed": -1}}, "seed", None),
-        "fyl_bound_iters_0": ("train", {**train, "method": "fyl", "fyl": {"bound_iters": 0}},
-                              "bound_iters", None),
-        # a training setting out of range is named as its key, and a fyl
-        # setting fails before any bound runs
-        "learner_budget_0": ("train", {**train, "learner": {"budget": 0, "seeds": [0]}},
-                             "budget", None),
-        "learner_box_radius_0": ("train", {**train, "learner": {"box_radius": 0, "seeds": [0]}},
-                                 "box_radius", None),
-        "learner_seeds_empty": ("train", {**train, "learner": {"seeds": []}}, "seeds", None),
-        "perturbation_sigma_negative": ("train", {**train, "perturbation": {"sigma": -1}},
-                                        "sigma", None),
-        "perturbation_nsamples_0": ("train", {**train, "perturbation": {"sigma": 1, "nsamples": 0}},
-                                    "nsamples", None),
-        "fyl_epsilon_negative": ("train", {**train, "method": "fyl", "fyl": {"epsilon": -1}},
-                                 "epsilon", None),
-        "fyl_n_z_0": ("train", {**train, "method": "fyl", "fyl": {"n_z": 0}}, "n_z", None),
-        "fyl_steps_negative": ("train", {**train, "method": "fyl", "fyl": {"steps": -1}},
-                               "steps", None),
-        "fyl_box_radius_0": ("train", {**train, "method": "fyl", "fyl": {"box_radius": 0}},
-                             "box_radius", None),
-        "eval_empty": ("eval", {"dataset": ds, "algorithms": []}, "algorithms", None),
-        # algorithms is a list of entry objects
-        "eval_algorithms_strings": ("eval", {"dataset": ds, "algorithms": ["spt"]},
-                                    "algorithms", None),
-        "eval_algorithms_object": ("eval", {"dataset": ds, "algorithms": entries[0]},
-                                   "algorithms", None),
-        # scheduling weights (11) on a two-stage dataset (34)
-        "eval_weights_length": ("eval", {"dataset": ds, "algorithms": [
-            {"name": "p", "kind": "pipeline", "weights": w11}]}, "weights", None),
-        "bounds_empty_n": ("bounds", {"M": 10.0, "d": 34, "n": []}, "n", None),
-        # an integer setting refuses a fraction instead of truncating it
-        "generate_per_cell_fraction": ("generate", {**two_stage_gen, "per_cell": 1.5},
-                                       "per_cell", None),
-        "generate_bound_iters_fraction": ("generate", {**two_stage_gen, "bound_iters": 5.5},
-                                          "bound_iters", None),
-        "generate_bound_iters_0": ("generate", {**two_stage_gen, "bound_iters": 0},
-                                   "bound_iters", None),
-        "generate_width_fraction": ("generate", {**two_stage_gen, "widths": [3.5]}, "widths", None),
-        "generate_n_fraction": ("generate", {"application": "scheduling", "n": [5.7], "rho": [1.0],
-                                             "per_cell": 1, "seed": 0}, "n", None),
-        "learner_budget_fraction": ("train", {**train, "learner": {"budget": 5.9, "seeds": [0]}},
-                                    "budget", None),
-        "learner_seeds_fraction": ("train", {**train, "learner": {"budget": 5, "seeds": [0.7]}},
-                                   "seeds", None),
-        "bounds_n_fraction": ("bounds", {"M": 10.0, "d": 34, "n": [100, 100.9]}, "n", None),
-        # a number or a list is given as one: a string or a boolean is not cast
-        "learner_budget_string": ("train", {**train, "learner": {"budget": "5", "seeds": [0]}},
-                                  "budget", None),
-        "learner_budget_bool": ("train", {**train, "learner": {"budget": True, "seeds": [0]}},
-                                "budget", None),
-        "learner_seeds_string": ("train", {**train, "learner": {"budget": 5, "seeds": "12"}},
-                                 "seeds", None),
-        "learner_seeds_bool": ("train", {**train, "learner": {"budget": 5, "seeds": [True]}},
-                               "seeds", None),
-        "fyl_box_radius_string": ("train", {**train, "method": "fyl", "fyl": {"box_radius": "3"}},
-                                  "box_radius", None),
-        "learner_box_radius_bool": ("train", {**train, "learner": {"box_radius": True}},
-                                    "box_radius", None),
-        "perturbation_sigma_string": ("train", {**train, "perturbation": {"sigma": "0.5"}},
-                                      "sigma", None),
-        "perturbation_sigma_bool": ("train", {**train, "perturbation": {"sigma": True}},
-                                    "sigma", None),
-        # an empty block is a block: sigma has no default (null is an absent block)
-        "perturbation_empty": ("train", {**train, "perturbation": {}}, "sigma", None),
-        # each value is read as its annotation says: a list of numbers for a cell
-        # axis, a string for a name, an object for a block
-        "generate_K_bool": ("generate", {**two_stage_gen, "K": [True]}, "K", None),
-        "generate_widths_string": ("generate", {**two_stage_gen, "widths": ["3"]}, "widths", None),
-        "generate_widths_number": ("generate", {**two_stage_gen, "widths": 3}, "widths", None),
-        "train_method_list": ("train", {**train, "method": ["fyl"]}, "method", None),
-        "train_post_number": ("train", {"dataset": sched, "post": 3,
-                                        "learner": {"budget": 5, "seeds": [0]}}, "post", None),
-        "learner_list": ("train", {**train, "learner": [1]}, "learner", None),
-        "train_dataset_number": ("train", {"dataset": 5}, "dataset", None),
-        "eval_dataset_number": ("eval", {"dataset": 5, "algorithms": entries}, "dataset", None),
-        "eval_names_numbers": ("eval", {"dataset": ds, "algorithms": [
-            {"name": 3, "kind": "approx_baseline"}, {"name": "3", "kind": "approx_baseline"}]},
-            "name", None),
-        # a kind that is not a string is an unknown kind
-        "eval_kind_list": ("eval", {"dataset": ds, "algorithms": [
-            {"name": "a", "kind": ["approx_baseline"]}]}, "approx_baseline", None),
-        # every number is finite: JSON's NaN, Infinity and -Infinity are refused
-        "learner_box_radius_nan": ("train", {**train, "learner": {"box_radius": nan}},
-                                   "box_radius", None),
-        "learner_box_radius_inf": ("train", {**train, "learner": {"box_radius": inf}},
-                                   "box_radius", None),
-        "perturbation_sigma_inf": ("train", {**train, "perturbation": {"sigma": inf}},
-                                   "sigma", None),
-        "bounds_delta_nan": ("bounds", {"M": 10.0, "d": 34, "n": [100], "delta": nan},
-                             "delta", None),
-        "generate_rho_negative_inf": ("generate", {"application": "scheduling", "n": [5],
-                                                   "rho": [1.0, -inf], "per_cell": 1, "seed": 0},
-                                      "rho", None),
-    }
-
-
-# the whole message of a value the casts refuse: the block, the key and the value
-_REFUSED = {
-    "learner_box_radius_nan": "learner key 'box_radius': nan is not a finite number",
-    "learner_box_radius_inf": "learner key 'box_radius': inf is not a finite number",
-    "perturbation_sigma_inf": "perturbation key 'sigma': inf is not a finite number",
-    "bounds_delta_nan": "bounds key 'delta': nan is not a finite number",
-    "generate_rho_negative_inf": "generate key 'rho': -inf is not a finite number",
-    "generate_empty_axis": "generate key 'widths': [] is an empty list",
-    "generate_empty_n": "generate key 'n': [] is an empty list",
-    "learner_seeds_empty": "learner key 'seeds': [] is an empty list",
-    "eval_empty": "eval key 'algorithms': [] is an empty list",
-    "bounds_empty_n": "bounds key 'n': [] is an empty list",
-}
-
-
-# the table's block names; the paths given here are never read
-_TYPO_BLOCKS = list(_typo_configs("ds", "weights.json", "w11.json", "sched"))
-
-
-def _typo_case(block, two_stage_dataset, tmp_path):
-    """(argv, output directory, key, nearest valid key) of _typo_configs' block."""
-    base, ds = two_stage_dataset
-    weights = tmp_path / "w" / "weights.json"
-    if block in ("eval", "eval_entry", "eval_empty"):
-        train = _write(base / "t.json", {"dataset": str(ds), "learner": {"budget": 5, "seeds": [0]}})
-        assert main(["train", "--config", train, "--out", str(weights.parent)]) == 0
-    w11 = _write(tmp_path / "w11.json", {"d": 11, "M": 10.0, "w": [0.0] * 11})
-    sched = tmp_path / "sched"
-    if block == "train_post_number":
-        gen = _write(tmp_path / "sched.json", {"application": "scheduling", "n": [4],
-                                                "rho": [1.0], "per_cell": 1, "seed": 0})
-        assert main(["generate", "--config", gen, "--out", str(sched)]) == 0
-    configs = _typo_configs(str(ds), str(weights), w11, str(sched))
-    command, config, key, nearest = configs[block]
-    out = tmp_path / "out"
-    argv = [command, "--config", _write(tmp_path / f"{block}.json", config), "--out", str(out)]
-    return argv, out, key, nearest
-
-
-@pytest.mark.parametrize("block", _TYPO_BLOCKS)
-def test_config_typo_exits_before_writing(block, two_stage_dataset, tmp_path, capsys,
-                                          monkeypatch):
-    argv, out, key, nearest = _typo_case(block, two_stage_dataset, tmp_path)
-    capsys.readouterr()
-
-    @functools.wraps(two_stage.lagrangian_bound)
-    def no_bound(*args, **kwargs):
-        raise AssertionError("a bound ran before the settings were checked")
-
-    monkeypatch.setattr(two_stage, "lagrangian_bound", no_bound)
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert f"{key!r}" in err
-    assert nearest is None or f"did you mean {nearest!r}" in err
-    assert not out.exists() or not any(out.rglob("*"))
-    if argv[0] == "eval":
-        assert not out.exists()
-    if block == "eval_weights_length":
-        assert f"{tmp_path / 'w11.json'} holds 11 weights, the application takes 34" in err
-    if block == "eval_kind_list":
-        assert err == "error: unknown two_stage algorithm kind ['approx_baseline']\n"
-    if block in _REFUSED:
-        assert err == f"error: {_REFUSED[block]}\n"
-
+_TS_GEN = {"application": "two_stage", "widths": [3], "K": [10], "scenarios": [2],
+           "per_cell": 1, "seed": 0, "bound_iters": 5}
+_SM_GEN = {"application": "scheduling", "n": [4], "rho": [1.0], "per_cell": 1, "seed": 0}
+_TRAIN = {"application": "two_stage", "dataset": "ts"}
+_FYL = {**_TRAIN, "method": "fyl"}
+_TR_SM = {"dataset": "sm", "learner": {"budget": 5, "seeds": [0]}}
+_TR_TS = {**_TR_SM, "dataset": "ts"}
+_PIPELINE = {"name": "pipeline", "kind": "pipeline", "weights": _W34}
+_BASE, _SPT = {"name": "base", "kind": "approx_baseline"}, {"name": "spt", "kind": "spt"}
+_BOUNDS = {"M": 10.0, "d": 34, "n": [100]}
+_NOT_JSON = '{"M": 10,'
+_NOT_JSON_SAYS = ": Expecting property name enclosed in double quotes: line 1 column 10 (char 9)"
+_APPS = "; expected one of two_stage, scheduling"
+_DROP = object()  # an edit's value that deletes its key
+_NAN, _INF = float("nan"), float("inf")
 
 _KINDS = [
     ("two_stage", "approx_baseline", "name, kind"),
@@ -743,21 +435,417 @@ _KINDS = [
 ]
 
 
+def _ev(dataset, *algorithms, **keys):
+    return {"dataset": dataset, "algorithms": list(algorithms), **keys}
+
+
+_EV_TS = _ev("ts", _BASE)
+_EV_SM = _ev("sm", {"name": "p", "kind": "pipeline_ls", "weights": _W11})
+
+
+def _pert(**keys):
+    return {"name": "pert", "kind": "pipeline_pert_ls", "weights": _W11, **keys}
+
+
+class Refusal(NamedTuple):
+    """A command line that exits 1 with `message`.  A one-word command takes
+    --config cfg.json, the file of `config` (a string is its text, None
+    writes no file), and --out out.  `edits` maps a file, or a (file, *keys)
+    path to an object or list in it, to the text that replaces the file or
+    to the values set at those keys."""
+
+    command: str
+    config: object
+    message: str
+    edits: dict = {}
+
+
+# Three tables of rows, one per source of the error, each a dict from the
+# row's test id to its Refusal.  A config key or value the command refuses:
+_CONFIG_REFUSALS = {
+    # a config or eval entry key that none of its consumers takes, with the
+    # nearest valid key when one is close (a row named after its block)
+    "generate": ("generate", {**_TS_GEN, "bound_iter": 5},
+                 "unknown generate key 'bound_iter'; did you mean 'bound_iters'? valid: "
+                 "application, seed, per_cell, widths, K, scenarios, bound_iters"),
+    "train": ("train", {**_TRAIN, "methd": "fyl"},
+              "unknown train key 'methd'; did you mean 'method'? valid: "
+              "dataset, application, method, learner, perturbation, fyl"),
+    "learner": ("train", {**_TRAIN, "learner": {"bugdet": 50, "seeds": [0]}},
+                "unknown learner key 'bugdet'; did you mean 'budget'? valid: "
+                "box_radius, budget, seeds"),
+    "perturbation": ("train", {**_TRAIN, "perturbation": {"sigma": 0.5, "nsample": 3}},
+                     "unknown perturbation key 'nsample'; did you mean 'nsamples'? valid: "
+                     "sigma, nsamples, seed"),
+    "fyl": ("train", {**_FYL, "fyl": {"epsilom": 0.5}},
+            "unknown fyl key 'epsilom'; did you mean 'epsilon'? valid: "
+            "bound_iters, epsilon, n_z, steps, rate, box_radius, seed"),
+    "fyl_pairs": ("train", {**_FYL, "fyl": {"pairs": []}},
+                  "unknown fyl key 'pairs'; valid: "
+                  "bound_iters, epsilon, n_z, steps, rate, box_radius, seed"),
+    "eval": ("eval", _ev("ts", _PIPELINE, aplication="two_stage"),
+             "unknown eval key 'aplication'; did you mean 'application'? valid: "
+             "dataset, algorithms, application"),
+    "eval_entry": ("eval", _ev("ts", _PIPELINE, {"name": "lagr", "kind":
+                                                 "lagrangian_heuristic", "iter": 5}),
+                   "unknown lagrangian_heuristic entry key 'iter'; did you mean 'iters'? "
+                   "valid: name, kind, iters"),
+    # a positional-only parameter of a consumer is not a key
+    "eval_entry_x": ("eval", _ev("ts", {"name": "lagr", "kind": "lagrangian_heuristic", "x": 5}),
+                     "unknown lagrangian_heuristic entry key 'x'; valid: name, kind, iters"),
+    # every key of an eval kind, in its order
+    **{f"{application}_{kind}_entry_key_unknown": (
+        "eval", _ev(_DATASETS[application], {"name": "a", "kind": kind, "zzz": 1}),
+        f"unknown {kind} entry key 'zzz'; valid: {valid}") for application, kind, valid in _KINDS},
+    "bounds": ("bounds", {**_BOUNDS, "n": [100, 400], "sigm": 0.5},
+               "unknown bounds key 'sigm'; did you mean 'sigma'? valid: "
+               "M, d, sigma, n, delta, b, kappa_phi, expectation_term"),
+    # beta moves no bound, so it is not a bounds key
+    "bounds_beta": ("bounds", {"M": 10.0, "d": 34, "beta": 2},
+                    "unknown bounds key 'beta'; did you mean 'delta'? valid: "
+                    "M, d, sigma, n, delta, b, kappa_phi, expectation_term"),
+    # a stage run over an empty list, or zero instances per cell, does nothing
+    "generate_empty_axis": ("generate", {**_TS_GEN, "widths": []},
+                            "generate key 'widths': [] is an empty list"),
+    "generate_empty_n": ("generate", {**_SM_GEN, "n": []}, "generate key 'n': [] is an empty list"),
+    "generate_per_cell_0": ("generate", {**_TS_GEN, "per_cell": 0},
+                            "generate key 'per_cell' must be >= 1"),
+    "learner_seeds_empty": ("train", {**_TRAIN, "learner": {"seeds": []}},
+                            "learner key 'seeds': [] is an empty list"),
+    "eval_empty": ("eval", _ev("ts"), "eval key 'algorithms': [] is an empty list"),
+    "bounds_empty_n": ("bounds", {**_BOUNDS, "n": []}, "bounds key 'n': [] is an empty list"),
+    # a setting out of range is named as its key before any instance is
+    # written, any bound runs or any eval entry runs
+    "generate_width_1": ("generate", {**_TS_GEN, "widths": [3, 1]},
+                         "generate key 'widths' must hold integers >= 2"),
+    "generate_rho_0": ("generate", {**_SM_GEN, "rho": [1.0, 0]},
+                       "generate key 'rho' must hold values > 0"),
+    "generate_seed_negative": ("generate", {**_TS_GEN, "seed": -2},
+                               "generate key 'seed' must be >= 0"),
+    "generate_bound_iters_0": ("generate", {**_TS_GEN, "bound_iters": 0},
+                               "generate key 'bound_iters' must be >= 1"),
+    "learner_seed_negative": ("train", {**_TRAIN, "learner": {"budget": 5, "seeds": [-1]}},
+                              "learner key 'seeds' must hold values >= 0"),
+    "learner_budget_0": ("train", {**_TRAIN, "learner": {"budget": 0, "seeds": [0]}},
+                         "learner key 'budget' must be >= 1"),
+    "learner_box_radius_0": ("train", {**_TRAIN, "learner": {"box_radius": 0, "seeds": [0]}},
+                             "learner key 'box_radius' must be > 0"),
+    "perturbation_sigma_negative": ("train", {**_TRAIN, "perturbation": {"sigma": -1}},
+                                    "perturbation key 'sigma' must be >= 0"),
+    "perturbation_nsamples_0": ("train", {**_TRAIN, "perturbation": {"sigma": 1, "nsamples": 0}},
+                                "perturbation key 'nsamples' must be >= 1"),
+    "fyl_seed_negative": ("train", {**_FYL, "fyl": {"seed": -1}}, "fyl key 'seed' must be >= 0"),
+    "fyl_bound_iters_0": ("train", {**_FYL, "fyl": {"bound_iters": 0}},
+                          "fyl key 'bound_iters' must be >= 1"),
+    "fyl_epsilon_negative": ("train", {**_FYL, "fyl": {"epsilon": -1}},
+                             "fyl key 'epsilon' must be >= 0"),
+    "fyl_n_z_0": ("train", {**_FYL, "fyl": {"n_z": 0}}, "fyl key 'n_z' must be >= 1"),
+    "fyl_steps_negative": ("train", {**_FYL, "fyl": {"steps": -1}}, "fyl key 'steps' must be >= 0"),
+    "fyl_box_radius_0": ("train", {**_FYL, "fyl": {"box_radius": 0}},
+                         "fyl key 'box_radius' must be > 0"),
+    # the library's own check of an eval entry's setting, run when the entry is read
+    "eval_lagrangian_iters_0": ("eval", _ev("ts", _BASE, {"name": "a", "kind":
+                                                          "lagrangian_heuristic", "iters": 0}),
+                                "lagrangian_heuristic entry key 'iters' must be >= 1"),
+    "eval_pert_sigma_negative": ("eval", _ev("sm", _SPT, _pert(sigma=-0.5)),
+                                 "pipeline_pert_ls entry key 'sigma' must be >= 0"),
+    "eval_pert_nsamples_negative": ("eval", _ev("sm", _SPT, _pert(nsamples=-1)),
+                                    "pipeline_pert_ls entry key 'nsamples' must be >= 0"),
+    "eval_pert_seed_negative": ("eval", _ev("sm", _SPT, _pert(seed=-1)),
+                                "pipeline_pert_ls entry key 'seed' must be >= 0"),
+    **{f"bounds_{key}_{name}": ("bounds", {**_BOUNDS, key: value}, f"bounds key {key!r} {says}")
+       for key, name, value, says in [
+           ("M", "0", 0, "must be > 0"), ("d", "0", 0, "must be >= 1"),
+           ("n", "0", [100, 0], "must be >= 1"), ("delta", "1", 1.0, "must lie in (0, 1)"),
+           ("sigma", "negative", -0.5, "must be >= 0"), ("sigma", "0", 0, "must be > 0"),
+           ("b", "0", 0, "must be > 0"), ("kappa_phi", "negative", -1, "must be > 0"),
+           ("expectation_term", "0", 0, "must be > 0")]},
+    # an integer setting refuses a fraction instead of truncating it
+    "generate_per_cell_fraction": ("generate", {**_TS_GEN, "per_cell": 1.5},
+                                   "generate key 'per_cell': 1.5 is not an integer"),
+    "generate_bound_iters_fraction": ("generate", {**_TS_GEN, "bound_iters": 5.5},
+                                      "generate key 'bound_iters': 5.5 is not an integer"),
+    "generate_width_fraction": ("generate", {**_TS_GEN, "widths": [3.5]},
+                                "generate key 'widths' must hold integers >= 2"),
+    "generate_n_fraction": ("generate", {**_SM_GEN, "n": [5.7]},
+                            "generate key 'n' must hold integers >= 1"),
+    "learner_budget_fraction": ("train", {**_TRAIN, "learner": {"budget": 5.9, "seeds": [0]}},
+                                "learner key 'budget': 5.9 is not an integer"),
+    "learner_seeds_fraction": ("train", {**_TRAIN, "learner": {"budget": 5, "seeds": [0.7]}},
+                               "learner key 'seeds': 0.7 is not an integer"),
+    "bounds_n_fraction": ("bounds", {**_BOUNDS, "n": [100, 100.9]},
+                          "bounds key 'n': 100.9 is not an integer"),
+    # a number or a list is given as one: a string or a boolean is not cast
+    "learner_budget_string": ("train", {**_TRAIN, "learner": {"budget": "5", "seeds": [0]}},
+                              "learner key 'budget': '5' is not a number"),
+    "learner_budget_bool": ("train", {**_TRAIN, "learner": {"budget": True, "seeds": [0]}},
+                            "learner key 'budget': True is not a number"),
+    "learner_seeds_string": ("train", {**_TRAIN, "learner": {"budget": 5, "seeds": "12"}},
+                             "learner key 'seeds': '12' is not a list"),
+    "learner_seeds_bool": ("train", {**_TRAIN, "learner": {"budget": 5, "seeds": [True]}},
+                           "learner key 'seeds': True is not a number"),
+    "fyl_box_radius_string": ("train", {**_FYL, "fyl": {"box_radius": "3"}},
+                              "fyl key 'box_radius': '3' is not a number"),
+    "learner_box_radius_bool": ("train", {**_TRAIN, "learner": {"box_radius": True}},
+                                "learner key 'box_radius': True is not a number"),
+    "perturbation_sigma_string": ("train", {**_TRAIN, "perturbation": {"sigma": "0.5"}},
+                                  "perturbation key 'sigma': '0.5' is not a number"),
+    "perturbation_sigma_bool": ("train", {**_TRAIN, "perturbation": {"sigma": True}},
+                                "perturbation key 'sigma': True is not a number"),
+    # an empty block is a block: sigma has no default (null is an absent block)
+    "perturbation_empty": ("train", {**_TRAIN, "perturbation": {}}, "perturbation has no 'sigma'"),
+    # each value is read as its annotation says: a list of numbers for a cell
+    # axis, a string for a name, an object for a block
+    "generate_K_bool": ("generate", {**_TS_GEN, "K": [True]},
+                        "generate key 'K': True is not a number"),
+    "generate_widths_string": ("generate", {**_TS_GEN, "widths": ["3"]},
+                               "generate key 'widths': '3' is not a number"),
+    "generate_widths_number": ("generate", {**_TS_GEN, "widths": 3},
+                               "generate key 'widths': 3 is not a list"),
+    "train_method_list": ("train", {**_TRAIN, "method": ["fyl"]},
+                          "train key 'method': ['fyl'] is not a string"),
+    "train_post_number": ("train", {**_TR_SM, "post": 3}, "train key 'post': 3 is not a string"),
+    "learner_list": ("train", {**_TRAIN, "learner": [1]},
+                     "train key 'learner': [1] is not an object"),
+    "train_dataset_number": ("train", {"dataset": 5}, "cfg.json key 'dataset': 5 is not a string"),
+    "eval_dataset_number": ("eval", _ev(5, _PIPELINE), "cfg.json key 'dataset': 5 is not a string"),
+    "eval_names_numbers": ("eval", _ev("ts", {**_BASE, "name": 3}, {**_BASE, "name": "3"}),
+                           "approx_baseline entry key 'name': 3 is not a string"),
+    # algorithms is a list of entry objects
+    "eval_algorithms_strings": ("eval", _ev("ts", "spt"),
+                                "eval key 'algorithms': 'spt' is not an object"),
+    "eval_algorithms_object": ("eval", {"dataset": "ts", "algorithms": _PIPELINE},
+                               f"eval key 'algorithms': {_PIPELINE} is not a list"),
+    # open() takes an integer (true is 1) as a file descriptor to read, and
+    # closes it after
+    **{f"eval_weights_{name}": ("eval", _ev("sm", {"name": "p", "kind": "pipeline_ls",
+                                                   "weights": weights}),
+                                "pipeline_ls entry key 'weights' must be a file path")
+       for name, weights in (("true", True), ("integer", 5))},
+    # scheduling weights (11) on a two-stage dataset (34)
+    "eval_weights_length": ("eval", _ev("ts", {**_PIPELINE, "weights": _W11}),
+                            f"pipeline entry key 'weights': {_W11} holds 11 weights, "
+                            "the application takes 34"),
+    # a kind that is not a string is an unknown kind
+    "eval_kind_list": ("eval", _ev("ts", {"name": "a", "kind": ["approx_baseline"]}),
+                       "unknown two_stage algorithm kind ['approx_baseline']"),
+    # every number is finite: JSON's NaN, Infinity and -Infinity are refused
+    "learner_box_radius_nan": ("train", {**_TRAIN, "learner": {"box_radius": _NAN}},
+                               "learner key 'box_radius': nan is not a finite number"),
+    "learner_box_radius_inf": ("train", {**_TRAIN, "learner": {"box_radius": _INF}},
+                               "learner key 'box_radius': inf is not a finite number"),
+    "perturbation_sigma_inf": ("train", {**_TRAIN, "perturbation": {"sigma": _INF}},
+                               "perturbation key 'sigma': inf is not a finite number"),
+    "bounds_delta_nan": ("bounds", {**_BOUNDS, "delta": _NAN},
+                         "bounds key 'delta': nan is not a finite number"),
+    "generate_rho_negative_inf": ("generate", {**_SM_GEN, "rho": [1.0, -_INF]},
+                                  "generate key 'rho': -inf is not a finite number"),
+}
+
+# A refusal that no one config key decides: an application, a block the
+# method never reads, two names for one thing, a limit, a missing file or flag:
+_COMMAND_REFUSALS = {
+    # an application is named, and a misspelled one is never loaded as the other
+    "generate_application_unknown": ("generate", {"application": "nope", "seed": 0},
+                                     f"unknown application 'nope'{_APPS}"),
+    "train_application_misspelled": ("train", {"application": "schedule", "dataset": "sm"},
+                                     f"unknown application 'schedule'{_APPS}"),
+    "manifest_application_misspelled": ("eval", _ev("sm", _SPT),
+                                        f"{_SM_M}: unknown application 'two_stagee'{_APPS}",
+                                        {_SM_M: {"application": "two_stagee"}}),
+    "train_application_mismatch": ("train", {"application": "scheduling", "dataset": "ts"},
+                                   "config application does not match the dataset"),
+    # a block the training method never reads is named with the method
+    **{f"{method}_reads_no_{block}": ("train", {"dataset": "ts", "method": method, block: {}},
+                                      f"training method {method!r} does not read the {block!r} "
+                                      "block")
+       for method, block in (("experience", "fyl"), ("fyl", "learner"), ("fyl", "perturbation"))},
+    # two entries or two instances with one name would share one row of costs,
+    # and two instances of generate one file
+    "eval_names_repeat": ("eval", _ev("sm", {"name": "a", "kind": "brute_force"},
+                                      {**_SPT, "name": "a"}),
+                          "two eval algorithms are named 'a'"),
+    "generate_ids_repeat": ("generate", {**_TS_GEN, "widths": [3, 3]},
+                            "generate gives two instances the id 'ts_w3_K10_S2_000'"),
+    "generate_ids_repeat_rho": ("generate", {**_SM_GEN, "rho": [1, 1.0]},
+                                "generate gives two instances the id 'sm_n4_rho1_000'"),
+    "manifest_ids_repeat": ("eval", _EV_TS, f"{_TS_ROW} repeats an earlier row's id",
+                            {(_TS_M, "instances", 1): {"id": "ts_w3_K10_S2_000"}}),
+    # brute force takes at most 9 jobs
+    "eval_brute_force_10_jobs": ("eval", _ev("sm", _SPT, {"name": "bf", "kind": "brute_force"}),
+                                 "brute force limited to 9 jobs",
+                                 {_SM_X: {"n": 10, "p": [1] * 10, "r": [1] * 10}}),
+    "config_missing": ("eval", None, "[Errno 2] No such file or directory: 'cfg.json'"),
+    "generate_no_out": ("generate --config cfg.json", _SM_GEN, "generate requires --out"),
+}
+
+# A config, manifest, instance or weights file that cannot be read as one:
+_FILE_REFUSALS = {
+    # the error names that file (and a manifest row's error the instance),
+    # never a config key
+    "config_no_dataset": ("train", {"learner": {"seeds": [0]}}, "cfg.json has no 'dataset'"),
+    "config_not_json": ("train", _NOT_JSON, f"cfg.json{_NOT_JSON_SAYS}"),
+    **{f"config_list_{command}": (command, [1, 2], "cfg.json must hold a JSON object")
+       for command in ("generate", "bounds", "train")},
+    **{f"manifest_no_{key}": ("eval", _EV_TS, f"{_TS_M} has no {key!r}", {_TS_M: {key: _DROP}})
+       for key in ("application", "instances")},
+    **{f"manifest_no_{key}": ("eval", _EV_TS, f"instance {name} in {_TS_M} has no {key!r}",
+                              {(_TS_M, "instances", 1): {key: _DROP}})
+       for key, name in [("id", "1"), *(((key, "'ts_w3_K10_S2_001'")
+                                         for key in ("file", "width", "lower_bound")))]},
+    "manifest_instances_empty": ("eval", _EV_TS, f"{_TS_M} key 'instances': [] is an empty list",
+                                 {_TS_M: {"instances": []}}),
+    "manifest_instances_string": ("eval", _EV_SM,
+                                  f"{_SM_M} key 'instances': 'instances/' is not a list",
+                                  {_SM_M: {"instances": "instances/"}}),
+    "manifest_row_no_file": ("eval", _ev("sm", _SPT), f"{_SM_ROW} has no 'file'",
+                             {(_SM_M, "instances", 0): {"file": _DROP}}),
+    "train_manifest_row_no_lower_bound": ("train", _TR_TS, f"{_TS_ROW} has no 'lower_bound'",
+                                          {(_TS_M, "instances", 0): {"lower_bound": _DROP}}),
+    "manifest_file_number": ("train", _TR_SM, f"{_SM_ROW} key 'file': 5 is not a string",
+                             {(_SM_M, "instances", 0): {"file": 5}}),
+    "manifest_n_string": ("eval", _EV_SM, f"{_SM_ROW} key 'n': '4' is not a number",
+                          {(_SM_M, "instances", 0): {"n": "4"}}),
+    "ts_manifest_lower_bound_string": ("train", _TR_TS,
+                                       f"{_TS_ROW} key 'lower_bound': '-12' is not a number",
+                                       {(_TS_M, "instances", 0): {"lower_bound": "-12"}}),
+    "ts_manifest_lower_bound_nan": ("train", _TR_TS,
+                                    f"{_TS_ROW} key 'lower_bound': nan is not a finite number",
+                                    {(_TS_M, "instances", 0): {"lower_bound": _NAN}}),
+    "manifest_not_json": ("train", _TR_SM, f"{_SM_M}{_NOT_JSON_SAYS}", {_SM_M: _NOT_JSON}),
+    "instance_no_p_train": ("train", _TR_SM, f"{_SM_X} has no 'p'", {_SM_X: {"p": _DROP}}),
+    "instance_no_p_eval": ("eval", _EV_SM, f"{_SM_X} has no 'p'", {_SM_X: {"p": _DROP}}),
+    "instance_p_0": ("train", _TR_SM, f"{_SM_X}: processing times must be >= 1",
+                     {(_SM_X, "p"): {0: 0}}),
+    "instance_n_fraction": ("train", _TR_SM, f"{_SM_X} key 'n': 4.9 is not an integer",
+                            {_SM_X: {"n": 4.9}}),
+    "instance_p_strings": ("eval", _EV_SM, f"{_SM_X} key 'p': '28' is not a number",
+                           {_SM_X: {"p": ["28"] * 4}}),
+    "instance_p_inf": ("eval", _EV_SM, f"{_SM_X} key 'p': inf is not a finite number",
+                       {_SM_X: {"p": [_INF] * 4}}),
+    "instance_p_negative_inf": ("train", _TR_SM, f"{_SM_X} key 'p': -inf is not a finite number",
+                                {_SM_X: {"p": [-_INF] * 4}}),
+    "instance_p_empty": ("train", _TR_SM, f"{_SM_X} key 'p': [] is an empty list",
+                         {_SM_X: {"p": []}}),
+    "instance_unknown_key": ("train", _TR_SM, f"unknown {_SM_X} key 'q'; valid: n, p, r, rho, seed",
+                             {_SM_X: {"q": 1}}),
+    "instance_not_json": ("train", _TR_SM, f"{_SM_X}{_NOT_JSON_SAYS}", {_SM_X: _NOT_JSON}),
+    "ts_instance_width_fraction": ("train", _TR_TS, f"{_TS_X} key 'width': 3.5 is not an integer",
+                                   {_TS_X: {"width": 3.5}}),
+    "ts_instance_c_nan": ("train", _TR_TS, f"{_TS_X} key 'c': nan is not a finite number",
+                          {_TS_X: {"c": [_NAN, -1.0, -2.0, -3.0]}}),
+    "weights_no_d": ("eval", _EV_SM, f"{_W11} has no 'd'", {_W11: {"d": _DROP}}),
+    "weights_leave_box": ("eval", _EV_SM, f"{_W11}: w leaves the box", {_W11: {"M": 0.25}}),
+    "weights_d_fraction": ("eval", _EV_SM, f"{_W11} key 'd': 11.7 is not an integer",
+                           {_W11: {"d": 11.7}}),
+    "weights_M_string": ("eval", _EV_SM, f"{_W11} key 'M': '10' is not a number",
+                         {_W11: {"M": "10"}}),
+    "weights_w_strings": ("eval", _EV_SM, f"{_W11} key 'w': '0.5' is not a number",
+                          {_W11: {"w": ["0.5"] * 11}}),
+    "weights_w_nan": ("eval", _EV_SM, f"{_W11} key 'w': nan is not a finite number",
+                      {_W11: {"w": [0.5] * 10 + [_NAN]}}),
+    "weights_M_inf": ("eval", _EV_SM, f"{_W11} key 'M': inf is not a finite number",
+                      {_W11: {"M": _INF}}),
+    "weights_w_empty": ("eval", _EV_SM, f"{_W11} key 'w': [] is an empty list", {_W11: {"w": []}}),
+    "weights_not_json": ("eval", _EV_SM, f"{_W11}{_NOT_JSON_SAYS}", {_W11: _NOT_JSON}),
+}
+
+
+@pytest.fixture(scope="module")
+def refusal_files(tmp_path_factory):
+    """The files every Refusal row starts from."""
+    files, configs = tmp_path_factory.mktemp("files"), tmp_path_factory.mktemp("configs")
+    for name, config in (("ts", {**_TS_GEN, "per_cell": 2, "seed": 5, "bound_iters": 150}),
+                         ("sm", _SM_GEN)):
+        cfg = _write(configs / f"{name}.json", config)
+        assert main(["generate", "--config", cfg, "--out", str(files / name)]) == 0
+    _write(files / _W34, {"d": 34, "M": 10.0, "w": [0.5] * 34})
+    _write(files / _W11, {"d": 11, "M": 10.0, "w": [0.5] * 11})
+    return files
+
+
+def _edit(target, change):
+    """Apply one of a Refusal's edits."""
+    path, *keys = (target,) if isinstance(target, str) else target
+    path = Path(path)
+    if isinstance(change, str):
+        path.write_text(change)
+        return
+    data = json.loads(path.read_text())
+    node = functools.reduce(operator.getitem, keys, data)
+    for key, value in change.items():
+        if value is _DROP:
+            del node[key]
+        else:
+            node[key] = value
+    _write(path, data)
+
+
+@functools.wraps(two_stage.lagrangian_bound)
+def _no_bound(*args, **kwargs):
+    raise AssertionError("a bound ran before the settings were checked")
+
+
+@pytest.fixture()
+def refuse(refusal_files, tmp_path, monkeypatch, capsys):
+    """Run one Refusal row in a copy of refusal_files: it exits 1 with the
+    row's whole message, before --out is created, anything is printed or
+    any bound runs, and with stdout still open."""
+    shutil.copytree(refusal_files, tmp_path, dirs_exist_ok=True)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(two_stage, "lagrangian_bound", _no_bound)
+
+    def run(row):
+        command, config, message, edits = Refusal(*row)
+        if config is not None:
+            Path("cfg.json").write_text(config if isinstance(config, str) else json.dumps(config))
+        for target, change in edits.items():
+            _edit(target, change)
+        capsys.readouterr()
+        argv = command if " " in command else f"{command} --config cfg.json --out out"
+        assert main(argv.split()) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not Path("out").exists()
+        os.fstat(1)
+
+    return run
+
+
+@pytest.mark.parametrize("case", _CONFIG_REFUSALS)
+def test_config_typo_exits_before_writing(case, refuse):
+    refuse(_CONFIG_REFUSALS[case])
+
+
+@pytest.mark.parametrize("case", _COMMAND_REFUSALS)
+def test_refused_command_line(case, refuse):
+    refuse(_COMMAND_REFUSALS[case])
+
+
+@pytest.mark.parametrize("case", _FILE_REFUSALS)
+def test_data_file_error_names_the_file(case, refuse):
+    refuse(_FILE_REFUSALS[case])
+
+
+def test_removed_flags_are_usage_errors(tmp_path):
+    # the config is the whole run: every subcommand takes --config and --out
+    # only, and --seed or --json exits 2 before anything is written
+    cfg, out = _write(tmp_path / "cfg.json", _SM_GEN), tmp_path / "out"
+    for command in ("generate", "train", "eval", "bounds"):
+        for flag in (["--seed", "5"], ["--json"]):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--config", cfg, "--out", str(out), *flag])
+            assert exc.value.code == 2
+            assert not out.exists()
+
+
 @pytest.mark.parametrize("application, kind, valid", _KINDS)
 def test_eval_kind_keys_and_one_weights_read_per_entry(application, kind, valid, tmp_path,
-                                                       capsys, monkeypatch):
+                                                       monkeypatch):
     gen = ({"application": "two_stage", "widths": [2], "K": [5], "scenarios": [2],
             "per_cell": 3, "seed": 0, "bound_iters": 5} if application == "two_stage" else
            {"application": "scheduling", "n": [4], "rho": [1.0], "per_cell": 3, "seed": 0})
     ds = tmp_path / "ds"
     assert main(["generate", "--config", _write(tmp_path / "gen.json", gen), "--out", str(ds)]) == 0
-    # every key of the kind, in its order
-    bad = _write(tmp_path / "bad.json", {"dataset": str(ds), "algorithms": [
-        {"name": "a", "kind": kind, "zzz": 1}]})
-    capsys.readouterr()
-    assert main(["eval", "--config", bad, "--out", str(tmp_path / "bad")]) == 1
-    assert capsys.readouterr().err == (
-        f"error: unknown {kind} entry key 'zzz'; valid: {valid}\n")
     # a weights file is read once for its entry, not once per instance
     dim = 34 if application == "two_stage" else 11
     entry = {"name": "a", "kind": kind}
@@ -774,171 +862,6 @@ def test_eval_kind_keys_and_one_weights_read_per_entry(application, kind, valid,
     ev = _write(tmp_path / "ev.json", {"dataset": str(ds), "algorithms": [entry]})
     assert main(["eval", "--config", ev, "--out", str(tmp_path / "ev")]) == 0
     assert reads == ([entry["weights"]] if "weights" in valid else [])
-
-
-def test_eval_negative_decode_seed_names_the_key(tmp_path, capsys):
-    gen = {"application": "scheduling", "n": [4], "rho": [1.0], "per_cell": 2, "seed": 0}
-    ds = tmp_path / "ds"
-    assert main(["generate", "--config", _write(tmp_path / "gen.json", gen), "--out", str(ds)]) == 0
-    weights = _write(tmp_path / "w.json", {"d": 11, "M": 10.0, "w": [0.5] * 11})
-    ev = _write(tmp_path / "ev.json", {"dataset": str(ds), "algorithms": [
-        {"name": "spt", "kind": "spt"},
-        {"name": "pert", "kind": "pipeline_pert_ls", "weights": weights, "seed": -1}]})
-    out = tmp_path / "ev"
-    capsys.readouterr()
-    assert main(["eval", "--config", ev, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: pipeline_pert_ls entry key 'seed' must be >= 0\n"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("application, kind, key, value, least", [
-    ("two_stage", "lagrangian_heuristic", "iters", 0, 1),
-    ("scheduling", "pipeline_pert_ls", "sigma", -0.5, 0),
-    ("scheduling", "pipeline_pert_ls", "nsamples", -1, 0),
-])
-def test_eval_entry_setting_out_of_range_fails_before_out(application, kind, key, value, least,
-                                                          tmp_path, capsys):
-    # the library's own check, run when the entry is read: nothing runs and
-    # --out is not created
-    gen = ({"application": "two_stage", "widths": [2], "K": [5], "scenarios": [2],
-            "per_cell": 2, "seed": 0, "bound_iters": 5} if application == "two_stage" else
-           {"application": "scheduling", "n": [4], "rho": [1.0], "per_cell": 2, "seed": 0})
-    ds = tmp_path / "ds"
-    assert main(["generate", "--config", _write(tmp_path / "gen.json", gen), "--out", str(ds)]) == 0
-    entry = {"name": "a", "kind": kind, key: value}
-    if kind == "pipeline_pert_ls":
-        entry["weights"] = _write(tmp_path / "w.json", {"d": 11, "M": 10.0, "w": [0.5] * 11})
-    first = {"name": "base", "kind": "approx_baseline" if application == "two_stage" else "spt"}
-    ev = _write(tmp_path / "ev.json", {"dataset": str(ds), "algorithms": [first, entry]})
-    out = tmp_path / "ev"
-    capsys.readouterr()
-    assert main(["eval", "--config", ev, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {kind} entry key {key!r} must be >= {least}\n"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("weights", [True, 5])
-def test_eval_weights_that_are_no_path_leave_stdout_open(weights, tmp_path, capsys):
-    # open() takes an integer (true is 1) as a file descriptor to read, and closes it after
-    gen = {"application": "scheduling", "n": [4], "rho": [1.0], "per_cell": 1, "seed": 0}
-    ds = tmp_path / "ds"
-    assert main(["generate", "--config", _write(tmp_path / "gen.json", gen), "--out", str(ds)]) == 0
-    ev = _write(tmp_path / "ev.json", {"dataset": str(ds), "algorithms": [
-        {"name": "p", "kind": "pipeline_ls", "weights": weights}]})
-    out = tmp_path / "ev"
-    capsys.readouterr()
-    assert main(["eval", "--config", ev, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: pipeline_ls entry key 'weights' must be a file path\n"
-    os.fstat(1)
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("case", [
-    "instance_no_p_train", "instance_no_p_eval", "instance_p_0", "weights_no_d",
-    "weights_leave_box", "config_list_generate", "config_list_bounds", "config_list_train",
-    "config_no_dataset", "manifest_instances_string", "config_not_json", "manifest_not_json",
-    "weights_d_fraction", "weights_M_string", "weights_w_strings", "instance_n_fraction",
-    "instance_p_strings", "instance_unknown_key", "ts_instance_width_fraction",
-    "manifest_file_number", "manifest_n_string", "ts_manifest_lower_bound_string",
-    "ts_instance_c_nan", "instance_p_inf", "instance_p_negative_inf", "weights_w_nan",
-    "weights_M_inf", "ts_manifest_lower_bound_nan", "instance_p_empty", "weights_w_empty",
-    "instance_not_json", "weights_not_json"])
-def test_data_file_error_names_the_file(case, tmp_path, capsys):
-    # an error in an instance, weights, config or manifest file names that file
-    # (and a manifest error the instance), never a config key, and leaves --out
-    # without content; a file's keys are typed like a config block's, so a number
-    # must be finite and a list non-empty
-    gen = ({"application": "two_stage", "widths": [2], "K": [5], "scenarios": [2],
-            "per_cell": 1, "seed": 0, "bound_iters": 5} if case.startswith("ts_") else
-           {"application": "scheduling", "n": [4], "rho": [1.0], "per_cell": 1, "seed": 0})
-    ds = tmp_path / "ds"
-    assert main(["generate", "--config", _write(tmp_path / "gen.json", gen), "--out", str(ds)]) == 0
-    manifest = json.loads((ds / "manifest.json").read_text())
-    row = manifest["instances"][0]
-    inst, in_manifest = ds / row["file"], f"instance {row['id']!r} in {ds / 'manifest.json'}"
-    x = json.loads(inst.read_text())
-    w_path, cfg = tmp_path / "w.json", tmp_path / "cfg.json"
-    weights = {"d": 11, "M": 10.0, "w": [0.5] * 11}
-    ev = {"dataset": str(ds), "algorithms": [
-        {"name": "p", "kind": "pipeline_ls", "weights": str(w_path)}]}
-    tr = {"dataset": str(ds), "learner": {"budget": 5, "seeds": [0]}}
-    not_json = ": Expecting property name enclosed in double quotes: line 1 column 10 (char 9)"
-    command, config, named, says = {
-        "instance_no_p_train": ("train", tr, inst, " has no 'p'"),
-        "instance_no_p_eval": ("eval", ev, inst, " has no 'p'"),
-        "instance_p_0": ("train", tr, inst, ": processing times must be >= 1"),
-        "weights_no_d": ("eval", ev, w_path, " has no 'd'"),
-        "weights_leave_box": ("eval", ev, w_path, ": w leaves the box"),
-        "config_list_generate": ("generate", [1, 2], cfg, " must hold a JSON object"),
-        "config_list_bounds": ("bounds", [1, 2], cfg, " must hold a JSON object"),
-        "config_list_train": ("train", [1, 2], cfg, " must hold a JSON object"),
-        "config_no_dataset": ("train", {"learner": {"seeds": [0]}}, cfg, " has no 'dataset'"),
-        "manifest_instances_string": ("eval", ev, ds / "manifest.json",
-                                      " key 'instances': 'instances/' is not a list"),
-        "config_not_json": ("train", tr, cfg, not_json),
-        "manifest_not_json": ("train", tr, ds / "manifest.json", not_json),
-        "weights_d_fraction": ("eval", ev, w_path, " key 'd': 11.7 is not an integer"),
-        "weights_M_string": ("eval", ev, w_path, " key 'M': '10' is not a number"),
-        "weights_w_strings": ("eval", ev, w_path, " key 'w': '0.5' is not a number"),
-        "instance_n_fraction": ("train", tr, inst, " key 'n': 4.9 is not an integer"),
-        "instance_p_strings": ("eval", ev, inst, " key 'p': '28' is not a number"),
-        "instance_unknown_key": ("train", tr, inst, " key 'q'; valid: n, p, r, rho, seed"),
-        "ts_instance_width_fraction": ("train", tr, inst, " key 'width': 3.5 is not an integer"),
-        "manifest_file_number": ("train", tr, in_manifest, " key 'file': 5 is not a string"),
-        "manifest_n_string": ("eval", ev, in_manifest, " key 'n': '4' is not a number"),
-        "ts_manifest_lower_bound_string": ("train", tr, in_manifest,
-                                           " key 'lower_bound': '-12' is not a number"),
-        "ts_instance_c_nan": ("train", tr, inst, " key 'c': nan is not a finite number"),
-        "instance_p_inf": ("eval", ev, inst, " key 'p': inf is not a finite number"),
-        "instance_p_negative_inf": ("train", tr, inst, " key 'p': -inf is not a finite number"),
-        "weights_w_nan": ("eval", ev, w_path, " key 'w': nan is not a finite number"),
-        "weights_M_inf": ("eval", ev, w_path, " key 'M': inf is not a finite number"),
-        "ts_manifest_lower_bound_nan": ("train", tr, in_manifest,
-                                        " key 'lower_bound': nan is not a finite number"),
-        "instance_p_empty": ("train", tr, inst, " key 'p': [] is an empty list"),
-        "weights_w_empty": ("eval", ev, w_path, " key 'w': [] is an empty list"),
-        "instance_not_json": ("train", tr, inst, not_json),
-        "weights_not_json": ("eval", ev, w_path, not_json),
-    }[case]
-    if case.startswith("instance_no_p"):
-        del x["p"]
-    if case == "instance_p_0":
-        x["p"][0] = 0
-    if case == "weights_no_d":
-        del weights["d"]
-    if case == "weights_leave_box":
-        weights["M"] = 0.25
-    if case == "manifest_instances_string":
-        manifest["instances"] = "instances/"
-    # each of these read as a number before, so the run went on with a guess
-    nan, inf = float("nan"), float("inf")
-    weights.update({"weights_d_fraction": {"d": 11.7}, "weights_M_string": {"M": "10"},
-                    "weights_w_strings": {"w": ["0.5"] * 11},
-                    "weights_w_nan": {"w": [0.5] * 10 + [nan]},
-                    "weights_M_inf": {"M": inf}, "weights_w_empty": {"w": []}}.get(case, {}))
-    x.update({"instance_n_fraction": {"n": 4.9}, "instance_unknown_key": {"q": 1},
-              "instance_p_strings": {"p": ["28"] * 4},
-              "ts_instance_width_fraction": {"width": 3.5},
-              "ts_instance_c_nan": {"c": [nan, -1.0, -2.0, -3.0]},
-              "instance_p_inf": {"p": [inf] * 4}, "instance_p_negative_inf": {"p": [-inf] * 4},
-              "instance_p_empty": {"p": []}}.get(case, {}))
-    row.update({"manifest_file_number": {"file": 5}, "manifest_n_string": {"n": "4"},
-                "ts_manifest_lower_bound_string": {"lower_bound": "-12"},
-                "ts_manifest_lower_bound_nan": {"lower_bound": nan}}.get(case, {}))
-    _write(inst, x)
-    _write(ds / "manifest.json", manifest)
-    _write(w_path, weights)
-    _write(cfg, config)
-    if case.endswith("_not_json"):
-        named.write_text('{"M": 10,')
-    out = tmp_path / "out"
-    capsys.readouterr()
-    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    unknown = "unknown " if case == "instance_unknown_key" else ""
-    assert err == f"error: {unknown}{named}{says}\n"
-    assert "missing config key" not in err
-    assert not out.exists() or not any(out.rglob("*"))
 
 
 def test_null_block_is_an_absent_block(two_stage_dataset, tmp_path):

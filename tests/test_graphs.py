@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import connected, constrained_reference, kruskal_reference, spanning_trees
-from scipy.sparse.csgraph import connected_components
+from generators import connected_graphs, random_connected_graph
+from oracles import (
+    components,
+    constrained_reference,
+    kruskal_reference,
+    scipy_tree,
+    spanning_trees,
+)
 
 from co_pipeline.graphs import (
     _MEMO_TREES,
@@ -18,41 +24,6 @@ from co_pipeline.graphs import (
     mst_constrained,
     mst_kruskal,
 )
-
-# ---------------------------------------------------------------------------
-# random graphs
-
-
-@st.composite
-def connected_graphs(draw, max_vertices=8):
-    """A random spanning tree on shuffled vertex labels plus random extra
-    edges, in shuffled edge order."""
-    n = draw(st.integers(2, max_vertices))
-    label = draw(st.permutations(range(n)))
-    tree = {tuple(sorted((label[v], label[draw(st.integers(0, v - 1))]))) for v in range(1, n)}
-    extra = [pair for pair in itertools.combinations(range(n), 2) if pair not in tree]
-    keep = draw(st.lists(st.booleans(), min_size=len(extra), max_size=len(extra)))
-    return Graph(n, draw(st.permutations(sorted(tree) + list(itertools.compress(extra, keep)))))
-
-
-def components(num_vertices, pairs):
-    """Number of connected components of ({0..num_vertices-1}, pairs), by scipy."""
-    adj = np.zeros((num_vertices, num_vertices))
-    for u, v in pairs:
-        adj[u, v] = 1.0
-    return connected_components(adj, directed=False)[0]
-
-
-def random_connected_graph(rng, max_vertices=6):
-    """Random connected graph on 3..max_vertices vertices."""
-    while True:
-        n = int(rng.integers(3, max_vertices + 1))
-        pairs = list(itertools.combinations(range(n), 2))
-        keep = rng.random(len(pairs)) < 0.6
-        edges = [pairs[i] for i in range(len(pairs)) if keep[i]]
-        if len(edges) >= n - 1 and connected(n, edges):
-            return Graph(n, edges)
-
 
 # ---------------------------------------------------------------------------
 # construction and validation
@@ -152,19 +123,11 @@ def test_mst_matches_scipy_on_random_grids():
     # scipy's csgraph is an independent implementation.  csgraph reads a
     # weight of 0 as a missing edge, so weights lie in [1, 2); they are
     # distinct, so the minimum spanning tree is unique.
-    csgraph = pytest.importorskip("scipy.sparse.csgraph")
     rng = np.random.default_rng(23)
     for _ in range(200):
         g = grid_graph(int(rng.integers(1, 8)), int(rng.integers(2, 8)))
         w = 1.0 + (rng.permutation(g.num_edges) + rng.random(g.num_edges)) / g.num_edges
-        dense = np.zeros((g.num_vertices, g.num_vertices))
-        eid = {}
-        for e, (u, v) in enumerate(g.edges):
-            dense[min(u, v), max(u, v)] = w[e]
-            eid[min(u, v), max(u, v)] = e
-        rows, cols = csgraph.minimum_spanning_tree(dense).nonzero()
-        want = {eid[min(u, v), max(u, v)] for u, v in zip(rows.tolist(), cols.tolist())}
-        assert mst_kruskal(g, w) == want
+        assert mst_kruskal(g, w) == scipy_tree(g, w)
 
 
 def test_mst_tie_break_lowest_edge_ids():
@@ -327,7 +290,8 @@ def test_constrained_reuse_keeps_every_bit(g, data):
                 _same_tree(mst_constrained(g, w, f), constrained_reference(g, w, f))
                 _assert_latest_tree(g, w)  # read and filled like mst_kruskal's
 
-    # a set can change between calls, so it is never remembered
+    # a set can change between calls: the forest is remembered by the frozen
+    # value the set held, so a changed set gets the tree of what it holds now
     mutable = set(forced)
     for _ in range(3):
         _same_tree(mst_constrained(g, pool[0], mutable), constrained_reference(g, pool[0], mutable))

@@ -13,9 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import connected, constrained_reference, kruskal_reference, spanning_trees
-from scipy.sparse.csgraph import minimum_spanning_tree
-from test_graphs import components, connected_graphs
+from generators import connected_graphs, random_two_stage
+from oracles import (
+    components,
+    constrained_reference,
+    kruskal_reference,
+    scipy_tree,
+    spanning_trees,
+)
 
 from co_pipeline import graphs, two_stage
 from co_pipeline.graphs import Graph, _joining, grid_graph, mst_constrained, mst_kruskal
@@ -87,23 +92,6 @@ def exhaustive_two_stage(x):
         if feasible and total < best:
             best = total
     return best
-
-
-def _random_small_instance(rng, max_edges=8, max_scenarios=3):
-    while True:
-        n = int(rng.integers(3, 6))
-        pairs = list(itertools.combinations(range(n), 2))
-        keep = rng.random(len(pairs)) < 0.6
-        edges = [pairs[i] for i in range(len(pairs)) if keep[i]]
-        if len(edges) < n - 1 or len(edges) > max_edges:
-            continue
-        if not connected(n, edges):
-            continue
-        graph = Graph(n, edges)
-        n_scen = int(rng.integers(1, max_scenarios + 1))
-        c = -rng.integers(0, 21, size=len(edges)).astype(float)
-        d = -rng.integers(0, 21, size=(len(edges), n_scen)).astype(float)
-        return TwoStageInstance(graph=graph, c=c, d=d)
 
 
 def _triangle(c, d):
@@ -213,7 +201,7 @@ def test_easy_layer_triangle_mixed_stages():
 def test_easy_layer_objective_minimal_over_enumerated_splits():
     rng = np.random.default_rng(31)
     for _ in range(25):
-        x = _random_small_instance(rng)
+        x = random_two_stage(rng)
         cbar = -rng.random(x.num_edges) * 10
         dbar = -rng.random(x.num_edges) * 10
         y = easy_layer(x, np.concatenate([cbar, dbar]))
@@ -248,7 +236,7 @@ def test_decode_tie_keeps_candidate_a():
 
 def test_decode_empty_first_stage_candidates_coincide():
     rng = np.random.default_rng(8)
-    x = _random_small_instance(rng)
+    x = random_two_stage(rng)
     y = EasySolution(frozenset(), frozenset())
     z = decode(x, y.first_stage)
     assert z.first_stage == frozenset()
@@ -274,17 +262,6 @@ def _spans(x, edge_ids):
     return len(edge_ids) == n - 1 and components(n, [x.graph.edges[e] for e in edge_ids]) == 1
 
 
-def _scipy_tree(graph, weights):
-    """Edge ids of scipy's minimum spanning tree (weights positive and distinct)."""
-    dense = np.zeros((graph.num_vertices, graph.num_vertices))
-    eid = {}
-    for e, (u, v) in enumerate(graph.edges):
-        dense[min(u, v), max(u, v)] = weights[e]
-        eid[min(u, v), max(u, v)] = e
-    rows, cols = minimum_spanning_tree(dense).nonzero()
-    return frozenset(eid[min(u, v), max(u, v)] for u, v in zip(rows.tolist(), cols.tolist()))
-
-
 @settings(max_examples=300)
 @given(small_instances(), st.data())
 def test_evaluate_solution_accepts_exactly_the_spanning_trees(x, data):
@@ -296,14 +273,14 @@ def test_evaluate_solution_accepts_exactly_the_spanning_trees(x, data):
     def distinct_weights():
         return 2.0 + np.array(data.draw(st.permutations(range(m)))) / m
 
-    tree = _scipy_tree(x.graph, distinct_weights())
+    tree = scipy_tree(x.graph, distinct_weights())
     first = frozenset(e for e in tree if data.draw(st.booleans()))
     second = []
     for _ in range(x.num_scenarios):
         if data.draw(st.booleans()):
             w = distinct_weights()
             w[list(first)] -= 1.0
-            es = _scipy_tree(x.graph, w)
+            es = scipy_tree(x.graph, w)
         else:
             es = frozenset(data.draw(st.sets(st.integers(0, m - 1))))
         second.append(es - first)
@@ -586,7 +563,7 @@ def test_brute_force_one_edge():
 
 def test_brute_force_free_first_stage():
     rng = np.random.default_rng(17)
-    x = _random_small_instance(rng)
+    x = random_two_stage(rng)
     x0 = TwoStageInstance(graph=x.graph, c=np.zeros(x.num_edges), d=x.d)
     cost, _ = brute_force_optimum(x0)
     trees = spanning_trees(x.graph)
@@ -597,7 +574,7 @@ def test_brute_force_free_first_stage():
 def test_brute_force_matches_independent_enumeration():
     rng = np.random.default_rng(41)
     for _ in range(12):
-        x = _random_small_instance(rng, max_edges=7)
+        x = random_two_stage(rng, max_edges=7)
         cost, z = brute_force_optimum(x)
         assert cost == pytest.approx(exhaustive_two_stage(x), abs=1e-9)
         assert evaluate_solution(x, z) == pytest.approx(cost, abs=1e-9)
@@ -637,7 +614,7 @@ def test_brute_force_size_guard():
 
 def test_baseline_free_second_stage_picks_mst_on_c():
     rng = np.random.default_rng(2)
-    x = _random_small_instance(rng)
+    x = random_two_stage(rng)
     x0 = TwoStageInstance(graph=x.graph, c=x.c, d=np.zeros_like(x.d))
     z = approx_baseline(x0)
     want = min(sum(x0.c[e] for e in t) for t in spanning_trees(x0.graph))
@@ -646,7 +623,7 @@ def test_baseline_free_second_stage_picks_mst_on_c():
 
 def test_baseline_free_first_stage_returns_scenario_msts():
     rng = np.random.default_rng(21)
-    x = _random_small_instance(rng)
+    x = random_two_stage(rng)
     x0 = TwoStageInstance(graph=x.graph, c=np.zeros(x.num_edges), d=x.d)
     z = approx_baseline(x0)
     assert z.first_stage == frozenset()
@@ -656,7 +633,7 @@ def test_baseline_free_first_stage_returns_scenario_msts():
 def test_baseline_half_ratio_guarantee():
     rng = np.random.default_rng(4)
     for _ in range(25):
-        x = _random_small_instance(rng)
+        x = random_two_stage(rng)
         cost = evaluate_solution(x, approx_baseline(x))
         opt, _ = brute_force_optimum(x)
         assert cost - opt <= 0.5 * abs(opt) + 1e-9
@@ -667,7 +644,7 @@ def test_perturbed_baseline_inequality():
     # cost(decode(easy(theta_tilde + p))) - opt <= |opt|/2 + ||p||_1
     rng = np.random.default_rng(27)
     for _ in range(15):
-        x = _random_small_instance(rng)
+        x = random_two_stage(rng)
         opt, _ = brute_force_optimum(x)
         base = theta_tilde(x)
         for _ in range(5):
@@ -701,7 +678,7 @@ def _bound_slack(x, cost):
 def test_bound_single_scenario_tight():
     rng = np.random.default_rng(5)
     for _ in range(8):
-        x = _random_small_instance(rng, max_scenarios=1)
+        x = random_two_stage(rng, max_scenarios=1)
         lb, lam, _ = lagrangian_bound(x, iters=1)
         opt, _ = brute_force_optimum(x)
         assert lb == pytest.approx(opt, abs=1e-9)
@@ -711,7 +688,7 @@ def test_bound_single_scenario_tight():
 def test_bound_below_optimum():
     rng = np.random.default_rng(6)
     for _ in range(15):
-        x = _random_small_instance(rng)
+        x = random_two_stage(rng)
         lb, _, _ = lagrangian_bound(x, iters=120)
         opt, _ = brute_force_optimum(x)
         assert lb <= opt + _bound_slack(x, opt)
@@ -733,7 +710,7 @@ def test_duals_stay_zero_mean_per_edge():
 def test_heuristic_single_scenario_optimal():
     rng = np.random.default_rng(9)
     for _ in range(8):
-        x = _random_small_instance(rng, max_scenarios=1)
+        x = random_two_stage(rng, max_scenarios=1)
         _, lam, _ = lagrangian_bound(x, iters=5)
         z = lagrangian_heuristic(x, lam)
         opt, _ = brute_force_optimum(x)
@@ -743,7 +720,7 @@ def test_heuristic_single_scenario_optimal():
 def test_heuristic_identical_scenarios_optimal():
     rng = np.random.default_rng(14)
     for _ in range(8):
-        x = _random_small_instance(rng, max_scenarios=1)
+        x = random_two_stage(rng, max_scenarios=1)
         d3 = np.repeat(x.d, 3, axis=1)
         x3 = TwoStageInstance(graph=x.graph, c=x.c, d=d3)
         _, lam, _ = lagrangian_bound(x3, iters=60)
@@ -755,7 +732,7 @@ def test_heuristic_identical_scenarios_optimal():
 def test_heuristic_cost_at_least_bound():
     rng = np.random.default_rng(15)
     for _ in range(15):
-        x = _random_small_instance(rng)
+        x = random_two_stage(rng)
         lb, lam, _ = lagrangian_bound(x, iters=60)
         z = lagrangian_heuristic(x, lam)
         cost = evaluate_solution(x, z)
