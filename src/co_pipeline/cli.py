@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import os
 import sys
 import time
 from pathlib import Path
@@ -29,13 +30,13 @@ def _child_seeds(master_seed: int, count: int) -> list[int]:
     return [int(child.generate_state(1)[0]) for child in children]
 
 
-def _repeat(ids):
-    """The first id that an earlier one equals, or None."""
+def _repeat(keys):
+    """The position of the first key that an earlier one equals, or None."""
     seen = set()
-    for inst_id in ids:
-        if inst_id in seen:
-            return inst_id
-        seen.add(inst_id)
+    for i, key in enumerate(keys):
+        if key in seen:
+            return i
+        seen.add(key)
     return None
 
 
@@ -61,7 +62,7 @@ def _cmd_generate(app, config: dict, out: Path, /, application: str, seed: int,
              for i in range(per_cell)]
     repeat = _repeat(inst_id for _, inst_id in named)
     if repeat is not None:
-        raise ValueError(f"generate gives two instances the id {repeat!r}")
+        raise ValueError(f"generate gives two instances the id {named[repeat][1]!r}")
     inst_dir = out / "instances"
     inst_dir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -101,9 +102,14 @@ def _dataset(dataset: str) -> tuple:
                 model._typed(row[key], kind, name)
             except ValueError as exc:
                 raise ValueError(f"{instance} key {key!r}: {exc}") from None
-    repeat = _repeat(row["id"] for row in manifest["instances"])
-    if repeat is not None:
-        raise ValueError(f"instance {repeat!r} in {path} repeats an earlier row's id")
+    # two rows with one id would share a row of costs, and one file under two
+    # ids would be scored and weighted twice
+    rows = manifest["instances"]
+    for key, same in (("id", str), ("file", os.path.normpath)):
+        repeat = _repeat(same(row[key]) for row in rows)
+        if repeat is not None:
+            raise ValueError(f"instance {rows[repeat]['id']!r} in {path} repeats an earlier "
+                             f"row's {key}")
     return app, manifest
 
 

@@ -19,6 +19,7 @@ from oracles import spanning_trees
 from scipy import integrate
 
 from co_pipeline import learning, model, scheduling, two_stage
+from co_pipeline.cli import _child_seeds
 from co_pipeline.cli import main as cli_main
 from co_pipeline.graphs import mst_constrained, mst_kruskal
 
@@ -29,39 +30,22 @@ def _report(num, ok, detail):
 
 
 # ---------------------------------------------------------------------------
-# shared generators
+# shared generators: one child seed per instance, drawn as generate draws them
 
 
 @lru_cache(maxsize=None)
 def _two_stage_desk_set(master_seed):
-    cells = [(w, k, s) for w in (4, 5, 6) for k in (10, 20) for s in (3, 5)]
-    seeds = np.random.SeedSequence(master_seed).spawn(len(cells) * 2)
-    out, pos = [], 0
-    for width, K, n_scen in cells:
-        for _ in range(2):
-            x = two_stage.generate_instance(
-                width, K, n_scen, seed=int(seeds[pos].generate_state(1)[0])
-            )
-            lb, _, _ = two_stage.lagrangian_bound(x, iters=500)
-            out.append((x, lb))
-            pos += 1
-    return out
+    cells = [(w, k, s) for w in (4, 5, 6) for k in (10, 20) for s in (3, 5) for _ in range(2)]
+    xs = [two_stage.generate_instance(*cell, seed=seed)
+          for cell, seed in zip(cells, _child_seeds(master_seed, len(cells)))]
+    return [(x, two_stage.lagrangian_bound(x, iters=500)[0]) for x in xs]
 
 
 @lru_cache(maxsize=None)
 def _sched_desk_set(master_seed):
-    cells = [(n, rho) for n in (8, 20) for rho in (0.2, 1.0, 3.0)]
-    seeds = np.random.SeedSequence(master_seed).spawn(len(cells) * 3)
-    out, pos = [], 0
-    for n, rho in cells:
-        for _ in range(3):
-            out.append(
-                scheduling.generate_sched_instance(
-                    n, rho, seed=int(seeds[pos].generate_state(1)[0])
-                )
-            )
-            pos += 1
-    return out
+    cells = [(n, rho) for n in (8, 20) for rho in (0.2, 1.0, 3.0) for _ in range(3)]
+    return [scheduling.generate_sched_instance(*cell, seed=seed)
+            for cell, seed in zip(cells, _child_seeds(master_seed, len(cells)))]
 
 
 def _float_digest(values):

@@ -54,15 +54,6 @@ def test_generate_manifest_and_instances(two_stage_dataset):
         assert row["width"] == 3 and row["K"] == 10 and row["num_scenarios"] == 2
 
 
-def test_generate_is_deterministic(tmp_path, two_stage_dataset):
-    base, out = two_stage_dataset
-    cfg = str(base / "gen.json")
-    again = tmp_path / "ds2"
-    assert main(["generate", "--config", cfg, "--out", str(again)]) == 0
-    for row in json.loads((out / "manifest.json").read_text())["instances"]:
-        assert (out / row["file"]).read_bytes() == (again / row["file"]).read_bytes()
-
-
 def test_generate_counts_desk_grids(tmp_path):
     cfg = _write(
         tmp_path / "gen.json",
@@ -119,9 +110,6 @@ def test_train_eval_round_trip(two_stage_dataset, tmp_path):
     assert [r["seed"] for r in report["per_seed"]] == [0, 1]
     assert all(r["evals"] <= 40 for r in report["per_seed"])
     assert len(report["config_hash"]) == 64  # sha256 fingerprint
-    wdir2 = tmp_path / "w_again"
-    assert main(["train", "--config", train_cfg, "--out", str(wdir2)]) == 0
-    assert (wdir / "report.json").read_bytes() == (wdir2 / "report.json").read_bytes()
 
     eval_cfg = _write(
         base / "eval.json",
@@ -233,71 +221,6 @@ def test_scheduling_round_trip_with_brute_reference(tmp_path):
         # reference is the best algorithm, which includes the exact optimum here
         assert float(r[3]) == brute[r[0]]
         assert float(r[2]) >= float(r[3]) - 1e-9
-
-
-def test_fyl_training_mode(two_stage_dataset, tmp_path):
-    base, ds = two_stage_dataset
-    cfg = _write(
-        base / "fyl.json",
-        {
-            "application": "two_stage",
-            "dataset": str(ds),
-            "method": "fyl",
-            "fyl": {"epsilon": 1.0, "n_z": 5, "steps": 30, "rate": 0.05, "bound_iters": 50},
-        },
-    )
-    wdir = tmp_path / "wf"
-    assert main(["train", "--config", cfg, "--out", str(wdir)]) == 0
-    weights = json.loads((wdir / "weights.json").read_text())
-    assert weights["d"] == 34
-    assert all(abs(v) <= 10.0 for v in weights["w"])
-
-
-def test_end_to_end_byte_identical_csvs(tmp_path):
-    def chain(tag):
-        gen_cfg = _write(
-            tmp_path / f"gen{tag}.json",
-            {
-                "application": "scheduling",
-                "n": [4],
-                "rho": [1.0],
-                "per_cell": 2,
-                "seed": 12,
-            },
-        )
-        ds = tmp_path / f"ds{tag}"
-        assert main(["generate", "--config", gen_cfg, "--out", str(ds)]) == 0
-        train_cfg = _write(
-            tmp_path / f"train{tag}.json",
-            {
-                "application": "scheduling",
-                "dataset": str(ds),
-                "post": "ls",
-                "learner": {"budget": 25, "seeds": [0]},
-            },
-        )
-        wdir = tmp_path / f"w{tag}"
-        assert main(["train", "--config", train_cfg, "--out", str(wdir)]) == 0
-        eval_cfg = _write(
-            tmp_path / f"eval{tag}.json",
-            {
-                "application": "scheduling",
-                "dataset": str(ds),
-                "algorithms": [
-                    {"name": "spt", "kind": "spt"},
-                    {"name": "pipeline_ls", "kind": "pipeline_ls",
-                     "weights": str(wdir / "weights.json")},
-                ],
-            },
-        )
-        edir = tmp_path / f"ev{tag}"
-        assert main(["eval", "--config", eval_cfg, "--out", str(edir)]) == 0
-        return (edir / "gaps.csv").read_bytes(), (wdir / "weights.json").read_bytes()
-
-    csv_a, w_a = chain("a")
-    csv_b, w_b = chain("b")
-    assert csv_a == csv_b
-    assert w_a == w_b
 
 
 # SHA-256 of every file a tiny chain per application writes (criterion 12's
@@ -698,6 +621,11 @@ _FILE_REFUSALS = {
     "manifest_instances_string": ("eval", _EV_SM,
                                   f"{_SM_M} key 'instances': 'instances/' is not a list",
                                   {_SM_M: {"instances": "instances/"}}),
+    # two rows name one instance file, the second with a leading ./
+    "manifest_files_repeat": ("eval", _EV_TS,
+                              f"instance 'ts_w3_K10_S2_001' in {_TS_M} repeats an earlier row's file",
+                              {(_TS_M, "instances", 1):
+                               {"file": "./instances/ts_w3_K10_S2_000.json"}}),
     "manifest_row_no_file": ("eval", _ev("sm", _SPT), f"{_SM_ROW} has no 'file'",
                              {(_SM_M, "instances", 0): {"file": _DROP}}),
     "train_manifest_row_no_lower_bound": ("train", _TR_TS, f"{_TS_ROW} has no 'lower_bound'",
