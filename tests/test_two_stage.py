@@ -556,12 +556,17 @@ def test_brute_force_free_first_stage():
 
 def test_brute_force_matches_independent_enumeration():
     rng = np.random.default_rng(41)
-    # the random instances, then a 2x2 grid of generate_instance's cost law
-    xs = [random_two_stage(rng, max_edges=7) for _ in range(12)]
-    for x in [*xs, generate_instance(2, 12, 2, seed=3)]:
+    for _ in range(12):
+        x = random_two_stage(rng, max_edges=7)
         cost, z = brute_force_optimum(x)
         assert cost == pytest.approx(exhaustive_two_stage(x), abs=1e-9)
         assert evaluate_solution(x, z) == pytest.approx(cost, abs=1e-9)
+
+
+def test_brute_force_grid_matches_oracle():
+    x = generate_instance(2, 12, 2, seed=3)  # 2x2 grid, 4 edges
+    cost, _ = brute_force_optimum(x)
+    assert cost == pytest.approx(exhaustive_two_stage(x), abs=1e-9)
 
 
 def test_brute_force_cost_is_its_solutions_price():
