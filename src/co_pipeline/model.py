@@ -14,10 +14,13 @@ import difflib
 import inspect
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+from .graphs import _recall
 
 __all__ = [
     "WeightVector",
@@ -26,6 +29,14 @@ __all__ = [
     "save_weights",
     "load_weights",
 ]
+
+# The Gaussian matrix sample_gaussians drew last.  learning.perturbed_loss_saa
+# asks for the same matrix on every call under one perturbation config: 30
+# times on the large two-stage benchmark chain, 28 800 in acceptance
+# criterion 9, whose two configs differ only in sigma, which the draws do not
+# depend on.  The matrix is a pure function of its key and read-only, so every
+# caller in the process can share it.
+_GAUSSIANS: dict = {}
 
 
 @dataclass(frozen=True)
@@ -186,15 +197,25 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
+def _draw(seed: int, nsamples: int, dim: int) -> np.ndarray:
+    z = np.random.default_rng(seed).standard_normal((nsamples, dim))
+    z.flags.writeable = False
+    return z
+
+
 def sample_gaussians(cfg: PerturbationConfig, dim: int) -> np.ndarray:
     """(nsamples, dim) standard normal draws, deterministic per seed.
 
     Row k of the matrix is sample k; requesting more samples with the
-    same seed extends the matrix without changing earlier rows.
+    same seed extends the matrix without changing earlier rows.  The last
+    matrix is remembered (graphs._recall) under (seed, nsamples, dim), so
+    a repeat returns it without drawing; it is read-only, so no caller can
+    change it for the next.  A non-integer seed, count or dim raises
+    TypeError before the memo is read.
     """
     _at_least(dim, 1, "dim")
-    rng = np.random.default_rng(cfg.seed)
-    return rng.standard_normal((cfg.nsamples, dim))
+    key = tuple(map(operator.index, (cfg.seed, cfg.nsamples, dim)))
+    return _recall(_GAUSSIANS, key, 1, _draw, *key)
 
 
 def save_weights(path, wv: WeightVector) -> None:

@@ -62,6 +62,24 @@ def test_sample_gaussians_deterministic_and_nested():
     assert np.array_equal(sample_gaussians(cfg9, 3)[:5], a)
 
 
+def test_sample_gaussians_remembers_a_read_only_matrix():
+    cfg = PerturbationConfig(sigma=1.0, nsamples=4, seed=3)
+    want = np.random.default_rng(3).standard_normal((4, 2)).tobytes()
+    first = sample_gaussians(cfg, 2)
+    # another sigma draws the same matrix; the repeat has every bit
+    again = sample_gaussians(PerturbationConfig(sigma=0.5, nsamples=4, seed=3), 2)
+    assert first.tobytes() == again.tobytes() == want
+    with pytest.raises(ValueError, match="read-only"):
+        again[0, 0] = 0.0
+    # another dim takes the one entry, and the next call draws again
+    wide = np.random.default_rng(3).standard_normal((4, 3)).tobytes()
+    assert sample_gaussians(cfg, 3).tobytes() == wide
+    assert sample_gaussians(cfg, 2).tobytes() == want
+    # a float seed equals its int, but is refused, as a fresh draw refuses it
+    with pytest.raises(TypeError):
+        sample_gaussians(PerturbationConfig(sigma=1.0, nsamples=4, seed=3.0), 2)
+
+
 def test_sample_gaussians_moments():
     cfg = PerturbationConfig(sigma=1.0, nsamples=100_000, seed=7)
     z = sample_gaussians(cfg, 4)

@@ -29,8 +29,8 @@ from co_pipeline.scheduling import (
     spt_layer,
     srpt_preemptive,
 )
-from co_pipeline.scheduling import (_PASS_ENTRIES, _check_permutation, _reinsert_positions,
-                                    _scan_passes, _total)
+from co_pipeline.scheduling import (_MEMO_SEARCHES, _PASS_ENTRIES, _check_permutation,
+                                    _reinsert_positions, _scan_passes, _total)
 from oracles import lexicographic_optimal_schedule
 
 # ---------------------------------------------------------------------------
@@ -445,12 +445,13 @@ def test_perturbed_decode_monotone_in_nsamples():
 
 def _reference_perturbed_decode(x, w, sigma, nsamples, seed):
     """The running-best loop perturbed_decode replaced: sample k wins only by a
-    strictly lower total, so ties go to the lowest sample index."""
+    strictly lower total, so ties go to the lowest sample index.  Each sample
+    is searched by the scalar oracle, which remembers nothing."""
     w = np.asarray(w.w, dtype=float)
     phi = features(x)
 
     def run(weights):
-        order = local_search(x, spt_layer(phi @ weights))
+        order = _reference_local_search(x, spt_layer(phi @ weights))
         return _total(x, order), order
 
     best_cost, best_order = run(w)
@@ -491,6 +492,79 @@ def test_perturbed_decode_rejects_bad_settings():
                          ({"seed": -1}, "seed must be >= 0")):
         with pytest.raises(ValueError, match=message):
             perturbed_decode(x, w, **bad)
+
+
+# ---------------------------------------------------------------------------
+# the search memo
+
+
+def test_warm_search_memo_keeps_the_reference_bits():
+    # each call runs twice on one instance, so the second reads the memo
+    rng = np.random.default_rng(17)
+    xs = [generate_sched_instance(n, rho, seed=n) for n in (5, 9, 20) for rho in (0.2, 3.0)]
+    xs += [_differential_instance(rng, n, kind) for n in (5, 12)
+           for kind in ("uniform", "ties", "near_equal")]
+    for x in xs:
+        w = WeightVector(rng.uniform(-1, 1, SCHED_FEATURE_DIM), 10.0)
+        want_ls = _reference_local_search(x, pipeline_order(x, w, post="none"))
+        want_pert = _reference_perturbed_decode(x, w, 5.0, 12, 3)
+        for _ in range(2):
+            assert np.array_equal(pipeline_order(x, w, post="ls"), want_ls)
+            assert np.array_equal(perturbed_decode(x, w, sigma=5.0, nsamples=12, seed=3),
+                                  want_pert)
+        assert x._searches
+
+
+def test_repeated_search_returns_a_fresh_writable_array():
+    # from a local optimum the descent moves nothing, so a memo that kept the
+    # caller's array, or handed out its own, would go stale through a write
+    x = generate_sched_instance(9, 1.0, seed=4)
+    start = local_search(x, np.arange(9))
+    want = start.copy()
+    first = local_search(x, start)
+    start[:] = start[::-1]
+    again = local_search(x, want)
+    assert again.flags.writeable and not np.shares_memory(first, again)
+    first[:] = 0
+    again[:] = 0
+    assert np.array_equal(local_search(x, want), want)
+
+
+def test_warm_search_memo_still_refuses_invalid_orders():
+    x = generate_sched_instance(4, 1.0, seed=0)
+    local_search(x, [0, 1, 2, 3])
+    for bad, error in (([0.0, 1.0, 2.0, 3.0], TypeError), ([0, 1, 2], ValueError),
+                       ([0, 1, 2, 2], ValueError), ([[0, 1, 2, 3]], ValueError)):
+        with pytest.raises(error):
+            local_search(x, bad)
+
+
+def test_search_memo_never_serves_another_instance():
+    # equal p and r make two instances, each with its own memo; and as in
+    # test_loss_cache_never_serves_a_freed_instance, a freed instance's id()
+    # goes to the next one, which must search from scratch
+    x = generate_sched_instance(8, 1.0, seed=0)
+    twin = SchedInstance(p=x.p, r=x.r)
+    local_search(x, np.arange(8))
+    assert len(x._searches) == 1 and twin._searches == {}
+    stale = 0
+    for seed in range(200):
+        x = generate_sched_instance(8, 1.0, seed=seed)
+        stale += not np.array_equal(local_search(x, np.arange(8)),
+                                    _reference_local_search(x, np.arange(8)))
+        del x
+    assert stale == 0
+
+
+def test_search_memo_holds_at_most_its_size():
+    x = generate_sched_instance(7, 1.0, seed=2)
+    rng = np.random.default_rng(5)
+    starts = {tuple(rng.permutation(7).tolist()) for _ in range(3 * _MEMO_SEARCHES)}
+    assert len(starts) > _MEMO_SEARCHES
+    for start in starts:
+        local_search(x, start)
+        assert len(x._searches) <= _MEMO_SEARCHES
+    assert len(x._searches) == _MEMO_SEARCHES
 
 
 # ---------------------------------------------------------------------------

@@ -210,6 +210,18 @@ def test_decode_two_candidates():
     assert z2.first_stage == frozenset()  # candidate B (all second stage) wins
     assert z2.second_stage == (frozenset({0}),)
 
+    # a 4-cycle has four trees per scenario, and B (-27) beats A (-18), whose
+    # first edge costs 0, the most it can.  Each of B's second stages must be
+    # its scenario's unique minimum tree: built from the maximum trees, B
+    # (-18.5) would still win, so only the last check would see it.
+    x3 = TwoStageInstance(graph=grid_graph(2, 2), c=np.zeros(4),
+                          d=np.array([[-10.0, -2.0], [-9.0, -10.0], [-8.0, -9.0], [-1.0, -8.0]]))
+    z3 = decode(x3, frozenset({0}))
+    trees = spanning_trees(x3.graph)
+    assert len(trees) == 4 and z3.first_stage == frozenset()
+    assert z3.second_stage == tuple(min(trees, key=lambda t: sum(x3.d[e, s] for e in t))
+                                    for s in range(x3.num_scenarios))
+
 
 def test_decode_tie_keeps_candidate_a():
     x = _one_edge(-4, [-4])
