@@ -119,25 +119,22 @@ def _check_shape(graph: Graph, weights) -> np.ndarray:
     return w
 
 
-def _check_finite(w: np.ndarray) -> None:
-    if not np.isfinite(w).all():
-        raise ValueError("edge weights must be finite")
-
-
 def _kruskal(graph: Graph, order: list, parent: list, tree: list) -> list:
     """Extend the forest `tree` (already linked in parent) to a spanning tree
     by adding, in turn, the edges of `order` that join two of its trees;
-    stops at |V| - 1 edges and returns the extended `tree`."""
-    size = graph.num_vertices - 1
-    tree += islice(_joining(parent, graph.edges, order), size - len(tree))
-    if len(tree) != size:
-        raise ValueError("edge set is not spanning")
+    stops at |V| - 1 edges and returns the extended `tree`.
+
+    Both callers always reach |V| - 1 edges: _kruskal_tree scans every edge
+    of a graph that Graph checked is connected, and mst_constrained extends
+    an acyclic forced forest with the edges of Kruskal's own spanning tree."""
+    tree += islice(_joining(parent, graph.edges, order), graph.num_vertices - 1 - len(tree))
     return tree
 
 
 def _kruskal_tree(graph: Graph, w: np.ndarray) -> tuple[frozenset[int], list[int]]:
     """The tree of finite weights w, and its edge ids in the order Kruskal accepted them."""
-    _check_finite(w)
+    if not np.isfinite(w).all():
+        raise ValueError("edge weights must be finite")
     accepted = _kruskal(graph, w.argsort(kind="stable").tolist(),
                         list(range(graph.num_vertices)), [])
     return frozenset(accepted), accepted

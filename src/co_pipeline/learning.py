@@ -116,7 +116,6 @@ def empirical_risk(training_set, w, cfg: LossConfig) -> float:
     """Mean (perturbed) loss over the training set."""
     if len(training_set) == 0:
         raise ValueError("training set is empty")
-    w = np.asarray(w, dtype=float)
     f = perturbed_loss_saa if cfg.perturbation is not None else loss
     values = parallel_map(lambda x: f(x, w, cfg), training_set)
     return float(np.mean(values))
@@ -238,8 +237,7 @@ def direct_minimize(objective, bounds, budget: int, seed: int = 0):
             for size in sizes:
                 vmin = min(rect[0] for rect in by_size[size])
                 ties = [rect for rect in by_size[size] if rect[0] == vmin]
-                if len(ties) > 1:
-                    rng.shuffle(ties)
+                rng.shuffle(ties)  # a single tie draws nothing from rng
                 class_values.append(vmin)
                 class_rects.append(ties)
             for pos in _potentially_optimal(sizes, class_values):

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import learning
 from .graphs import _recall
-from .model import (PerturbationConfig, _as_number, _as_weight_array, _at_least, _positive,
-                    _read_json, _write_json)
+from .model import (PerturbationConfig, _as_number, _as_weight_array, _at_least, _draw,
+                    _positive, _read_json, _write_json)
 
 __all__ = [
     "SchedInstance",
@@ -157,8 +157,7 @@ def srpt_preemptive(x: SchedInstance) -> SrptStats:
     n = x.n
     remaining = x.p.copy()
     completion = np.zeros(n)
-    first_start = np.zeros(n)
-    started = np.zeros(n, dtype=bool)
+    first_start = np.full(n, -1.0)  # every start time is >= 0
     preemptions = np.zeros(n, dtype=int)
 
     release_order = np.argsort(x.r, kind="stable")
@@ -177,8 +176,7 @@ def srpt_preemptive(x: SchedInstance) -> SrptStats:
         if j != prev and prev >= 0 and remaining[prev] > 0:
             preemptions[prev] += 1
         prev = j
-        if not started[j]:
-            started[j] = True
+        if first_start[j] < 0:
             first_start[j] = t
         next_release = float(x.r[release_order[ptr]]) if ptr < n else np.inf
         if t + rem <= next_release:
@@ -331,18 +329,18 @@ def perturbed_decode(
     """Best schedule over the pipeline at w and at nsamples perturbed copies.
 
     Each sample's theta, from features computed once, is decoded by SPT
-    order then local search.  Sample 0 is the unperturbed w, samples 1..nsamples use w + sigma*Z_k
-    with a seed-fixed Gaussian matrix (prefixes are nested, so enlarging
-    nsamples can only improve the result).  The winner is the
-    deterministic (cost, sample index) minimum.
+    order then local search.  Sample 0 is the unperturbed w, samples
+    1..nsamples use w + sigma*Z_k, where Z is model's seed-fixed Gaussian
+    matrix (model._draw, the draw behind sample_gaussians; prefixes are
+    nested, so enlarging nsamples can only improve the result).  The winner
+    is the deterministic (cost, sample index) minimum.
     """
     _check_decode(sigma, nsamples, seed)
     w = _as_weight_array(w)
     phi = features(x)
     samples = [w]
     if sigma > 0 and nsamples > 0:
-        gaussians = np.random.default_rng(seed).standard_normal((nsamples, w.shape[0]))
-        samples += [w + sigma * g for g in gaussians]
+        samples += [w + sigma * g for g in _draw(seed, nsamples, w.shape[0])]
     orders = [local_search(x, spt_layer(phi @ v)) for v in samples]
     return min(orders, key=lambda order: _total(x, order))
 

@@ -171,17 +171,24 @@ def _price(x: TwoStageInstance, z: TwoStageSolution) -> float:
 
 
 def _check_feasible(x: TwoStageInstance, z: TwoStageSolution) -> None:
-    """Raise unless z is feasible, naming the first scenario that is not.
+    """Raise unless z is feasible, naming the first stage or scenario that is not.
 
-    Each scenario is checked for overlap, then for a spanning tree: the
-    first stage must be a forest, built once, and the scenario's second
-    stage must join it edge by edge into |V| - 1 edges.
+    Every id must be an edge of the graph: a negative one would index the
+    edge list from its end.  Then each scenario is checked for overlap, then
+    for a spanning tree: the first stage must be a forest, built once, and
+    the scenario's second stage must join it edge by edge into |V| - 1 edges.
     """
     if len(z.second_stage) != x.num_scenarios:
         raise ValueError(
             f"expected {x.num_scenarios} second-stage sets, got {len(z.second_stage)}"
         )
     edges, size, first = x.graph.edges, x.graph.num_vertices - 1, z.first_stage
+    n_edges = len(edges)
+    for s, ids in enumerate((first, *z.second_stage)):
+        for e in ids:
+            if not 0 <= e < n_edges:
+                stage = f"scenario {s - 1}" if s else "first stage"
+                raise ValueError(f"{stage}: edge id {e} out of range")
     forest = list(range(size + 1))
     acyclic = len(list(_joining(forest, edges, first))) == len(first)
     for s, es in enumerate(z.second_stage):
@@ -200,12 +207,13 @@ def _checked_price(x: TwoStageInstance, z: TwoStageSolution) -> float:
 def evaluate_solution(x: TwoStageInstance, z: TwoStageSolution) -> float:
     """Hard-problem cost of z (see _price); raises if z is infeasible.
 
-    Each scenario is checked for overlap, then for a spanning tree.  The
-    instance remembers its _MEMO_PRICES most recent prices (graphs._recall),
-    keyed by every set's edge ids in iteration order, so a repeat returns
-    the bits that _price gave it; an infeasible z raises every time.  Edge
-    ids must be integers: a float id equals its int and hashes like it, so
-    it would share the int's entry.
+    Every id is checked to be an edge of the graph, then each scenario for
+    overlap, then for a spanning tree.  The instance remembers its
+    _MEMO_PRICES most recent prices (graphs._recall), keyed by every set's
+    edge ids in iteration order, so a repeat returns the bits that _price
+    gave it; an infeasible z raises every time.  Edge ids must be integers:
+    a float id equals its int and hashes like it, so it would share the
+    int's entry.
     """
     key = first, second = (tuple(z.first_stage), tuple(map(tuple, z.second_stage)))
     # one sum finds any non-integer id, as an int plus a float is a float

@@ -527,6 +527,8 @@ _CONFIG_REFUSALS = {
                                "generate key 'widths': 3 is not a list"),
     "train_method_list": ("train", {**_TRAIN, "method": ["fyl"]},
                           "train key 'method': ['fyl'] is not a string"),
+    "train_method_unknown": ("train", {**_TRAIN, "method": "bogus"},
+                             "unknown training method 'bogus'"),
     "train_post_number": ("train", {**_TR_SM, "post": 3}, "train key 'post': 3 is not a string"),
     "learner_list": ("train", {**_TRAIN, "learner": [1]},
                      "train key 'learner': [1] is not an object"),
@@ -578,6 +580,9 @@ _COMMAND_REFUSALS = {
                                         {_SM_M: {"application": "two_stagee"}}),
     "train_application_mismatch": ("train", {"application": "scheduling", "dataset": "ts"},
                                    "config application does not match the dataset"),
+    # imitation needs the two-stage targets
+    "fyl_on_scheduling": ("train", {"dataset": "sm", "method": "fyl"},
+                          "fyl training is implemented for the two_stage application"),
     # a block the training method never reads is named with the method
     **{f"{method}_reads_no_{block}": ("train", {"dataset": "ts", "method": method, block: {}},
                                       f"training method {method!r} does not read the {block!r} "
@@ -655,6 +660,11 @@ _FILE_REFUSALS = {
                                 {_SM_X: {"p": [-_INF] * 4}}),
     "instance_p_empty": ("train", _TR_SM, f"{_SM_X} key 'p': [] is an empty list",
                          {_SM_X: {"p": []}}),
+    "instance_n_mismatch": ("train", _TR_SM, f"{_SM_X}: instance file job count mismatch",
+                            {_SM_X: {"n": 5}}),
+    "ts_instance_d_row_missing": ("train", _TR_TS,
+                                  f"{_TS_X}: instance file scenario costs have the wrong shape",
+                                  {(_TS_X, "d"): {0: _DROP}}),
     "instance_unknown_key": ("train", _TR_SM, f"unknown {_SM_X} key 'q'; valid: n, p, r, rho, seed",
                              {_SM_X: {"q": 1}}),
     "instance_not_json": ("train", _TR_SM, f"{_SM_X}{_NOT_JSON_SAYS}", {_SM_X: _NOT_JSON}),
@@ -663,6 +673,8 @@ _FILE_REFUSALS = {
     "ts_instance_c_nan": ("train", _TR_TS, f"{_TS_X} key 'c': nan is not a finite number",
                           {_TS_X: {"c": [_NAN, -1.0, -2.0, -3.0]}}),
     "weights_no_d": ("eval", _EV_SM, f"{_W11} has no 'd'", {_W11: {"d": _DROP}}),
+    "weights_d_mismatch": ("eval", _EV_SM, f"{_W11}: weight file dimension mismatch",
+                           {_W11: {"d": 12}}),
     "weights_leave_box": ("eval", _EV_SM, f"{_W11}: w leaves the box", {_W11: {"M": 0.25}}),
     "weights_d_fraction": ("eval", _EV_SM, f"{_W11} key 'd': 11.7 is not an integer",
                            {_W11: {"d": 11.7}}),

@@ -1,4 +1,4 @@
-"""Each demo prints the bytes recorded in demos/expected, as CI's demo step checks."""
+"""Each demo prints the bytes recorded in demos/expected."""
 
 import os
 import subprocess
@@ -13,7 +13,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.stem for demo in DEMOS])
 def test_demo_prints_its_recorded_bytes(demo):
-    # as CI runs it: warnings are errors and the package comes from src
+    # warnings are errors and the package comes from src
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, "-W", "error", str(demo)], env=env, cwd=ROOT,
                           capture_output=True, timeout=300)

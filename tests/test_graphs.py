@@ -49,6 +49,19 @@ def test_graph_rejects_disconnected():
         Graph(4, [(0, 1), (2, 3)])
 
 
+@pytest.mark.parametrize("call, args, error, message", [
+    pytest.param(Graph, (0, []), ValueError, "graph needs at least one vertex", id="Graph-empty"),
+    pytest.param(grid_graph, (0, 3), ValueError, "grid dimensions must be positive",
+                 id="grid_graph-width-0"),
+    pytest.param(grid_graph, (1, 1), ValueError, "grid needs at least two vertices",
+                 id="grid_graph-1x1"),
+])
+def test_refused_arguments(call, args, error, message):
+    with pytest.raises(error) as exc:
+        call(*args)
+    assert str(exc.value) == message
+
+
 @settings(max_examples=300)
 @given(connected_graphs(), st.data())
 def test_graph_rejects_exactly_the_disconnected_edge_sets(g, data):

@@ -167,6 +167,25 @@ def test_direct_invalid_inputs():
         direct_minimize(lambda w: 0.0, bounds=[(-1.0, 1.0)], budget=0)
 
 
+@pytest.mark.parametrize("call, args, error, message", [
+    pytest.param(LearnerConfig, (10.0, 1000, ()), ValueError,
+                 "learner key 'seeds' must hold at least one seed", id="LearnerConfig-no-seeds"),
+    pytest.param(direct_minimize, (lambda w: 0.0, [-1.0, 1.0], 10), ValueError,
+                 "bounds must be (d, 2)", id="direct_minimize-bounds-1d"),
+    pytest.param(direct_minimize, (lambda w: 0.0, [(-1.0, 0.0, 1.0)], 10), ValueError,
+                 "bounds must be (d, 2)", id="direct_minimize-bounds-3-columns"),
+    pytest.param(perturbed_expected_solution, (lambda th: th, np.zeros(2), 1.0, np.zeros((0, 2))),
+                 ValueError, "at least one perturbation sample is required",
+                 id="perturbed_expected_solution-no-samples"),
+    pytest.param(fyl_learn, ([], None, None), ValueError, "no training pairs",
+                 id="fyl_learn-no-pairs"),
+])
+def test_refused_arguments(call, args, error, message):
+    with pytest.raises(error) as exc:
+        call(*args)
+    assert str(exc.value) == message
+
+
 def test_direct_all_nan_objective_returns_center_without_warning():
     # every class minimum is +inf; inf - inf in the hull test used to warn,
     # and the suite turns warnings into errors

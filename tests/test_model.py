@@ -213,6 +213,20 @@ def test_positive_setting_at_zero_raises_naming_its_parameter(build, message):
         build()
 
 
+@pytest.mark.parametrize("call, args, error, message", [
+    pytest.param(WeightVector, (np.zeros((2, 2)), 1.0), ValueError, "w must be a vector",
+                 id="WeightVector-2d"),
+    pytest.param(WeightVector, ([0.0, _NAN], 1.0), ValueError, "w must be finite",
+                 id="WeightVector-nan"),
+    pytest.param(WeightVector, ([_INF], 1.0), ValueError, "w must be finite",
+                 id="WeightVector-inf"),
+])
+def test_refused_arguments(call, args, error, message):
+    with pytest.raises(error) as exc:
+        call(*args)
+    assert str(exc.value) == message
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,

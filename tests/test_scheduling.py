@@ -131,6 +131,31 @@ def test_spt_sorts_with_stable_ties():
     assert spt_layer([5.0, 5.0, 5.0]).tolist() == [0, 1, 2]
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call, args, error, message", [
+    pytest.param(SchedInstance, ([1.0, 2.0], [0.0]), ValueError,
+                 "p and r must be equal-length non-empty vectors", id="SchedInstance-unequal"),
+    pytest.param(SchedInstance, ([], []), ValueError,
+                 "p and r must be equal-length non-empty vectors", id="SchedInstance-empty"),
+    pytest.param(SchedInstance, ([1.0, _NAN], [0.0, 0.0]), ValueError, "p and r must be finite",
+                 id="SchedInstance-p-nan"),
+    pytest.param(SchedInstance, ([1.0], [_INF]), ValueError, "p and r must be finite",
+                 id="SchedInstance-r-inf"),
+    pytest.param(SchedInstance, ([1.0, 2.0], [0.0, -1.0]), ValueError,
+                 "release dates must be >= 0", id="SchedInstance-negative-release"),
+    pytest.param(spt_layer, ([[1.0, 2.0]],), ValueError, "theta must be a vector",
+                 id="spt_layer-2d"),
+    pytest.param(spt_layer, ([1.0, _NAN],), ValueError, "theta must be finite",
+                 id="spt_layer-nan"),
+])
+def test_refused_arguments(call, args, error, message):
+    with pytest.raises(error) as exc:
+        call(*args)
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # SRPT (a lower bound on the optimum: criterion 6)
 

@@ -8,6 +8,7 @@ second, slower route that shares no tree machinery with the package.
 import itertools
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -135,6 +136,28 @@ def test_evaluate_rejects_cyclic_first_stage():
     for _ in range(2):
         with pytest.raises(ValueError, match="^scenario 0: edge set is not a spanning tree$"):
             evaluate_solution(x, z)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("bad", [-1, 3])
+@pytest.mark.parametrize("stage, at", [("first stage", 0), ("scenario 1", 2)],
+                         ids=["first_stage", "scenario_1"])
+def test_evaluate_refuses_ids_the_graph_does_not_have(stage, at, bad, warm):
+    # a negative id would index the edge list from its end and be priced,
+    # and an id past its end would raise IndexError
+    x = _triangle([-5, -2, -4], [[-1, -6], [-3, -3], [-2, -7]])
+    sets = [frozenset({0}), frozenset({2}), frozenset({1})]
+    valid = TwoStageSolution(sets[0], tuple(sets[1:]))
+    sets[at] = frozenset({bad})
+    invalid = TwoStageSolution(sets[0], tuple(sets[1:]))
+    for z in [valid, invalid, invalid, valid] if warm else [invalid, invalid, valid]:
+        if z is valid:
+            assert evaluate_solution(x, z) == -7.5
+        else:
+            with pytest.raises(ValueError) as exc:
+                evaluate_solution(x, z)
+            assert str(exc.value) == f"{stage}: edge id {bad} out of range"
+    assert list(x._prices) == [((0,), ((2,), (1,)))]
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +554,39 @@ def test_memo_is_bounded_and_per_instance(monkeypatch):
     for z in solutions[-two_stage._MEMO_PRICES:]:
         assert _same_bits(evaluate_solution(twin, z), two_stage._price(twin, z))
         assert evaluate_solution(twin, z) != evaluate_solution(x, z)
+
+
+_NO_WIDTH = _triangle([-1, -1, -1], [[-1], [-1], [-1]])
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call, args, error, message", [
+    pytest.param(TwoStageInstance, (_NO_WIDTH.graph, -np.ones(2), -np.ones((3, 1))), ValueError,
+                 "c must have one entry per edge", id="TwoStageInstance-c-short"),
+    *[pytest.param(TwoStageInstance, (_NO_WIDTH.graph, -np.ones(3), d), ValueError,
+                   "d must be (num_edges, num_scenarios)", id=f"TwoStageInstance-d-{name}")
+      for name, d in (("vector", -np.ones(3)), ("rows", -np.ones((2, 1))),
+                      ("no-scenario", -np.ones((3, 0))))],
+    pytest.param(TwoStageInstance, (_NO_WIDTH.graph, [-1.0, _NAN, -1.0], -np.ones((3, 1))),
+                 ValueError, "costs must be finite", id="TwoStageInstance-c-nan"),
+    pytest.param(TwoStageInstance, (_NO_WIDTH.graph, -np.ones(3), [[-1.0], [-_INF], [-1.0]]),
+                 ValueError, "costs must be finite", id="TwoStageInstance-d-inf"),
+    pytest.param(TwoStageInstance, (_NO_WIDTH.graph, [-1.0, 0.5, -1.0], -np.ones((3, 1))),
+                 ValueError, "costs must be <= 0", id="TwoStageInstance-c-positive"),
+    pytest.param(TwoStageInstance, (_NO_WIDTH.graph, -np.ones(3), [[-1.0], [1.0], [-1.0]]),
+                 ValueError, "costs must be <= 0", id="TwoStageInstance-d-positive"),
+    pytest.param(evaluate_solution, (_NO_WIDTH, TwoStageSolution(frozenset(), ())), ValueError,
+                 "expected 1 second-stage sets, got 0", id="evaluate_solution-no-scenario"),
+    pytest.param(lagrangian_heuristic, (_NO_WIDTH, np.zeros((3, 2))), ValueError,
+                 "duals must be (num_edges, num_scenarios)", id="lagrangian_heuristic-duals"),
+    pytest.param(save_instance, (os.devnull, _NO_WIDTH), ValueError,
+                 "only grid instances with a recorded width are serializable",
+                 id="save_instance-no-width"),
+])
+def test_refused_arguments(call, args, error, message):
+    with pytest.raises(error) as exc:
+        call(*args)
+    assert str(exc.value) == message
 
 
 def test_instance_costs_are_read_only_copies():
