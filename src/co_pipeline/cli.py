@@ -113,10 +113,14 @@ def _dataset(dataset: str) -> tuple:
     return app, manifest
 
 
-def _instances(app, manifest, dataset, application) -> list:
-    """The dataset's instances; a config that names its application must match."""
+def _check_application(app, application) -> None:
+    """A config that names its application must name the dataset's."""
     if application is not None and _application(application) is not app:
         raise ValueError("config application does not match the dataset")
+
+
+def _instances(app, manifest, dataset) -> list:
+    """The dataset's instances, loaded once every config check has passed."""
     return [app.load(Path(dataset) / row["file"]) for row in manifest["instances"]]
 
 
@@ -128,7 +132,7 @@ def _cmd_train(app, manifest: dict, out: Path, /, dataset: str,
                application: str | None = None, method: str = "experience",
                learner: dict | None = None, perturbation: dict | None = None,
                fyl: dict | None = None, **loss_keys) -> int:
-    instances = _instances(app, manifest, dataset, application)
+    _check_application(app, application)
     unread = {"experience": {"fyl": fyl}, "fyl": {"learner": learner, "perturbation": perturbation}}
     if method not in unread:
         raise ValueError(f"unknown training method {method!r}")
@@ -143,16 +147,21 @@ def _cmd_train(app, manifest: dict, out: Path, /, dataset: str,
             pert = model.PerturbationConfig(
                 **model._read_config("perturbation", perturbation, model.PerturbationConfig)
             )
-        loss_cfg = app.loss_config(instances, manifest["instances"], pert, **loss_keys)
-        weights, report = learning.learn_by_experience(
-            instances, learning.LearnerConfig(**learner), loss_cfg
-        )
+
+        def fit(instances):
+            loss_cfg = app.loss_config(instances, manifest["instances"], pert, **loss_keys)
+            return learning.learn_by_experience(
+                instances, learning.LearnerConfig(**learner), loss_cfg
+            )
     else:
         fyl = model._read_config("fyl", fyl or {}, app.fyl_train, learning.fyl_learn)
-        weights = app.fyl_train(instances, **fyl)
-        report = {"per_seed": [], "best_w": [float(v) for v in weights.w],
-                  "config_hash": learning.config_hash(fyl)}
 
+        def fit(instances):
+            weights = app.fyl_train(instances, **fyl)
+            return weights, {"per_seed": [], "best_w": [float(v) for v in weights.w],
+                             "config_hash": learning.config_hash(fyl)}
+
+    weights, report = fit(_instances(app, manifest, dataset))
     out.mkdir(parents=True, exist_ok=True)
     model.save_weights(out / "weights.json", weights)
     model._write_json(out / "report.json", report)
@@ -185,20 +194,23 @@ def _runner(cost, dim: int, /, name: str, kind: str, **keys):
 
 def _cmd_eval(app, manifest: dict, out: Path, /, dataset: str, algorithms: list[dict],
               application: str | None = None) -> int:
-    instances = _instances(app, manifest, dataset, application)
+    _check_application(app, application)
     kinds = app.algorithms()
-    runners = {}
+    runners, entries = {}, []
     for entry in algorithms:
         kind = entry.get("kind")
         if not isinstance(kind, str) or kind not in kinds:
             raise ValueError(f"unknown {manifest['application']} algorithm kind {kind!r}")
         cost, *passed_on = kinds[kind]
         keys = model._read_config(f"{kind} entry", entry, _runner, cost, *passed_on)
-        app.check_entry(kind, keys, instances)
         name, run = _runner(cost, app.dim, **keys)
         if name in runners:
             raise ValueError(f"two eval algorithms are named {name!r}")
         runners[name] = run
+        entries.append((kind, keys))
+    instances = _instances(app, manifest, dataset)
+    for kind, keys in entries:
+        app.check_entry(kind, keys, instances)
     out.mkdir(parents=True, exist_ok=True)
 
     rows = manifest["instances"]

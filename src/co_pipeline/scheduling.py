@@ -58,6 +58,13 @@ _PASS_ENTRIES = 2**14
 # 64 leave 1 371.  An entry is two n-long int64 arrays (the key's bytes and
 # the result): 64 take 36 KB at n = 20.
 _MEMO_SEARCHES = 64
+# Scan tables local search keeps, one per job count, least recently used
+# dropped first.  A run meets few n: the scheduling benchmark chain meets 3
+# (8, 12 and 20) and acceptance criterion 10 meets 2 (8 and 20).  A table
+# holds n(n-1) + n - 1 rows of n int64 positions, about n^3 * 8 B: 64 KB at
+# n = 20, so 4 take 256 KB there, and 8 MB at n = 100, where 4 take 32 MB.
+_MEMO_TABLES = 4
+_TABLES: dict = {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +125,7 @@ def _totals(p_ord: np.ndarray, r_ord: np.ndarray) -> np.ndarray:
     # C_k = max(r_k, C_{k-1}) + p_k unrolls to a running maximum:
     # C_k = P_k + max_{t<=k} (r_t - P_{t-1}) with P the prefix sums of p.
     # Applied along the last axis, so a matrix holds one order per row.
-    pref = np.cumsum(p_ord, axis=-1)
+    pref = p_ord.cumsum(axis=-1)
     return pref + np.maximum.accumulate(r_ord - (pref - p_ord), axis=-1)
 
 
@@ -253,19 +260,32 @@ def _scan_passes(n: int) -> list[np.ndarray]:
     return [table[d, d], *(table[s:s + per_pass].reshape(-1, n) for s in range(0, n, per_pass))]
 
 
+def _read_only_passes(n: int) -> tuple:
+    """_scan_passes(n) without its empty passes (all of them at n = 1), read-only."""
+    passes = tuple(rows for rows in _scan_passes(n) if rows.size)
+    for rows in passes:
+        rows.flags.writeable = False
+    return passes
+
+
 def _descend(x: SchedInstance, order: np.ndarray) -> np.ndarray:
     """local_search's descent from a valid permutation, which it never writes
-    to.  Returns a copy: the local optimum is a row of a scan pass, and a
-    remembered view would keep the whole pass alive."""
+    to.  The scan tables are built once per n and kept read-only in a memo
+    of _MEMO_TABLES job counts (graphs._recall).  A pass's rows are summed by
+    np.add.reduce, the reduction ndarray.sum runs after its Python wrapper,
+    and the first strictly improving row is the argmax of the mask (argmax
+    returns the first True).  Returns a copy: the local optimum is a row of a
+    scan pass, and a remembered view would keep the whole pass alive."""
     total = _total(x, order)
-    passes = _scan_passes(x.n)
+    passes = _recall(_TABLES, x.n, _MEMO_TABLES, _read_only_passes, x.n)
     while True:
         for rows in passes:
             cands = order[rows]
-            totals = _totals(x.p[cands], x.r[cands]).sum(axis=1)
-            better = np.flatnonzero(totals < total)
-            if better.size:
-                order, total = cands[better[0]], float(totals[better[0]])
+            totals = np.add.reduce(_totals(x.p[cands], x.r[cands]), axis=1)
+            better = totals < total
+            first = better.argmax()
+            if better[first]:
+                order, total = cands[first], float(totals[first])
                 break
         else:
             return order.copy()
@@ -285,10 +305,12 @@ def local_search(x: SchedInstance, order) -> np.ndarray:
     as fit in _PASS_ENTRIES positions; a block larger than that is a pass
     of its own.  The cap keeps a pass in L2 cache: one pass over all
     blocks ran at about half the speed at n = 50 and at n = 100.
-    Each row is summed along its own axis, and the move applied is the
-    first strictly improving row in scan order, so neither the pass
-    boundaries nor the pass sizes change a result: it is the same as
-    scoring one candidate at a time.
+    The passes depend on n alone, so they are built once per n and
+    remembered (_MEMO_TABLES).  Each row is summed along its own axis, and
+    the move applied is the first strictly improving row in scan order,
+    found by argmax on the pass's mask, so neither the pass boundaries nor
+    the pass sizes change a result: it is the same as scoring one candidate
+    at a time.
 
     The instance remembers its _MEMO_SEARCHES most recent searches
     (graphs._recall), keyed by the bytes of the checked start order, so a
@@ -465,19 +487,19 @@ class SchedulingApplication:
     dim = SCHED_FEATURE_DIM
 
     def cells(self, n: list, rho: list) -> list:
-        """The manifest fields of each (n, rho) cell."""
+        """The manifest fields of each (n, rho) cell; an integer-valued n is stored as an int."""
         if any(size < 1 or not float(size).is_integer() for size in n):
             raise ValueError("generate key 'n' must hold integers >= 1")
         if any(r <= 0 for r in rho):
             raise ValueError("generate key 'rho' must hold values > 0")
-        return [{"n": size, "rho": r} for size, r in itertools.product(n, rho)]
+        return [{"n": int(size), "rho": r} for size, r in itertools.product(n, rho)]
 
     def instance_id(self, cell: dict, index: int) -> str:
         return f"sm_n{cell['n']}_rho{cell['rho']:g}_{index:03d}"
 
     def generate(self, cell: dict, seed: int, path) -> dict:
         """Sample one instance of a cell into path; returns its manifest fields."""
-        x = generate_sched_instance(int(cell["n"]), cell["rho"], seed=seed)
+        x = generate_sched_instance(cell["n"], cell["rho"], seed=seed)
         save_sched_instance(path, x)
         return {**cell, "seed": x.seed}
 

@@ -564,14 +564,16 @@ class TwoStageApplication:
     dim = TWO_STAGE_FEATURE_DIM
 
     def cells(self, widths: list, K: list, scenarios: list, bound_iters: int = 500) -> list:
-        """The manifest fields of each cell: its (width, K, scenarios) and the
-        subgradient iterations of every stored lower bound."""
+        """The manifest fields of each cell: its (width, K, scenarios), integer-valued
+        axis values stored as ints, and the subgradient iterations of every
+        stored lower bound."""
         for key, values, least in (("widths", widths, 2), ("K", K, 0), ("scenarios", scenarios, 1)):
             if any(v < least or not float(v).is_integer() for v in values):
                 raise ValueError(f"generate key {key!r} must hold integers >= {least}")
         _at_least(bound_iters, 1, "generate key 'bound_iters'")
         return [
-            {"width": width, "K": k, "num_scenarios": n_scen, "bound_iters": bound_iters}
+            {"width": int(width), "K": int(k), "num_scenarios": int(n_scen),
+             "bound_iters": bound_iters}
             for width, k, n_scen in itertools.product(widths, K, scenarios)
         ]
 
@@ -580,9 +582,7 @@ class TwoStageApplication:
 
     def generate(self, cell: dict, seed: int, path) -> dict:
         """Sample one instance of a cell into path; returns its manifest fields."""
-        x = generate_instance(
-            int(cell["width"]), cell["K"], int(cell["num_scenarios"]), seed=seed
-        )
+        x = generate_instance(cell["width"], cell["K"], cell["num_scenarios"], seed=seed)
         save_instance(path, x)
         lb, _, _ = lagrangian_bound(x, iters=cell["bound_iters"])
         return {**cell, "seed": x.seed, "lower_bound": lb}

@@ -72,23 +72,27 @@ def test_generate_counts_desk_grids(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "config",
+    "config, axes",
     [
-        {"application": "two_stage", "widths": [3.0], "K": [10.0], "scenarios": [2.0],
-         "per_cell": 1, "seed": 0, "bound_iters": 5},
-        {"application": "scheduling", "n": [5.0], "rho": [1.0], "per_cell": 1, "seed": 0},
+        ({"application": "two_stage", "widths": [3], "K": [10], "scenarios": [2],
+          "per_cell": 1, "seed": 0, "bound_iters": 5}, ("widths", "K", "scenarios")),
+        ({"application": "scheduling", "n": [5], "rho": [1.0], "per_cell": 1, "seed": 0}, ("n",)),
     ],
     ids=["two_stage", "scheduling"],
 )
-def test_generate_takes_integral_floats_on_integer_axes(tmp_path, config):
-    out = tmp_path / "ds"
-    assert main(["generate", "--config", _write(tmp_path / "gen.json", config),
-                 "--out", str(out)]) == 0
-    [row] = json.loads((out / "manifest.json").read_text())["instances"]
-    assert (out / row["file"]).exists()
-    if config["application"] == "two_stage":
-        # K is not cast: the manifest row and the instance id keep the given value
-        assert row["K"] == 10.0 and "_K10.0_" in row["id"]
+def test_generate_takes_integral_floats_on_integer_axes(tmp_path, config, axes):
+    # 5.0 on an integer axis is stored as 5: the manifest rows, the instance
+    # ids and file names and the instance bytes are those of the ints
+    runs = []
+    for name, gen in (("ints", config),
+                      ("floats", {**config, **{key: [float(config[key][0])] for key in axes}})):
+        out = tmp_path / name
+        assert main(["generate", "--config", _write(tmp_path / f"{name}.json", gen),
+                     "--out", str(out)]) == 0
+        [row] = json.loads((out / "manifest.json").read_text())["instances"]
+        runs.append((json.dumps(row), sorted(p.name for p in (out / "instances").iterdir()),
+                     (out / row["file"]).read_bytes()))
+    assert runs[0] == runs[1]
 
 
 def test_train_eval_round_trip(two_stage_dataset, tmp_path):
@@ -565,6 +569,20 @@ _CONFIG_REFUSALS = {
                          "bounds key 'delta': nan is not a finite number"),
     "generate_rho_negative_inf": ("generate", {**_SM_GEN, "rho": [1.0, -_INF]},
                                   "generate key 'rho': -inf is not a finite number"),
+    # a config error is named before any instance file is read: here one
+    # instance file is cut short
+    **{f"{case}_before_instances": (command, config, message, {_SM_X: _NOT_JSON})
+       for case, command, config, message in [
+           ("train_method_unknown", "train", {**_TR_SM, "method": "bogus"},
+            "unknown training method 'bogus'"),
+           ("learner", "train", {**_TR_SM, "learner": {"bugdet": 3}},
+            "unknown learner key 'bugdet'; did you mean 'budget'? valid: "
+            "box_radius, budget, seeds"),
+           ("eval_kind_unknown", "eval", _ev("sm", {"name": "a", "kind": "bogus"}),
+            "unknown scheduling algorithm kind 'bogus'"),
+           ("eval_weights_length", "eval", _ev("sm", {**_PIPELINE, "weights": _W34}),
+            f"pipeline entry key 'weights': {_W34} holds 34 weights, the application takes 11"),
+       ]},
 }
 
 # A refusal that no one config key decides: an application, a block the

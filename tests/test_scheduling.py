@@ -29,8 +29,8 @@ from co_pipeline.scheduling import (
     spt_layer,
     srpt_preemptive,
 )
-from co_pipeline.scheduling import (_MEMO_SEARCHES, _PASS_ENTRIES, _check_permutation,
-                                    _reinsert_positions, _scan_passes, _total)
+from co_pipeline.scheduling import (_MEMO_SEARCHES, _MEMO_TABLES, _PASS_ENTRIES, _TABLES,
+                                    _check_permutation, _reinsert_positions, _scan_passes, _total)
 from oracles import lexicographic_optimal_schedule
 
 # ---------------------------------------------------------------------------
@@ -590,6 +590,38 @@ def test_search_memo_holds_at_most_its_size():
         local_search(x, start)
         assert len(x._searches) <= _MEMO_SEARCHES
     assert len(x._searches) == _MEMO_SEARCHES
+
+
+# ---------------------------------------------------------------------------
+# the scan-table memo
+
+
+def test_remembered_scan_tables_are_fresh_scan_passes():
+    # every pass is kept but n = 1's, which are empty
+    for n in (1, 2, 5, 20, 26):
+        local_search(generate_sched_instance(n, 1.0, seed=n), np.arange(n))
+        fresh = _scan_passes(n)
+        assert len(_TABLES[n]) == (len(fresh) if n > 1 else 0)
+        for kept, rows in zip(_TABLES[n], fresh):
+            assert kept.dtype == rows.dtype and np.array_equal(kept, rows)
+
+
+def test_remembered_scan_tables_are_read_only():
+    local_search(generate_sched_instance(6, 1.0, seed=0), np.arange(6))
+    for rows in _TABLES[6]:
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0
+    assert np.array_equal(_TABLES[6][0], _scan_passes(6)[0])
+
+
+def test_scan_table_memo_holds_at_most_its_size():
+    sizes = range(3, 3 + 3 * _MEMO_TABLES)
+    for n in sizes:
+        x = generate_sched_instance(n, 1.0, seed=n)
+        start = np.arange(n)[::-1].copy()
+        assert np.array_equal(local_search(x, start), _reference_local_search(x, start))
+        assert len(_TABLES) <= _MEMO_TABLES and n in _TABLES
+    assert list(_TABLES) == list(sizes[-_MEMO_TABLES:])
 
 
 # ---------------------------------------------------------------------------
