@@ -196,21 +196,21 @@ def _cmd_eval(app, manifest: dict, out: Path, /, dataset: str, algorithms: list[
               application: str | None = None) -> int:
     _check_application(app, application)
     kinds = app.algorithms()
-    runners, entries = {}, []
+    runners = {}
     for entry in algorithms:
         kind = entry.get("kind")
         if not isinstance(kind, str) or kind not in kinds:
             raise ValueError(f"unknown {manifest['application']} algorithm kind {kind!r}")
         cost, *passed_on = kinds[kind]
         keys = model._read_config(f"{kind} entry", entry, _runner, cost, *passed_on)
+        app.check_entry(kind, keys)
         name, run = _runner(cost, app.dim, **keys)
         if name in runners:
             raise ValueError(f"two eval algorithms are named {name!r}")
         runners[name] = run
-        entries.append((kind, keys))
     instances = _instances(app, manifest, dataset)
-    for kind, keys in entries:
-        app.check_entry(kind, keys, instances)
+    for entry in algorithms:
+        app.check_instances(entry["kind"], instances)
     out.mkdir(parents=True, exist_ok=True)
 
     rows = manifest["instances"]

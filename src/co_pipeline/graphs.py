@@ -8,6 +8,7 @@ graph remember its recent Kruskal trees and its last forced forest (_recall).
 
 from __future__ import annotations
 
+import math
 import numbers
 from itertools import islice
 
@@ -92,7 +93,9 @@ class Graph:
             if key in seen:
                 raise ValueError(f"duplicate edge {key}")
             seen.add(key)
-        joined = _joining(list(range(self.num_vertices)), self.edges, range(self.num_edges))
+        # each forest this module builds starts as a list of these roots
+        self._roots = tuple(range(self.num_vertices))
+        joined = _joining(list(self._roots), self.edges, range(self.num_edges))
         if len(list(joined)) != self.num_vertices - 1:
             raise ValueError("graph is not connected")
         # see mst_kruskal and mst_constrained
@@ -132,11 +135,14 @@ def _kruskal(graph: Graph, order: list, parent: list, tree: list) -> list:
 
 
 def _kruskal_tree(graph: Graph, w: np.ndarray) -> tuple[frozenset[int], list[int]]:
-    """The tree of finite weights w, and its edge ids in the order Kruskal accepted them."""
-    if not np.isfinite(w).all():
+    """The tree of finite weights w, and its edge ids in the order Kruskal accepted them.
+
+    The sort puts -inf first and inf, then NaN, last, so the weights are
+    finite when both ends of the order are."""
+    order = w.argsort(kind="stable").tolist()
+    if order and not (math.isfinite(w[order[0]]) and math.isfinite(w[order[-1]])):
         raise ValueError("edge weights must be finite")
-    accepted = _kruskal(graph, w.argsort(kind="stable").tolist(),
-                        list(range(graph.num_vertices)), [])
+    accepted = _kruskal(graph, order, list(graph._roots), [])
     return frozenset(accepted), accepted
 
 
@@ -147,7 +153,7 @@ def _forced_forest(graph: Graph, forced: frozenset) -> tuple[list[int], list[int
     for eid in ids:
         if not (0 <= eid < n_edges):
             raise ValueError(f"forced edge id {eid} out of range")
-    parent = list(range(graph.num_vertices))
+    parent = list(graph._roots)
     if len(list(_joining(parent, graph.edges, ids))) != len(ids):
         raise ValueError("forced edges contain a cycle")
     return ids, parent

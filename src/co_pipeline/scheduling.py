@@ -525,11 +525,13 @@ class SchedulingApplication:
             "brute_force": (lambda x, /: brute_force_schedule(x)[0],),
         }
 
-    def check_entry(self, kind: str, keys: dict, instances) -> None:
-        """Fail before anything runs when an eval entry's settings are out of range
-        or it cannot take a loaded instance."""
+    def check_entry(self, kind: str, keys: dict) -> None:
+        """Fail before any instance loads when an eval entry's settings are out of range."""
         if kind == "pipeline_pert_ls":
             _check_decode(keys["sigma"], keys["nsamples"], keys["seed"], f"{kind} entry")
+
+    def check_instances(self, kind: str, instances) -> None:
+        """Fail before anything runs when an eval kind cannot take a loaded instance."""
         if kind == "brute_force" and any(x.n > BRUTE_FORCE_JOB_LIMIT for x in instances):
             raise ValueError(f"brute force limited to {BRUTE_FORCE_JOB_LIMIT} jobs")
 

@@ -233,7 +233,8 @@ def easy_layer(x: TwoStageInstance, theta) -> EasySolution:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (x.dim,):
         raise ValueError("theta must have 2*num_edges entries")
-    if not np.all(np.isfinite(theta)):
+    # one reduction: np.all would add its Python wrapper
+    if not np.logical_and.reduce(np.isfinite(theta)):
         raise ValueError("theta must be finite")
     cbar, dbar = theta[:x.num_edges], theta[x.num_edges:]
     tree = mst_kruskal(x.graph, np.minimum(cbar, dbar))
@@ -373,7 +374,18 @@ def _raw_features(x: TwoStageInstance) -> np.ndarray:
     return mat
 
 
-def _scenario_subproblems(x: TwoStageInstance, lam: np.ndarray):
+class _StepArrays:
+    """The arrays of _scenario_subproblems, made once per subgradient ascent."""
+
+    def __init__(self, x: TwoStageInstance):
+        self.c = x.c[:, None]
+        self.reduced, self.weights, self.ybar, self.in_tree = (
+            np.empty(x.d.shape) for _ in range(4))
+        self.cols = list(self.weights.T)
+        self.scenario = np.arange(x.num_scenarios)[:, None]
+
+
+def _scenario_subproblems(x: TwoStageInstance, lam: np.ndarray, arrays=None):
     """Per-scenario relaxed MSTs at multipliers lam; value and stage picks.
 
     One MST per scenario, in scenario order, on min(c + lam, d); the rest
@@ -381,20 +393,35 @@ def _scenario_subproblems(x: TwoStageInstance, lam: np.ndarray):
     order and its weights summed pairwise, and the scenario sums are added
     in scenario order, so the value (an np.float64) has the bits of one
     numpy pass per scenario.
+
+    lagrangian_bound passes the same arrays (a _StepArrays of x) to every
+    step of one ascent: the reduced costs, the weights, the tree indicator
+    and the returned ybar are written in place, and the weights' column
+    views are made once.  Without them every array is new.  They stay
+    (E, S), the layout that the sums of each row over the scenarios (not
+    left to right from S = 8 on) and the flat sum of g * g in
+    lagrangian_bound take their bits from.
     """
-    d = x.d
-    n_edges, n_scen = d.shape
-    reduced = x.c[:, None] + lam
-    weights = np.minimum(reduced, d)
-    trees = [mst_kruskal(x.graph, col) for col in weights.T]
+    if arrays is None:
+        arrays = _StepArrays(x)
+    d, reduced, weights, ybar, in_tree = (
+        x.d, arrays.reduced, arrays.weights, arrays.ybar, arrays.in_tree)
+    n_scen = d.shape[1]
+    np.add(arrays.c, lam, out=reduced)
+    np.minimum(reduced, d, out=weights)
+    trees = [mst_kruskal(x.graph, col) for col in arrays.cols]
     # position e * S + s of each tree edge in the flat (E, S) arrays
     size = x.graph.num_vertices - 1
-    at = np.fromiter(itertools.chain.from_iterable(trees), dtype=np.intp, count=n_scen * size)
-    at = at.reshape(n_scen, size) * n_scen + np.arange(n_scen)[:, None]
-    value = _sum_in_order(weights.ravel()[at].sum(axis=1).tolist())
-    ybar = np.zeros(n_edges * n_scen)
-    ybar[at] = (reduced <= d).ravel()[at]
-    return np.float64(value) / n_scen, ybar.reshape(n_edges, n_scen)
+    at = np.fromiter(itertools.chain.from_iterable(trees), dtype=np.intp,
+                     count=n_scen * size).reshape(n_scen, size)
+    at *= n_scen
+    at += arrays.scenario
+    value = _sum_in_order(np.add.reduce(weights.take(at), axis=1).tolist())
+    in_tree.fill(0.0)
+    in_tree.ravel()[at] = 1.0
+    np.less_equal(reduced, d, out=ybar)
+    ybar *= in_tree
+    return np.float64(value) / n_scen, ybar
 
 
 def lagrangian_bound(x: TwoStageInstance, /, iters: int = 500):
@@ -414,12 +441,14 @@ def lagrangian_bound(x: TwoStageInstance, /, iters: int = 500):
     _at_least(iters, 1, "iters")
     n_scen = x.num_scenarios
     lam = np.zeros((x.num_edges, n_scen))
+    g, squares = np.empty_like(lam), np.empty_like(lam)
+    arrays = _StepArrays(x)
     best = -np.inf
     trace = []
     s0 = 1.0
     stall = 0
     for _ in range(iters):
-        value, ybar = _scenario_subproblems(x, lam)
+        value, ybar = _scenario_subproblems(x, lam, arrays)
         if value > best:
             best = value
             stall = 0
@@ -429,14 +458,15 @@ def lagrangian_bound(x: TwoStageInstance, /, iters: int = 500):
                 s0 /= 2.0
                 stall = 0
         trace.append(best)
-        # sum / S is ndarray.mean's arithmetic without its Python overhead
-        g = ybar - ybar.sum(axis=1, keepdims=True) / n_scen
-        g_sq = float((g * g).sum())
+        # add.reduce / S is ndarray.mean's arithmetic without its Python
+        # overhead; each array is written in place
+        np.subtract(ybar, np.add.reduce(ybar, axis=1, keepdims=True) / n_scen, out=g)
+        g_sq = float(np.add.reduce(np.multiply(g, g, out=squares), axis=None))
         if g_sq <= 1e-12:
             break  # consensus across scenarios: no ascent direction left
         scale = abs(best) if best != 0.0 else 1.0
-        lam = lam + (s0 * scale / (g_sq + 1e-12)) * g
-        lam -= lam.sum(axis=1, keepdims=True) / n_scen
+        lam += np.multiply(g, s0 * scale / (g_sq + 1e-12), out=g)
+        lam -= np.add.reduce(lam, axis=1, keepdims=True) / n_scen
     return best, lam, trace
 
 
@@ -618,10 +648,13 @@ class TwoStageApplication:
                 x, lagrangian_heuristic(x, lagrangian_bound(x, **bound)[1])), lagrangian_bound),
         }
 
-    def check_entry(self, kind: str, keys: dict, instances) -> None:
-        """Every eval kind takes every instance; the heuristic's bound iterations are checked."""
+    def check_entry(self, kind: str, keys: dict) -> None:
+        """The heuristic's bound iterations are checked before any instance loads."""
         if kind == "lagrangian_heuristic":
             _at_least(keys["iters"], 1, f"{kind} entry key 'iters'")
+
+    def check_instances(self, kind: str, instances) -> None:
+        """Every eval kind takes every instance."""
 
     def lower_bound(self, x: TwoStageInstance, row: dict) -> float:
         """The stored Lagrangian bound."""

@@ -570,8 +570,9 @@ _CONFIG_REFUSALS = {
     "generate_rho_negative_inf": ("generate", {**_SM_GEN, "rho": [1.0, -_INF]},
                                   "generate key 'rho': -inf is not a finite number"),
     # a config error is named before any instance file is read: here one
-    # instance file is cut short
-    **{f"{case}_before_instances": (command, config, message, {_SM_X: _NOT_JSON})
+    # instance file of each dataset is cut short
+    **{f"{case}_before_instances": (command, config, message,
+                                    {_SM_X: _NOT_JSON, _TS_X: _NOT_JSON})
        for case, command, config, message in [
            ("train_method_unknown", "train", {**_TR_SM, "method": "bogus"},
             "unknown training method 'bogus'"),
@@ -582,6 +583,11 @@ _CONFIG_REFUSALS = {
             "unknown scheduling algorithm kind 'bogus'"),
            ("eval_weights_length", "eval", _ev("sm", {**_PIPELINE, "weights": _W34}),
             f"pipeline entry key 'weights': {_W34} holds 34 weights, the application takes 11"),
+           ("eval_pert_sigma_negative", "eval", _ev("sm", _SPT, _pert(sigma=-0.5)),
+            "pipeline_pert_ls entry key 'sigma' must be >= 0"),
+           ("eval_lagrangian_iters_0", "eval",
+            _ev("ts", _BASE, {"name": "a", "kind": "lagrangian_heuristic", "iters": 0}),
+            "lagrangian_heuristic entry key 'iters' must be >= 1"),
        ]},
 }
 

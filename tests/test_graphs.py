@@ -184,6 +184,45 @@ def test_weight_validation():
         mst_kruskal(g, [float("nan")])
 
 
+_INF, _NAN = float("inf"), float("nan")
+
+
+# non-finite weights alone, at either end of the sort, and as an inf/-inf mix
+# whose sum is NaN
+@pytest.mark.parametrize("weights", [
+    [_INF, 1.0, 2.0], [1.0, -_INF, 2.0], [1.0, 2.0, _NAN], [_INF, -_INF, 1.0],
+    [-_INF, _NAN, 1.0], [_INF, _NAN, 1.0], [_NAN] * 3, [-_INF] * 3,
+])
+def test_non_finite_weights_are_refused(weights):
+    g = Graph(3, [(0, 1), (0, 2), (1, 2)])
+    for forced in (None, (), (2,)):
+        with pytest.raises(ValueError, match="edge weights must be finite"):
+            if forced is None:
+                mst_kruskal(g, weights)
+            else:
+                mst_constrained(g, weights, forced)
+    assert not g._trees
+
+
+def test_huge_finite_weights_give_the_reference_tree():
+    # their sum overflows, which a warning (an error under pytest) would show
+    g = grid_graph(3, 3)
+    n = g.num_edges
+    for w in ([1e308] * n, [-1e308] * n, [1e308, -1e308] * (n // 2),
+              [np.finfo(float).max, -np.finfo(float).max] * (n // 2)):
+        w = np.array(w)
+        want = kruskal_reference(g, w)
+        _same_tree(mst_kruskal(g, w), want)
+        assert mst_constrained(g, w, ()) == want
+
+
+def test_edgeless_graph_has_the_empty_tree():
+    g = Graph(1, [])
+    for _ in range(2):
+        assert mst_kruskal(g, []) == frozenset()
+        assert mst_constrained(g, np.zeros(0), ()) == frozenset()
+
+
 # ---------------------------------------------------------------------------
 # the per-graph memo of Kruskal trees
 

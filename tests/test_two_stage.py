@@ -182,11 +182,25 @@ def test_easy_layer_rejects_theta_of_wrong_length():
 
 def test_easy_layer_rejects_non_finite_theta():
     x = _triangle([-1, -4, -2], [[-3], [-1], [-2]])
-    for bad in (np.nan, np.inf, -np.inf):
+    # the last pair sums to NaN
+    for at, bad in (([4], [np.nan]), ([4], [np.inf]), ([4], [-np.inf]),
+                    ([1, 4], [np.inf, -np.inf])):
         theta = np.full(6, -1.0)
-        theta[4] = bad
-        with pytest.raises(ValueError, match="finite"):
+        theta[at] = bad
+        with pytest.raises(ValueError, match="theta must be finite"):
             easy_layer(x, theta)
+
+
+def test_easy_layer_takes_extreme_finite_theta():
+    # a sum of these overflows, which would warn (an error under pytest)
+    x = _triangle([-1, -4, -2], [[-3], [-1], [-2]])
+    top = np.finfo(float).max
+    y = easy_layer(x, np.array([top, top, top, -top, -top, -top]))
+    assert y == EasySolution(frozenset(), frozenset({0, 1}))
+    y = easy_layer(x, np.array([-top, top, -top, top, -top, top]))
+    assert y == EasySolution(frozenset({0}), frozenset({1}))
+    edgeless = TwoStageInstance(graph=Graph(1, []), c=np.zeros(0), d=np.zeros((0, 2)))
+    assert easy_layer(edgeless, np.zeros(0)) == EasySolution(frozenset(), frozenset())
 
 
 def test_easy_layer_tie_goes_first_stage():
@@ -877,6 +891,25 @@ def test_bound_on_one_vertex_without_edges():
         _assert_bound_matches_per_scenario(x, 5)
         best, lam, trace = lagrangian_bound(x, iters=5)
         assert best == 0.0 and lam.shape == (0, n_scen) and len(trace) == 1
+
+
+def test_bound_arrays_do_not_leak():
+    # one ascent writes its arrays in place; nothing it returns is shared
+    # with another run or with a later step
+    x = generate_instance(4, 10, 4, seed=3)
+    best, lam, trace = lagrangian_bound(x, iters=60)
+    kept = lam.copy()
+    lam[...] = 7.0
+    again, lam_again, trace_again = lagrangian_bound(x, iters=60)
+    assert _same_bits(again, best) and _same_bits(lam_again, kept)
+    assert np.array(trace_again).tobytes() == np.array(trace).tobytes()
+    assert not np.shares_memory(lam, lam_again)
+    value, ybar = _scenario_subproblems(x, kept)
+    value_again, ybar_again = _scenario_subproblems(x, kept)
+    assert not np.shares_memory(ybar, ybar_again)
+    ybar[...] = 5.0
+    assert _same_bits(value_again, value) and set(np.unique(ybar_again)) <= {0.0, 1.0}
+    assert lagrangian_heuristic(x, kept) == _lagrangian_heuristic_per_scenario(x, kept)
 
 
 def _bound_and_solutions(x):
