@@ -323,6 +323,8 @@ def main(argv=None) -> int:
         if args.command in ("generate", "train", "eval") and args.out is None:
             raise ValueError(f"{args.command} requires --out")
         out = None if args.out is None else Path(args.out)
+        if out is not None and out.exists() and not out.is_dir():
+            raise ValueError(f"--out {args.out!r} is not a directory")
         # each stage's keyword parameters are the top-level keys of its config
         if args.command == "generate":
             app = _application(config.get("application"))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import learning
-from .graphs import _recall
+from .graphs import _recall, _store
 from .model import (PerturbationConfig, _as_number, _as_weight_array, _at_least, _draw,
                     _positive, _read_json, _write_json)
 
@@ -48,15 +48,18 @@ SCHED_FEATURE_DIM = 11
 BRUTE_FORCE_JOB_LIMIT = 9
 # positions per local-search pass over the reinsertion blocks: 128 KB of float64
 _PASS_ENTRIES = 2**14
-# Local searches each instance remembers, least recently used dropped first.
-# Eval repeats them: pipeline_ls's search is perturbed_decode's sample 0, and
-# perturbed samples often share an SPT order.  On the scheduling benchmark
-# chain eval makes 42 searches, 36 distinct, and one entry answers every
-# repeat.  Acceptance criterion 10's eval loop makes 2 736 searches; at three
-# random w, 1 entry leaves 2 668-2 698 to run, 8 leave 2 377-2 510, 16 leave
-# 2 179-2 375, 64 leave 1 852-2 055 and no bound 1 826-2 022.  At the trained w
-# 64 leave 1 371.  An entry is two n-long int64 arrays (the key's bytes and
-# the result): 64 take 36 KB at n = 20.
+# Orders whose descent's end each instance remembers, least recently used
+# dropped first: each search's start and every order it moved to.  Searches
+# from nearby starts (neighbouring DIRECT points, perturbed samples) meet
+# on the way down, and eval repeats whole searches: pipeline_ls's search is
+# perturbed_decode's sample 0, and perturbed samples often share an SPT
+# order.  Over the 40 chains of the scheduling benchmark pool (seed 11),
+# 4 282 searches make 129 552 scan passes when only starts are remembered.
+# Remembering every order skips 14.4 % of them at 64 entries (train 21.7 %,
+# eval 7.4 %; eval's 1 680 searches run 1 364 descents, not 1 417), 16.9 %
+# at 256 and 17.3 % at 1 024.  An entry is an n-long int64 key (193 B at
+# n = 20) and the search's end, one array shared by every key of that
+# search (272 B at n = 20): 64 take at most 30 KB there.
 _MEMO_SEARCHES = 64
 # Scan tables local search keeps, one per job count, least recently used
 # dropped first.  A run meets few n: the scheduling benchmark chain meets 3
@@ -274,10 +277,17 @@ def _descend(x: SchedInstance, order: np.ndarray) -> np.ndarray:
     of _MEMO_TABLES job counts (graphs._recall).  A pass's rows are summed by
     np.add.reduce, the reduction ndarray.sum runs after its Python wrapper,
     and the first strictly improving row is the argmax of the mask (argmax
-    returns the first True).  Returns a copy: the local optimum is a row of a
+    returns the first True).
+
+    Every order the descent moves to is looked up in the instance's search
+    memo: an earlier search that passed through it already knows where the
+    descent ends, so a hit stops here with that end.  The end is then stored
+    under every order moved to (graphs._store); local_search stores it under
+    the start.  An end found here is a copy: the local optimum is a row of a
     scan pass, and a remembered view would keep the whole pass alive."""
     total = _total(x, order)
     passes = _recall(_TABLES, x.n, _MEMO_TABLES, _read_only_passes, x.n)
+    path = []
     while True:
         for rows in passes:
             cands = order[rows]
@@ -288,7 +298,14 @@ def _descend(x: SchedInstance, order: np.ndarray) -> np.ndarray:
                 order, total = cands[first], float(totals[first])
                 break
         else:
-            return order.copy()
+            end = order.copy()
+            break
+        path.append(order.tobytes())
+        end = x._searches.get(path[-1])
+        if end is not None:
+            break
+    _store(x._searches, path, _MEMO_SEARCHES, end)
+    return end
 
 
 def local_search(x: SchedInstance, order) -> np.ndarray:
@@ -312,10 +329,15 @@ def local_search(x: SchedInstance, order) -> np.ndarray:
     the pass sizes change a result: it is the same as scoring one candidate
     at a time.
 
-    The instance remembers its _MEMO_SEARCHES most recent searches
-    (graphs._recall), keyed by the bytes of the checked start order, so a
-    repeated start gets the descent's bits without running it.  Every call
-    checks its order first and returns a fresh array.
+    The instance remembers where its recent searches ended, keyed by the
+    bytes of each order a search started from or moved to, _MEMO_SEARCHES
+    orders in all (graphs._recall and graphs._store).  A repeated start gets
+    the descent's bits without running it, and a search that moves to an
+    order an earlier one passed through stops there with that search's end.
+    Both are exact: a descent depends only on the instance and its current
+    order, and the total it carries after a move has the bits of
+    _total(x, order), from the same _totals row and the same pairwise sum.
+    Every call checks its order first and returns a fresh array.
     """
     order = _check_permutation(x, order)
     return _recall(x._searches, order.tobytes(), _MEMO_SEARCHES, _descend, x, order).copy()
@@ -492,6 +514,10 @@ class SchedulingApplication:
             raise ValueError("generate key 'n' must hold integers >= 1")
         if any(r <= 0 for r in rho):
             raise ValueError("generate key 'rho' must hold values > 0")
+        # r ~ U{1..floor(50.5*n*rho)} is drawn as int64
+        if any(50.5 * size * r >= 2**63 for size, r in itertools.product(n, rho)):
+            raise ValueError("generate key 'rho' must keep the release horizon "
+                             "50.5 * n * rho below 2**63")
         return [{"n": int(size), "rho": r} for size, r in itertools.product(n, rho)]
 
     def instance_id(self, cell: dict, index: int) -> str:

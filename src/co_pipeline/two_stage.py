@@ -600,6 +600,8 @@ class TwoStageApplication:
         for key, values, least in (("widths", widths, 2), ("K", K, 0), ("scenarios", scenarios, 1)):
             if any(v < least or not float(v).is_integer() for v in values):
                 raise ValueError(f"generate key {key!r} must hold integers >= {least}")
+        if any(k > 2**63 for k in K):  # d ~ U{-K..0} is drawn as int64
+            raise ValueError("generate key 'K' must hold integers <= 2**63")
         _at_least(bound_iters, 1, "generate key 'bound_iters'")
         return [
             {"width": int(width), "K": int(k), "num_scenarios": int(n_scen),

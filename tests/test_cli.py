@@ -447,6 +447,12 @@ _CONFIG_REFUSALS = {
                          "generate key 'widths' must hold integers >= 2"),
     "generate_rho_0": ("generate", {**_SM_GEN, "rho": [1.0, 0]},
                        "generate key 'rho' must hold values > 0"),
+    # the generators draw int64: d from U{-K..0}, r from U{1..floor(50.5*n*rho)}
+    "generate_K_beyond_int64": ("generate", {**_TS_GEN, "K": [10, 1e300]},
+                                "generate key 'K' must hold integers <= 2**63"),
+    "generate_rho_beyond_int64": ("generate", {**_SM_GEN, "rho": [1.0, 1e300]},
+                                  "generate key 'rho' must keep the release horizon "
+                                  "50.5 * n * rho below 2**63"),
     "generate_seed_negative": ("generate", {**_TS_GEN, "seed": -2},
                                "generate key 'seed' must be >= 0"),
     "generate_bound_iters_0": ("generate", {**_TS_GEN, "bound_iters": 0},
@@ -629,6 +635,13 @@ _COMMAND_REFUSALS = {
                                  {_SM_X: {"n": 10, "p": [1] * 10, "r": [1] * 10}}),
     "config_missing": ("eval", None, "[Errno 2] No such file or directory: 'cfg.json'"),
     "generate_no_out": ("generate --config cfg.json", _SM_GEN, "generate requires --out"),
+    # an --out that names a file is refused before any data is read
+    "generate_out_is_a_file": ("generate --config cfg.json --out afile", _SM_GEN,
+                               "--out 'afile' is not a directory", {"afile": ""}),
+    "train_out_is_a_file": ("train --config cfg.json --out afile", _TR_SM,
+                            "--out 'afile' is not a directory", {"afile": ""}),
+    "eval_out_is_a_file": ("eval --config cfg.json --out afile", _EV_SM,
+                           "--out 'afile' is not a directory", {"afile": ""}),
 }
 
 # A config, manifest, instance or weights file that cannot be read as one:

@@ -570,8 +570,10 @@ def test_search_memo_never_serves_another_instance():
     # goes to the next one, which must search from scratch
     x = generate_sched_instance(8, 1.0, seed=0)
     twin = SchedInstance(p=x.p, r=x.r)
-    local_search(x, np.arange(8))
-    assert len(x._searches) == 1 and twin._searches == {}
+    end = local_search(x, np.arange(8))
+    # one search stores its end under its start and every order it moved to
+    assert np.arange(8).tobytes() in x._searches and twin._searches == {}
+    assert all(np.array_equal(kept, end) for kept in x._searches.values())
     stale = 0
     for seed in range(200):
         x = generate_sched_instance(8, 1.0, seed=seed)
@@ -579,6 +581,49 @@ def test_search_memo_never_serves_another_instance():
                                     _reference_local_search(x, np.arange(8)))
         del x
     assert stale == 0
+
+
+class _CountedMemo(dict):
+    """A search memo that counts the lookups of orders a descent moved to."""
+
+    hits = 0
+
+    def get(self, key, default=None):
+        kept = super().get(key, default)
+        self.hits += kept is not None
+        return kept
+
+
+def test_merged_searches_keep_the_reference_ends():
+    # starts a few swaps apart reach common orders, so later searches stop
+    # where an earlier one passed; every answer, and every order left in the
+    # memo, must give the reference descent's end from that order
+    rng = np.random.default_rng(30)
+    for kind in ("uniform", "ties", "near_equal"):
+        x = _differential_instance(rng, 10, kind)
+        object.__setattr__(x, "_searches", _CountedMemo())
+        base = rng.permutation(10)
+        for _ in range(60):
+            start = base.copy()
+            for i in rng.integers(0, 9, 3):
+                start[[i, i + 1]] = start[[i + 1, i]]
+            assert np.array_equal(local_search(x, start), _reference_local_search(x, start))
+        assert x._searches.hits > 0, kind
+        for key, end in x._searches.items():
+            assert np.array_equal(end, _reference_local_search(x, np.frombuffer(key, int))), kind
+
+
+def test_repeated_start_runs_no_descent(monkeypatch):
+    # eval's pipeline_ls start is perturbed_decode's sample 0
+    x = generate_sched_instance(20, 1.0, seed=3)
+    w = WeightVector(np.random.default_rng(3).uniform(-1, 1, SCHED_FEATURE_DIM), 10.0)
+    pipeline_order(x, w, post="ls")
+    descents = []
+    descend = scheduling._descend
+    monkeypatch.setattr(scheduling, "_descend", lambda *a: descents.append(1) or descend(*a))
+    pipeline_order(x, w, post="ls")
+    perturbed_decode(x, w, sigma=0.0)
+    assert descents == []
 
 
 def test_search_memo_holds_at_most_its_size():
