@@ -102,6 +102,8 @@ def _dataset(dataset: str) -> tuple:
                 model._typed(row[key], kind, name)
             except ValueError as exc:
                 raise ValueError(f"{instance} key {key!r}: {exc}") from None
+        if (Path(dataset) / row["file"]).is_dir():
+            raise ValueError(f"{instance} key 'file': {row['file']!r} names a directory")
     # two rows with one id would share a row of costs, and one file under two
     # ids would be scored and weighted twice
     rows = manifest["instances"]
@@ -323,8 +325,11 @@ def main(argv=None) -> int:
         if args.command in ("generate", "train", "eval") and args.out is None:
             raise ValueError(f"{args.command} requires --out")
         out = None if args.out is None else Path(args.out)
-        if out is not None and out.exists() and not out.is_dir():
-            raise ValueError(f"--out {args.out!r} is not a directory")
+        if out is not None:  # the nearest existing path of --out must be a directory
+            found = next(path for path in (out, *out.parents) if path.exists())
+            if not found.is_dir():
+                under = "" if found == out else f" lies under {str(found)!r}, which"
+                raise ValueError(f"--out {args.out!r}{under} is not a directory")
         # each stage's keyword parameters are the top-level keys of its config
         if args.command == "generate":
             app = _application(config.get("application"))
@@ -340,7 +345,7 @@ def main(argv=None) -> int:
         settings = model._read_config("eval", config, _cmd_eval)
         return _cmd_eval(app, manifest, out, **settings)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -100,6 +100,12 @@ class SchedInstance:
         object.__setattr__(self, "r", r)
         # local_search's memo (see _MEMO_SEARCHES)
         object.__setattr__(self, "_searches", {})
+        # local_search scores swaps in plain Python (_first_swap) on integer
+        # data whose every schedule total, at most n * (max r + sum p), stays
+        # below 2**53; the test asks for 2**52, a margin for its own rounding
+        jobs, releases = p.tolist(), r.tolist()
+        object.__setattr__(self, "_exact", all(map(float.is_integer, jobs + releases))
+                           and len(jobs) * (max(releases) + sum(jobs)) < 2**52)
 
     @property
     def n(self) -> int:
@@ -271,6 +277,53 @@ def _read_only_passes(n: int) -> tuple:
     return passes
 
 
+def _first_swap(p: list, r: list, job: list, done: list, reach: list, start: int):
+    """The first strictly improving adjacent swap from candidate start on, as
+    (its position, the change of the total), applied to job and done in place;
+    (-1, 0.0) when none improves.
+
+    job is the order and done[k + 1] the completion time of position k
+    (done[0] = 0); p, r and done hold integer-valued Python floats, so every
+    sum here is exact.  Candidate j recomputes completion times from
+    position j on.  From j + 1 on both orders hold the same jobs, so each
+    completion moves the way the one before it moved, by no more (max(t, r)
+    is monotone in t).  The scan of j therefore stops once the sign of the
+    change is settled: at a completion that does not move, after which none
+    does, or at one that moves the way the change so far points.  reach[j]
+    records the last position read: the decision depends on no later one."""
+    last = len(job) - 1
+    for j in range(start, last):
+        a, b = job[j + 1], job[j]
+        t, u = done[j], r[a]
+        t = (t if t > u else u) + p[a]
+        change = t - done[j + 1]
+        k, u = j + 1, r[b]
+        t = (t if t > u else u) + p[b]
+        step = t - done[k + 1]
+        change += step
+        while step and (step < 0) == (change >= 0) and k < last:
+            k += 1
+            i = job[k]
+            u = r[i]
+            t = (t if t > u else u) + p[i]
+            step = t - done[k + 1]
+            change += step
+        reach[j] = k
+        if change < 0:
+            job[j], job[j + 1] = a, b
+            t, change = done[j], 0.0
+            for k in range(j, last + 1):
+                i = job[k]
+                u = r[i]
+                t = (t if t > u else u) + p[i]
+                if k > j and t == done[k + 1]:
+                    break
+                change += t - done[k + 1]
+                done[k + 1] = t
+            return j, change
+    return -1, 0.0
+
+
 def _descend(x: SchedInstance, order: np.ndarray) -> np.ndarray:
     """local_search's descent from a valid permutation, which it never writes
     to.  The scan tables are built once per n and kept read-only in a memo
@@ -279,27 +332,54 @@ def _descend(x: SchedInstance, order: np.ndarray) -> np.ndarray:
     and the first strictly improving row is the argmax of the mask (argmax
     returns the first True).
 
+    On an instance with x._exact (integer data, every total below 2**53)
+    the swap pass is scored in plain Python instead (_first_swap): each
+    candidate by its change alone.  A candidate's total and the current one
+    are exact integers there, so change < 0 decides as the numpy pass's
+    candidate < total does.  After a swap at j the scan restarts at the
+    first candidate whose last evaluation read a position from j on: the
+    candidates before it read nothing the swap changed, so they still do
+    not improve.  Non-integer data keep the numpy pass, since their
+    decisions depend on how its pairwise float sums round.
+
     Every order the descent moves to is looked up in the instance's search
     memo: an earlier search that passed through it already knows where the
     descent ends, so a hit stops here with that end.  The end is then stored
     under every order moved to (graphs._store); local_search stores it under
     the start.  An end found here is a copy: the local optimum is a row of a
     scan pass, and a remembered view would keep the whole pass alive."""
-    total = _total(x, order)
     passes = _recall(_TABLES, x.n, _MEMO_TABLES, _read_only_passes, x.n)
+    times = _totals(x.p[order], x.r[order])
+    total = float(times.sum())
+    exact, j = x._exact, -1
+    if exact:  # the swaps are applied to a copy of the order in place
+        p, r, order, passes = x.p.tolist(), x.r.tolist(), order.copy(), passes[1:]
+        job, done, reach, start = order.tolist(), [0.0, *times.tolist()], [0] * x.n, 0
     path = []
     while True:
-        for rows in passes:
-            cands = order[rows]
-            totals = np.add.reduce(_totals(x.p[cands], x.r[cands]), axis=1)
-            better = totals < total
-            first = better.argmax()
-            if better[first]:
-                order, total = cands[first], float(totals[first])
-                break
+        if exact:
+            j, change = _first_swap(p, r, job, done, reach, start)
+        if j >= 0:
+            order[j], order[j + 1] = job[j], job[j + 1]
+            total += change
+            for start, k in enumerate(reach):
+                if k >= j:
+                    break
         else:
-            end = order.copy()
-            break
+            for rows in passes:
+                cands = order[rows]
+                times = _totals(x.p[cands], x.r[cands])
+                totals = np.add.reduce(times, axis=1)
+                better = totals < total
+                first = better.argmax()
+                if better[first]:
+                    order, total = cands[first], float(totals[first])
+                    if exact:
+                        job, done, start = order.tolist(), [0.0, *times[first].tolist()], 0
+                    break
+            else:
+                end = order.copy()
+                break
         path.append(order.tobytes())
         end = x._searches.get(path[-1])
         if end is not None:
@@ -328,6 +408,16 @@ def local_search(x: SchedInstance, order) -> np.ndarray:
     found by argmax on the pass's mask, so neither the pass boundaries nor
     the pass sizes change a result: it is the same as scoring one candidate
     at a time.
+
+    On integer data whose every total stays below 2**53, tested once per
+    instance as n * (max r + sum p) < 2**52 (the margin absorbs the test's
+    own rounding), the swap pass is scored in plain Python instead, each
+    candidate by the change of the total from its swap, computed only up to
+    where the schedule rejoins the current one.  Every completion time and
+    total there is an exact integer, whatever the order of the sums, so
+    every decision is the numpy pass's.  Other data keep the numpy pass,
+    the only exact path for them: their totals round, so which candidate
+    improves depends on the pass's pairwise float sums.
 
     The instance remembers where its recent searches ended, keyed by the
     bytes of each order a search started from or moved to, _MEMO_SEARCHES
@@ -442,13 +532,22 @@ def brute_force_schedule(x: SchedInstance):
     return _total(x, best), best
 
 
+def _release_horizon(n: int, rho: float, name: str) -> int:
+    """The largest release date of an (n, rho) instance, floor(50.5*n*rho) and
+    at least 1.  Release dates are drawn as int64, so 50.5*n*rho must stay
+    below 2**63; name is rho as the message names it."""
+    if 50.5 * n * rho >= 2**63:
+        raise ValueError(f"{name} must keep the release horizon 50.5 * n * rho below 2**63")
+    return max(1, int(50.5 * n * rho))
+
+
 def generate_sched_instance(n: int, rho: float, seed: int) -> SchedInstance:
     """Random instance: p ~ U{1..100}, r ~ U{1..floor(50.5*n*rho)}."""
     _at_least(n, 1, "n")
     _positive(rho, "rho")
+    r_max = _release_horizon(n, rho, "rho")
     rng = np.random.default_rng(seed)
     p = rng.integers(1, 101, size=n).astype(float)
-    r_max = max(1, int(50.5 * n * rho))
     r = rng.integers(1, r_max + 1, size=n).astype(float)
     return SchedInstance(p=p, r=r, rho=float(rho), seed=seed)
 
@@ -514,10 +613,8 @@ class SchedulingApplication:
             raise ValueError("generate key 'n' must hold integers >= 1")
         if any(r <= 0 for r in rho):
             raise ValueError("generate key 'rho' must hold values > 0")
-        # r ~ U{1..floor(50.5*n*rho)} is drawn as int64
-        if any(50.5 * size * r >= 2**63 for size, r in itertools.product(n, rho)):
-            raise ValueError("generate key 'rho' must keep the release horizon "
-                             "50.5 * n * rho below 2**63")
+        for size, r in itertools.product(n, rho):
+            _release_horizon(size, r, "generate key 'rho'")
         return [{"n": int(size), "rho": r} for size, r in itertools.product(n, rho)]
 
     def instance_id(self, cell: dict, index: int) -> str:

@@ -520,12 +520,19 @@ def generate_instance(
     """Random width x width grid instance: c ~ U{-20..0}, d ~ U{-K..0}."""
     _at_least(width, 2, "width")
     _at_least(K, 0, "K")
+    if not _K_fits(K):
+        raise ValueError("K must be <= 2**63")
     _at_least(num_scenarios, 1, "num_scenarios")
     graph = grid_graph(width, width)
     rng = np.random.default_rng(seed)
     c = rng.integers(-20, 1, size=graph.num_edges).astype(float)
     d = rng.integers(-K, 1, size=(graph.num_edges, num_scenarios)).astype(float)
     return TwoStageInstance(graph=graph, c=c, d=d, width=width, K=K, seed=seed)
+
+
+def _K_fits(K) -> bool:
+    """Whether the scenario costs d ~ U{-K..0} can be drawn as int64."""
+    return K <= 2**63
 
 
 def save_instance(path, x: TwoStageInstance) -> None:
@@ -544,11 +551,15 @@ def save_instance(path, x: TwoStageInstance) -> None:
 
 def _grid_instance(width: int, num_scenarios: int, c: list, d: list[list],
                    K: int | None = None, seed: int | None = None) -> TwoStageInstance:
-    """The keys of an instance file: the grid width, the scenario count and the costs."""
-    graph = grid_graph(width, width)
-    if len(d) != graph.num_edges or any(len(row) != num_scenarios for row in d):
+    """The keys of an instance file: the grid width, the scenario count and the costs.
+    The cost counts are checked against the grid's 2 * width * (width - 1)
+    edges before the grid is built, so a huge width fails at once."""
+    edges = 2 * width * (width - 1)
+    if len(c) != edges:
+        raise ValueError("instance file first-stage costs have the wrong shape")
+    if len(d) != edges or any(len(row) != num_scenarios for row in d):
         raise ValueError("instance file scenario costs have the wrong shape")
-    return TwoStageInstance(graph=graph, c=c, d=d, width=width, K=K, seed=seed)
+    return TwoStageInstance(graph=grid_graph(width, width), c=c, d=d, width=width, K=K, seed=seed)
 
 
 def load_instance(path) -> TwoStageInstance:
@@ -600,7 +611,7 @@ class TwoStageApplication:
         for key, values, least in (("widths", widths, 2), ("K", K, 0), ("scenarios", scenarios, 1)):
             if any(v < least or not float(v).is_integer() for v in values):
                 raise ValueError(f"generate key {key!r} must hold integers >= {least}")
-        if any(k > 2**63 for k in K):  # d ~ U{-K..0} is drawn as int64
+        if not all(map(_K_fits, K)):
             raise ValueError("generate key 'K' must hold integers <= 2**63")
         _at_least(bound_iters, 1, "generate key 'bound_iters'")
         return [

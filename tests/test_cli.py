@@ -321,6 +321,16 @@ def test_bounds_command(tmp_path, capsys):
     assert float(rows[2][2]) == pytest.approx(float(rows[1][2]) / 2.0, rel=1e-12)
 
 
+def test_an_error_without_a_message_is_named_by_its_type(tmp_path, monkeypatch, capsys):
+    # a MemoryError carries no message; "error:" alone would say nothing
+    def exhausted(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "_cmd_bounds", exhausted)
+    assert main(["bounds", "--config", _write(tmp_path / "b.json", _BOUNDS)]) == 1
+    assert capsys.readouterr() == ("", "error: MemoryError\n")
+
+
 # ---------------------------------------------------------------------------
 # refused command lines: one row shape, one runner
 
@@ -642,6 +652,10 @@ _COMMAND_REFUSALS = {
                             "--out 'afile' is not a directory", {"afile": ""}),
     "eval_out_is_a_file": ("eval --config cfg.json --out afile", _EV_SM,
                            "--out 'afile' is not a directory", {"afile": ""}),
+    # and so is one under a file, before the DIRECT search runs
+    "train_out_under_a_file": ("train --config cfg.json --out afile/sub", _TR_SM,
+                               "--out 'afile/sub' lies under 'afile', which is not a directory",
+                               {"afile": ""}),
 }
 
 # A config, manifest, instance or weights file that cannot be read as one:
@@ -670,6 +684,11 @@ _FILE_REFUSALS = {
                                {"file": "./instances/ts_w3_K10_S2_000.json"}}),
     "manifest_row_no_file": ("eval", _ev("sm", _SPT), f"{_SM_ROW} has no 'file'",
                              {(_SM_M, "instances", 0): {"file": _DROP}}),
+    # an empty file name names the dataset directory itself
+    **{f"manifest_file_{case}": (command, config, f"{_SM_ROW} key 'file': {name!r} names a "
+                                 "directory", {(_SM_M, "instances", 0): {"file": name}})
+       for case, command, config, name in (("empty", "eval", _EV_SM, ""),
+                                           ("directory", "train", _TR_SM, "instances"))},
     "train_manifest_row_no_lower_bound": ("train", _TR_TS, f"{_TS_ROW} has no 'lower_bound'",
                                           {(_TS_M, "instances", 0): {"lower_bound": _DROP}}),
     "manifest_file_number": ("train", _TR_SM, f"{_SM_ROW} key 'file': 5 is not a string",

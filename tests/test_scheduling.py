@@ -149,6 +149,10 @@ _NAN, _INF = float("nan"), float("inf")
                  id="spt_layer-2d"),
     pytest.param(spt_layer, ([1.0, _NAN],), ValueError, "theta must be finite",
                  id="spt_layer-nan"),
+    # release dates are drawn as int64
+    pytest.param(generate_sched_instance, (4, 1e300, 0), ValueError,
+                 "rho must keep the release horizon 50.5 * n * rho below 2**63",
+                 id="generate_sched_instance-rho-beyond-int64"),
 ])
 def test_refused_arguments(call, args, error, message):
     with pytest.raises(error) as exc:
@@ -388,6 +392,7 @@ def test_local_search_matches_scalar_scan():
     cases += [(n, kind) for n in (25, 26, 27) for kind in kinds]
     for n, kind in cases:
         x = _differential_instance(rng, n, kind)
+        assert x._exact is (kind == "ties")  # only tiny integers take the exact swap path
         start = rng.permutation(n)
         want = _reference_local_search(x, start)
         assert np.array_equal(local_search(x, start), want), (n, kind, x.p, x.r, start)
@@ -517,6 +522,72 @@ def test_perturbed_decode_rejects_bad_settings():
                          ({"seed": -1}, "seed must be >= 0")):
         with pytest.raises(ValueError, match=message):
             perturbed_decode(x, w, **bad)
+
+
+# ---------------------------------------------------------------------------
+# the exact swap path on integer data
+
+
+def _integer_instance(rng, n, kind):
+    if kind == "generated":  # generate_sched_instance's draw at a random rho
+        r_max = max(1, int(50.5 * n * rng.choice([0.2, 1.0, 3.0])))
+        return rng.integers(1, 101, n).astype(float), rng.integers(1, r_max + 1, n).astype(float)
+    return rng.integers(1, 4, n).astype(float), rng.integers(0, 6, n).astype(float)  # ties
+
+
+def _starts(rng, p):
+    """A random start, the SPT order and two SPT orders a few adjacent swaps away."""
+    n = p.shape[0]
+    starts = [rng.permutation(n), spt_layer(p)]
+    for _ in range(2):
+        start = spt_layer(p)
+        for i in rng.integers(0, n - 1, 3) if n > 1 else ():
+            start[[i, i + 1]] = start[[i + 1, i]]
+        starts.append(start)
+    return starts
+
+
+def test_exact_swaps_match_the_numpy_swap_pass():
+    # one instance takes the exact path and its twin, on the same data, the
+    # numpy swap pass; each memo is filled by its own path
+    rng = np.random.default_rng(31)
+    for n in range(1, 31):
+        for kind in ("generated", "ties", "generated", "ties"):
+            p, r = _integer_instance(rng, n, kind)
+            exact, numpy_pass = SchedInstance(p=p, r=r), SchedInstance(p=p, r=r)
+            object.__setattr__(numpy_pass, "_exact", False)
+            assert exact._exact, (n, kind)
+            for start in _starts(rng, p):
+                want = local_search(numpy_pass, start)
+                got = local_search(exact, start)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (n, kind, start)
+            assert list(exact._searches) == list(numpy_pass._searches), (n, kind)
+            for key, end in exact._searches.items():
+                kept = numpy_pass._searches[key]
+                assert end.dtype == kept.dtype and np.array_equal(end, kept), (n, kind)
+
+
+def test_exact_path_guard(monkeypatch):
+    # one non-integer value, or integer data whose totals could pass the
+    # 2**52 margin, keeps the numpy swap pass; both still give the reference end
+    swaps = []
+    first_swap = scheduling._first_swap
+    monkeypatch.setattr(scheduling, "_first_swap", lambda *a: swaps.append(1) or first_swap(*a))
+    rng = np.random.default_rng(32)
+    p, r = _integer_instance(rng, 12, "generated")
+    fractional, huge = p.copy(), r.copy()
+    fractional[5] += 0.5
+    huge[3] = 2.0**52
+    for x in (SchedInstance(p=fractional, r=r), SchedInstance(p=p, r=huge)):
+        assert x._exact is False
+        for start in _starts(rng, x.p):
+            assert np.array_equal(local_search(x, start), _reference_local_search(x, start))
+    assert swaps == []
+    x = SchedInstance(p=p, r=r)
+    assert x._exact is True
+    start = rng.permutation(12)
+    assert np.array_equal(local_search(x, start), _reference_local_search(x, start))
+    assert swaps
 
 
 # ---------------------------------------------------------------------------

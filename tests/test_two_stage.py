@@ -596,6 +596,9 @@ _NAN, _INF = float("nan"), float("inf")
     pytest.param(save_instance, (os.devnull, _NO_WIDTH), ValueError,
                  "only grid instances with a recorded width are serializable",
                  id="save_instance-no-width"),
+    # scenario costs are drawn as int64
+    pytest.param(generate_instance, (3, 1e300, 2, 0), ValueError, "K must be <= 2**63",
+                 id="generate_instance-K-beyond-int64"),
 ])
 def test_refused_arguments(call, args, error, message):
     with pytest.raises(error) as exc:
@@ -1117,6 +1120,25 @@ def test_instance_file_round_trip(tmp_path):
     assert back.d.tobytes() == x.d.tobytes() and back.d.shape == x.d.shape
     assert back.width == 3 and back.K == 17 and back.seed == 123
     assert type(back.K) is int and type(back.seed) is int
+
+
+def test_instance_file_shape_is_checked_before_the_grid(tmp_path, monkeypatch):
+    # a grid of width 10**6 would exhaust memory before its costs are compared
+    path = tmp_path / "inst.json"
+    save_instance(path, generate_instance(3, 10, 2, seed=0))
+    payload = json.loads(path.read_text())
+    monkeypatch.setattr(two_stage, "grid_graph", _no_grid)
+    for change, message in (({"width": 10**6}, "first-stage costs"),
+                            ({"c": payload["c"] * 2}, "first-stage costs"),
+                            ({"d": payload["d"][:-1]}, "scenario costs")):
+        path.write_text(json.dumps({**payload, **change}))
+        with pytest.raises(ValueError) as exc:
+            load_instance(path)
+        assert str(exc.value) == f"{path}: instance file {message} have the wrong shape"
+
+
+def _no_grid(*args):
+    raise AssertionError("the grid was built before the costs were checked")
 
 
 # ---------------------------------------------------------------------------
