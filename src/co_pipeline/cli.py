@@ -121,9 +121,10 @@ def _check_application(app, application) -> None:
         raise ValueError("config application does not match the dataset")
 
 
-def _instances(app, manifest, dataset) -> list:
-    """The dataset's instances, loaded once every config check has passed."""
-    return [app.load(Path(dataset) / row["file"]) for row in manifest["instances"]]
+def _instances(app, manifest, dataset):
+    """The dataset's instances, each loaded as it is drawn: after every config
+    check has passed."""
+    return (app.load(Path(dataset) / row["file"]) for row in manifest["instances"])
 
 
 # ---------------------------------------------------------------------------
@@ -144,21 +145,22 @@ def _cmd_train(app, manifest: dict, out: Path, /, dataset: str,
 
     if method == "experience":
         learner = model._read_config("learner", learner or {}, learning.LearnerConfig)
+        learner = learning.LearnerConfig(**learner)
         pert = None
         if perturbation is not None:
             pert = model.PerturbationConfig(
                 **model._read_config("perturbation", perturbation, model.PerturbationConfig)
             )
+        app.check_entry("train", loss_keys)
 
         def fit(instances):
+            instances = list(instances)
             loss_cfg = app.loss_config(instances, manifest["instances"], pert, **loss_keys)
-            return learning.learn_by_experience(
-                instances, learning.LearnerConfig(**learner), loss_cfg
-            )
+            return learning.learn_by_experience(instances, learner, loss_cfg)
     else:
         fyl = model._read_config("fyl", fyl or {}, app.fyl_train, learning.fyl_learn)
 
-        def fit(instances):
+        def fit(instances):  # fyl_learn checks its settings before it draws an instance
             weights = app.fyl_train(instances, **fyl)
             return weights, {"per_seed": [], "best_w": [float(v) for v in weights.w],
                              "config_hash": learning.config_hash(fyl)}
@@ -210,7 +212,7 @@ def _cmd_eval(app, manifest: dict, out: Path, /, dataset: str, algorithms: list[
         if name in runners:
             raise ValueError(f"two eval algorithms are named {name!r}")
         runners[name] = run
-    instances = _instances(app, manifest, dataset)
+    instances = list(_instances(app, manifest, dataset))
     for entry in algorithms:
         app.check_instances(entry["kind"], instances)
     out.mkdir(parents=True, exist_ok=True)

@@ -45,16 +45,6 @@ def _recall(memo: dict, key, size: int, make, *args):
     return value
 
 
-def _store(memo: dict, keys, size: int, value) -> None:
-    """Store value under each of keys in turn, as _recall stores a value it
-    made or found: the key becomes the most recently used, and the least
-    recently used entry goes when the memo holds `size`."""
-    for key in keys:
-        if memo.pop(key, None) is None and len(memo) >= size:
-            del memo[next(iter(memo))]
-        memo[key] = value
-
-
 def _joining(parent: list, edges, ids):
     """Yield, in order, each id in `ids` whose edge joins two trees of the
     forest `parent` (a parent list; roots point at themselves), linking them.

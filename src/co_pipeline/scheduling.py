@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import learning
-from .graphs import _recall, _store
+from .graphs import _recall
 from .model import (PerturbationConfig, _as_number, _as_weight_array, _at_least, _draw,
                     _positive, _read_json, _write_json)
 
@@ -259,22 +259,21 @@ def _reinsert_positions(n: int) -> np.ndarray:
     return np.where(q == k, i, rest + (rest >= i))
 
 
-def _scan_passes(n: int) -> list[np.ndarray]:
-    """local_search's candidate positions in scan order: the adjacent swaps,
-    then the reinsertion blocks in passes of at most _PASS_ENTRIES positions,
-    or of one block where a block is larger."""
+def _scan_passes(n: int) -> tuple:
+    """local_search's candidate positions in scan order, read-only: the n - 1
+    adjacent swaps, where almost every restart ends, then the reinsertion
+    blocks (block i takes position i out and tries its n - 1 insertion
+    points) in passes of as many whole blocks as fit in _PASS_ENTRIES
+    positions, or of one block where a block is larger.  The cap keeps a
+    pass in L2 cache: one pass over all blocks ran at about half the speed
+    at n = 50 and at n = 100.  One job has no moves, so no passes."""
     # row i of reinsertion block i moves position i to i + 1: the swap of i and i + 1
     table, d = _reinsert_positions(n), np.arange(n - 1)
-    per_pass = max(1, _PASS_ENTRIES // max(1, n * (n - 1)))  # n = 1 has no moves
-    return [table[d, d], *(table[s:s + per_pass].reshape(-1, n) for s in range(0, n, per_pass))]
-
-
-def _read_only_passes(n: int) -> tuple:
-    """_scan_passes(n) without its empty passes (all of them at n = 1), read-only."""
-    passes = tuple(rows for rows in _scan_passes(n) if rows.size)
+    per_pass = max(1, _PASS_ENTRIES // max(1, n * (n - 1)))
+    passes = (table[d, d], *(table[s:s + per_pass].reshape(-1, n) for s in range(0, n, per_pass)))
     for rows in passes:
         rows.flags.writeable = False
-    return passes
+    return passes if n > 1 else ()
 
 
 def _first_swap(p: list, r: list, job: list, done: list, reach: list, start: int):
@@ -330,7 +329,7 @@ def _descend(x: SchedInstance, order: np.ndarray) -> np.ndarray:
     of _MEMO_TABLES job counts (graphs._recall).  A pass's rows are summed by
     np.add.reduce, the reduction ndarray.sum runs after its Python wrapper,
     and the first strictly improving row is the argmax of the mask (argmax
-    returns the first True).
+    returns the first True), so the pass boundaries change no result.
 
     On an instance with x._exact (integer data, every total below 2**53)
     the swap pass is scored in plain Python instead (_first_swap): each
@@ -344,11 +343,17 @@ def _descend(x: SchedInstance, order: np.ndarray) -> np.ndarray:
 
     Every order the descent moves to is looked up in the instance's search
     memo: an earlier search that passed through it already knows where the
-    descent ends, so a hit stops here with that end.  The end is then stored
-    under every order moved to (graphs._store); local_search stores it under
-    the start.  An end found here is a copy: the local optimum is a row of a
-    scan pass, and a remembered view would keep the whole pass alive."""
-    passes = _recall(_TABLES, x.n, _MEMO_TABLES, _read_only_passes, x.n)
+    descent ends, so a hit stops here with that end.  This is exact: a
+    descent depends only on the instance and its current order, and the
+    total carried after a move has the bits of _total(x, order), from the
+    same _totals row and the same pairwise sum.  The end is then stored
+    under every order moved to, in order (graphs._recall keeps the end
+    already stored under a met order, the same array); local_search stores
+    it under the start last.  An end found here is a copy: the local
+    optimum is a row of a scan pass, and a remembered view would keep the
+    whole pass alive.  A swap that does not lower the total is a scoring
+    fault and raises RuntimeError, since the descent could cycle on it."""
+    passes = _recall(_TABLES, x.n, _MEMO_TABLES, _scan_passes, x.n)
     times = _totals(x.p[order], x.r[order])
     total = float(times.sum())
     exact, j = x._exact, -1
@@ -360,6 +365,8 @@ def _descend(x: SchedInstance, order: np.ndarray) -> np.ndarray:
         if exact:
             j, change = _first_swap(p, r, job, done, reach, start)
         if j >= 0:
+            if not change < 0:
+                raise RuntimeError(f"local search made a swap that changes the total by {change}")
             order[j], order[j + 1] = job[j], job[j + 1]
             total += change
             for start, k in enumerate(reach):
@@ -384,7 +391,8 @@ def _descend(x: SchedInstance, order: np.ndarray) -> np.ndarray:
         end = x._searches.get(path[-1])
         if end is not None:
             break
-    _store(x._searches, path, _MEMO_SEARCHES, end)
+    for key in path:
+        _recall(x._searches, key, _MEMO_SEARCHES, lambda: end)
     return end
 
 
@@ -395,47 +403,26 @@ def local_search(x: SchedInstance, order) -> np.ndarray:
     improving move is applied and the scan restarts.  Stops at a local
     optimum, so the total never increases.
 
-    The scan is scored in a few numpy passes, one candidate order per row.
-    The first pass holds the n - 1 adjacent swaps, where almost every
-    restart ends.  The reinsertions follow in passes of whole blocks, one
-    block per removed position (its n - 1 insertion points), as many blocks
-    as fit in _PASS_ENTRIES positions; a block larger than that is a pass
-    of its own.  The cap keeps a pass in L2 cache: one pass over all
-    blocks ran at about half the speed at n = 50 and at n = 100.
-    The passes depend on n alone, so they are built once per n and
-    remembered (_MEMO_TABLES).  Each row is summed along its own axis, and
-    the move applied is the first strictly improving row in scan order,
-    found by argmax on the pass's mask, so neither the pass boundaries nor
-    the pass sizes change a result: it is the same as scoring one candidate
-    at a time.
-
-    On integer data whose every total stays below 2**53, tested once per
-    instance as n * (max r + sum p) < 2**52 (the margin absorbs the test's
-    own rounding), the swap pass is scored in plain Python instead, each
-    candidate by the change of the total from its swap, computed only up to
-    where the schedule rejoins the current one.  Every completion time and
-    total there is an exact integer, whatever the order of the sums, so
-    every decision is the numpy pass's.  Other data keep the numpy pass,
-    the only exact path for them: their totals round, so which candidate
-    improves depends on the pass's pairwise float sums.
+    The candidates are scored in a few numpy passes of whole rows
+    (_scan_passes), or on integer data the swaps in plain Python
+    (_first_swap); either way the move applied is the first strictly
+    improving one in scan order, as if each candidate were scored alone
+    (_descend).
 
     The instance remembers where its recent searches ended, keyed by the
     bytes of each order a search started from or moved to, _MEMO_SEARCHES
-    orders in all (graphs._recall and graphs._store).  A repeated start gets
-    the descent's bits without running it, and a search that moves to an
-    order an earlier one passed through stops there with that search's end.
-    Both are exact: a descent depends only on the instance and its current
-    order, and the total it carries after a move has the bits of
-    _total(x, order), from the same _totals row and the same pairwise sum.
-    Every call checks its order first and returns a fresh array.
+    orders in all.  A repeated start gets the descent's bits without
+    running it, and a search that moves to an order an earlier one passed
+    through stops there with that search's end.  Every call checks its
+    order first and returns a fresh array.
     """
     order = _check_permutation(x, order)
     return _recall(x._searches, order.tobytes(), _MEMO_SEARCHES, _descend, x, order).copy()
 
 
-def _check_post(post: str) -> None:
+def _check_post(post: str, name: str = "post") -> None:
     if post not in ("none", "ls"):
-        raise ValueError("post must be 'none' or 'ls'")
+        raise ValueError(f"{name} must be 'none' or 'ls'")
 
 
 def pipeline_order(x: SchedInstance, w, post: str = "none") -> np.ndarray:
@@ -649,9 +636,12 @@ class SchedulingApplication:
         }
 
     def check_entry(self, kind: str, keys: dict) -> None:
-        """Fail before any instance loads when an eval entry's settings are out of range."""
+        """Fail before any instance loads when an eval entry's settings, or
+        train's (kind 'train'), are out of range."""
         if kind == "pipeline_pert_ls":
             _check_decode(keys["sigma"], keys["nsamples"], keys["seed"], f"{kind} entry")
+        if kind == "train":
+            _check_post(keys["post"], "train key 'post'")
 
     def check_instances(self, kind: str, instances) -> None:
         """Fail before anything runs when an eval kind cannot take a loaded instance."""

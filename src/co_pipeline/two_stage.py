@@ -374,19 +374,9 @@ def _raw_features(x: TwoStageInstance) -> np.ndarray:
     return mat
 
 
-class _StepArrays:
-    """The arrays of _scenario_subproblems, made once per subgradient ascent."""
-
-    def __init__(self, x: TwoStageInstance):
-        self.c = x.c[:, None]
-        self.reduced, self.weights, self.ybar, self.in_tree = (
-            np.empty(x.d.shape) for _ in range(4))
-        self.cols = list(self.weights.T)
-        self.scenario = np.arange(x.num_scenarios)[:, None]
-
-
-def _scenario_subproblems(x: TwoStageInstance, lam: np.ndarray, arrays=None):
-    """Per-scenario relaxed MSTs at multipliers lam; value and stage picks.
+def _scenario_subproblems(x: TwoStageInstance):
+    """The subgradient step of one ascent on x: lam -> (value, ybar), the
+    relaxed problem's value at multipliers lam and its stage picks.
 
     One MST per scenario, in scenario order, on min(c + lam, d); the rest
     runs once over all scenarios.  Each tree is read in its set iteration
@@ -394,34 +384,36 @@ def _scenario_subproblems(x: TwoStageInstance, lam: np.ndarray, arrays=None):
     in scenario order, so the value (an np.float64) has the bits of one
     numpy pass per scenario.
 
-    lagrangian_bound passes the same arrays (a _StepArrays of x) to every
-    step of one ascent: the reduced costs, the weights, the tree indicator
-    and the returned ybar are written in place, and the weights' column
-    views are made once.  Without them every array is new.  They stay
-    (E, S), the layout that the sums of each row over the scenarios (not
-    left to right from S = 8 on) and the flat sum of g * g in
-    lagrangian_bound take their bits from.
+    The (E, S) arrays are made here, once, and every step writes them in
+    place: the reduced costs, the weights (whose column views are also
+    made once), the tree indicator and the returned ybar, which the next
+    step overwrites.  They stay (E, S), the layout that the sums of each
+    row over the scenarios (not left to right from S = 8 on) and the flat
+    sum of g * g in lagrangian_bound take their bits from.
     """
-    if arrays is None:
-        arrays = _StepArrays(x)
-    d, reduced, weights, ybar, in_tree = (
-        x.d, arrays.reduced, arrays.weights, arrays.ybar, arrays.in_tree)
-    n_scen = d.shape[1]
-    np.add(arrays.c, lam, out=reduced)
-    np.minimum(reduced, d, out=weights)
-    trees = [mst_kruskal(x.graph, col) for col in arrays.cols]
-    # position e * S + s of each tree edge in the flat (E, S) arrays
+    c, d, n_scen = x.c[:, None], x.d, x.num_scenarios
+    reduced, weights, ybar, in_tree = (np.empty(d.shape) for _ in range(4))
+    cols = list(weights.T)
+    scenario = np.arange(n_scen)[:, None]
     size = x.graph.num_vertices - 1
-    at = np.fromiter(itertools.chain.from_iterable(trees), dtype=np.intp,
-                     count=n_scen * size).reshape(n_scen, size)
-    at *= n_scen
-    at += arrays.scenario
-    value = _sum_in_order(np.add.reduce(weights.take(at), axis=1).tolist())
-    in_tree.fill(0.0)
-    in_tree.ravel()[at] = 1.0
-    np.less_equal(reduced, d, out=ybar)
-    ybar *= in_tree
-    return np.float64(value) / n_scen, ybar
+
+    def step(lam: np.ndarray):
+        np.add(c, lam, out=reduced)
+        np.minimum(reduced, d, out=weights)
+        trees = [mst_kruskal(x.graph, col) for col in cols]
+        # position e * S + s of each tree edge in the flat (E, S) arrays
+        at = np.fromiter(itertools.chain.from_iterable(trees), dtype=np.intp,
+                         count=n_scen * size).reshape(n_scen, size)
+        at *= n_scen
+        at += scenario
+        value = _sum_in_order(np.add.reduce(weights.take(at), axis=1).tolist())
+        in_tree.fill(0.0)
+        in_tree.ravel()[at] = 1.0
+        np.less_equal(reduced, d, out=ybar)
+        np.multiply(ybar, in_tree, out=ybar)
+        return np.float64(value) / n_scen, ybar
+
+    return step
 
 
 def lagrangian_bound(x: TwoStageInstance, /, iters: int = 500):
@@ -442,13 +434,13 @@ def lagrangian_bound(x: TwoStageInstance, /, iters: int = 500):
     n_scen = x.num_scenarios
     lam = np.zeros((x.num_edges, n_scen))
     g, squares = np.empty_like(lam), np.empty_like(lam)
-    arrays = _StepArrays(x)
+    step = _scenario_subproblems(x)
     best = -np.inf
     trace = []
     s0 = 1.0
     stall = 0
     for _ in range(iters):
-        value, ybar = _scenario_subproblems(x, lam, arrays)
+        value, ybar = step(lam)
         if value > best:
             best = value
             stall = 0
@@ -481,7 +473,7 @@ def lagrangian_heuristic(x: TwoStageInstance, duals: np.ndarray) -> TwoStageSolu
     lam = np.asarray(duals, dtype=float)
     if lam.shape != (x.num_edges, x.num_scenarios):
         raise ValueError("duals must be (num_edges, num_scenarios)")
-    _, ybar = _scenario_subproblems(x, lam)
+    _, ybar = _scenario_subproblems(x)(lam)
     score = ybar.mean(axis=1)
     order = sorted(np.flatnonzero(score >= 0.5).tolist(), key=lambda e: (-score[e], e))
     forest = _joining(list(range(x.graph.num_vertices)), x.graph.edges, order)
@@ -613,6 +605,10 @@ class TwoStageApplication:
                 raise ValueError(f"generate key {key!r} must hold integers >= {least}")
         if not all(map(_K_fits, K)):
             raise ValueError("generate key 'K' must hold integers <= 2**63")
+        w, s = int(max(widths)), int(max(scenarios))
+        if 16 * w * (w - 1) * s > np.iinfo(np.intp).max:  # 2w(w - 1)s float64 scenario costs
+            raise ValueError("generate key 'widths' must keep an instance's scenario costs, "
+                             "16 * w * (w - 1) * scenarios bytes, below 2**63")
         _at_least(bound_iters, 1, "generate key 'bound_iters'")
         return [
             {"width": int(width), "K": int(k), "num_scenarios": int(n_scen),

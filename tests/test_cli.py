@@ -460,6 +460,10 @@ _CONFIG_REFUSALS = {
     # the generators draw int64: d from U{-K..0}, r from U{1..floor(50.5*n*rho)}
     "generate_K_beyond_int64": ("generate", {**_TS_GEN, "K": [10, 1e300]},
                                 "generate key 'K' must hold integers <= 2**63"),
+    # nor a width whose scenario costs no array can hold, before any grid is built
+    "generate_width_beyond_intp": ("generate", {**_TS_GEN, "widths": [3, 2**40]},
+                                   "generate key 'widths' must keep an instance's scenario "
+                                   "costs, 16 * w * (w - 1) * scenarios bytes, below 2**63"),
     "generate_rho_beyond_int64": ("generate", {**_SM_GEN, "rho": [1.0, 1e300]},
                                   "generate key 'rho' must keep the release horizon "
                                   "50.5 * n * rho below 2**63"),
@@ -604,6 +608,21 @@ _CONFIG_REFUSALS = {
            ("eval_lagrangian_iters_0", "eval",
             _ev("ts", _BASE, {"name": "a", "kind": "lagrangian_heuristic", "iters": 0}),
             "lagrangian_heuristic entry key 'iters' must be >= 1"),
+           # and so is a setting out of range
+           ("learner_budget_0", "train", {**_TR_SM, "learner": {"budget": 0}},
+            "learner key 'budget' must be >= 1"),
+           ("learner_box_radius_0", "train", {**_TR_SM, "learner": {"box_radius": 0}},
+            "learner key 'box_radius' must be > 0"),
+           ("learner_seed_negative", "train", {**_TR_SM, "learner": {"seeds": [-1]}},
+            "learner key 'seeds' must hold values >= 0"),
+           ("train_post_unknown", "train", {**_TR_SM, "post": "bogus"},
+            "train key 'post' must be 'none' or 'ls'"),
+           ("fyl_epsilon_negative", "train", {**_FYL, "fyl": {"epsilon": -1}},
+            "fyl key 'epsilon' must be >= 0"),
+           ("fyl_bound_iters_0", "train", {**_FYL, "fyl": {"bound_iters": 0}},
+            "fyl key 'bound_iters' must be >= 1"),
+           ("fyl_box_radius_0", "train", {**_FYL, "fyl": {"box_radius": 0}},
+            "fyl key 'box_radius' must be > 0"),
        ]},
 }
 
@@ -782,16 +801,29 @@ def _no_bound(*args, **kwargs):
     raise AssertionError("a bound ran before the settings were checked")
 
 
+def _no_instance(*args, **kwargs):
+    raise AssertionError("an instance loaded or built before the settings were checked")
+
+
+# the rows of the config tables whose check needs the instances
+_CHECKS_INSTANCES = {"eval_brute_force_10_jobs"}
+
+
 @pytest.fixture()
 def refuse(refusal_files, tmp_path, monkeypatch, capsys):
     """Run one Refusal row in a copy of refusal_files: it exits 1 with the
     row's whole message, before --out is created, anything is printed or
-    any bound runs, and with stdout still open."""
+    any bound runs, and with stdout still open.  Unless loads is true, no
+    instance file is loaded and no grid built either."""
     shutil.copytree(refusal_files, tmp_path, dirs_exist_ok=True)
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(two_stage, "lagrangian_bound", _no_bound)
 
-    def run(row):
+    def run(row, loads=False):
+        if not loads:
+            for module, name in ((two_stage, "load_instance"), (two_stage, "grid_graph"),
+                                 (scheduling, "load_sched_instance")):
+                monkeypatch.setattr(module, name, _no_instance)
         command, config, message, edits = Refusal(*row)
         if config is not None:
             Path("cfg.json").write_text(config if isinstance(config, str) else json.dumps(config))
@@ -809,17 +841,17 @@ def refuse(refusal_files, tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("case", _CONFIG_REFUSALS)
 def test_config_typo_exits_before_writing(case, refuse):
-    refuse(_CONFIG_REFUSALS[case])
+    refuse(_CONFIG_REFUSALS[case], loads=case in _CHECKS_INSTANCES)
 
 
 @pytest.mark.parametrize("case", _COMMAND_REFUSALS)
 def test_refused_command_line(case, refuse):
-    refuse(_COMMAND_REFUSALS[case])
+    refuse(_COMMAND_REFUSALS[case], loads=case in _CHECKS_INSTANCES)
 
 
 @pytest.mark.parametrize("case", _FILE_REFUSALS)
 def test_data_file_error_names_the_file(case, refuse):
-    refuse(_FILE_REFUSALS[case])
+    refuse(_FILE_REFUSALS[case], loads=True)
 
 
 def test_removed_flags_are_usage_errors(tmp_path):

@@ -20,7 +20,6 @@ from co_pipeline.graphs import (
     Graph,
     _joining,
     _recall,
-    _store,
     grid_graph,
     mst_constrained,
     mst_kruskal,
@@ -369,28 +368,6 @@ def test_recall_keeps_the_most_recently_used_entries(size, keys):
         recent.append(key)
         assert list(memo) == recent[-size:]
         assert memo == {k: -k for k in recent[-size:]}
-
-
-@settings(max_examples=100)
-@given(st.sampled_from([1, 4, _MEMO_TREES]),
-       st.lists(st.lists(st.integers(0, 20), max_size=8), max_size=30))
-def test_store_fills_and_evicts_as_recall_does(size, batches):
-    # each batch's keys take its value in turn, each then the most recently used
-    memo, recent, values = {}, [], {}
-    for value, keys in enumerate(batches):
-        _store(memo, keys, size, value)
-        for key in keys:
-            if key in recent:
-                recent.remove(key)
-            recent.append(key)
-            values[key] = value
-        assert list(memo) == recent[-size:]
-        assert memo == {k: values[k] for k in recent[-size:]}
-        if recent:  # a _recall hit on the oldest kept key reads its value and refreshes it
-            key = recent[-size:][0]
-            assert _recall(memo, key, size, pytest.fail) == values[key]
-            recent.remove(key)
-            recent.append(key)
 
 
 def test_recall_stores_nothing_when_make_raises():

@@ -337,8 +337,9 @@ def test_local_search_improves_hand_example():
     assert evaluate_schedule(x, out)[0] == 7.0
 
 
-def _reference_local_search(x: SchedInstance, order) -> np.ndarray:
-    """Oracle: the same descent, scoring one candidate per numpy call."""
+def _reference_local_search(x: SchedInstance, order, path=None) -> np.ndarray:
+    """Oracle: the same descent, scoring one candidate per numpy call; each
+    order moved to is appended to path when one is given."""
     order = _check_permutation(x, order).copy()
     total = _total(x, order)
     n = x.n
@@ -352,24 +353,25 @@ def _reference_local_search(x: SchedInstance, order) -> np.ndarray:
                 order, total = cand, cand_total
                 improved = True
                 break
-        if improved:
-            continue
-        for i in range(n):
-            job = order[i]
-            rest = np.delete(order, i)
-            for k in range(n):
-                if k == i:
-                    continue
-                cand = np.insert(rest, k, job)
-                cand_total = _total(x, cand)
-                if cand_total < total:
-                    order, total = cand, cand_total
-                    improved = True
+        if not improved:
+            for i in range(n):
+                job = order[i]
+                rest = np.delete(order, i)
+                for k in range(n):
+                    if k == i:
+                        continue
+                    cand = np.insert(rest, k, job)
+                    cand_total = _total(x, cand)
+                    if cand_total < total:
+                        order, total = cand, cand_total
+                        improved = True
+                        break
+                if improved:
                     break
-            if improved:
-                break
         if not improved:
             return order
+        if path is not None:
+            path.append(order)
 
 
 def _differential_instance(rng, n, kind):
@@ -399,7 +401,8 @@ def test_local_search_matches_scalar_scan():
 
 
 def test_scan_passes_are_the_scan_order_in_capped_whole_blocks():
-    for n in [*range(1, 61), 100]:
+    assert _scan_passes(1) == ()  # one job has no moves
+    for n in [*range(2, 61), 100]:
         table, d = _reinsert_positions(n), np.arange(n - 1)
         swaps, *passes = _scan_passes(n)
         assert np.array_equal(swaps, table[d, d])
@@ -684,6 +687,71 @@ def test_merged_searches_keep_the_reference_ends():
             assert np.array_equal(end, _reference_local_search(x, np.frombuffer(key, int))), kind
 
 
+def _store_each(memo, keys, size, value):
+    """Test copy of the search memo's former store: each key in turn takes
+    value and becomes the most recently used, and the least recently used
+    entry goes when the memo holds size."""
+    for key in keys:
+        if memo.pop(key, None) is None and len(memo) >= size:
+            del memo[next(iter(memo))]
+        memo[key] = value
+
+
+def _reference_memo_search(memo, x, start):
+    """Oracle for the search memo: a remembered start is refreshed; otherwise
+    the reference descent runs up to the first remembered order it moves
+    to, its end goes under each order moved to and then under the start."""
+    key = start.tobytes()
+    if key in memo:
+        _store_each(memo, [key], _MEMO_SEARCHES, memo[key])
+        return
+    path = []
+    end = _reference_local_search(x, start, path)
+    keys = []
+    for order in path:
+        keys.append(order.tobytes())
+        if keys[-1] in memo:
+            end = memo[keys[-1]]
+            break
+    _store_each(memo, keys, _MEMO_SEARCHES, end)
+    _store_each(memo, [key], _MEMO_SEARCHES, end)
+
+
+def test_search_memo_keeps_the_reference_key_order():
+    # merged searches fill the memo past its size: after every search it holds
+    # the oracle's keys in the oracle's order, with its ends, and two keys share
+    # one end array exactly where the oracle's do
+    rng = np.random.default_rng(33)
+    for kind in ("uniform", "ties", "near_equal"):
+        x = _differential_instance(rng, 10, kind)
+        memo, seen = {}, set()
+        base = rng.permutation(10)
+        for _ in range(80):
+            start = base.copy()
+            for i in rng.integers(0, 9, 3):
+                start[[i, i + 1]] = start[[i + 1, i]]
+            local_search(x, start)
+            _reference_memo_search(memo, x, start)
+            seen.update(memo)
+            assert list(x._searches) == list(memo), kind
+            ends, want = list(x._searches.values()), list(memo.values())
+            assert all(np.array_equal(a, b) for a, b in zip(ends, want)), kind
+            assert ([next(i for i, b in enumerate(ends) if b is a) for a in ends]
+                    == [next(i for i, b in enumerate(want) if b is a) for a in want]), kind
+        assert len(seen) > len(memo) == _MEMO_SEARCHES, kind  # entries were dropped
+
+
+def test_a_non_improving_swap_fails_at_once(monkeypatch):
+    # a scoring fault that moves without lowering the total could make the
+    # descent cycle; the exact swap path refuses the first such move
+    x = generate_sched_instance(8, 1.0, seed=1)
+    assert x._exact
+    monkeypatch.setattr(scheduling, "_first_swap", lambda p, r, job, done, reach, start: (0, 0.0))
+    with pytest.raises(RuntimeError, match="changes the total by 0.0"):
+        local_search(x, np.arange(8)[::-1])
+    assert x._searches == {}
+
+
 def test_repeated_start_runs_no_descent(monkeypatch):
     # eval's pipeline_ls start is perturbed_decode's sample 0
     x = generate_sched_instance(20, 1.0, seed=3)
@@ -713,21 +781,15 @@ def test_search_memo_holds_at_most_its_size():
 
 
 def test_remembered_scan_tables_are_fresh_scan_passes():
-    # every pass is kept but n = 1's, which are empty
-    for n in (1, 2, 5, 20, 26):
+    # every pass is kept, read-only, and n = 1 has none
+    for n in (1, 2, 5, 6, 20, 26):
         local_search(generate_sched_instance(n, 1.0, seed=n), np.arange(n))
         fresh = _scan_passes(n)
-        assert len(_TABLES[n]) == (len(fresh) if n > 1 else 0)
+        assert len(_TABLES[n]) == len(fresh) and bool(fresh) == (n > 1)
         for kept, rows in zip(_TABLES[n], fresh):
             assert kept.dtype == rows.dtype and np.array_equal(kept, rows)
-
-
-def test_remembered_scan_tables_are_read_only():
-    local_search(generate_sched_instance(6, 1.0, seed=0), np.arange(6))
-    for rows in _TABLES[6]:
-        with pytest.raises(ValueError):
-            rows[0, 0] = 0
-    assert np.array_equal(_TABLES[6][0], _scan_passes(6)[0])
+            with pytest.raises(ValueError):
+                kept[0, 0] = 0
 
 
 def test_scan_table_memo_holds_at_most_its_size():

@@ -859,7 +859,7 @@ def _assert_bound_matches_per_scenario(x, iters):
     assert np.array_equal(lam, want_lam) and _same_bits(lam, want_lam)
     assert len(trace) == len(want_trace)
     assert all(type(a) is np.float64 and _same_bits(a, b) for a, b in zip(trace, want_trace))
-    value, ybar = _scenario_subproblems(x, lam)
+    value, ybar = _scenario_subproblems(x)(lam)
     want_value, want_ybar = _scenario_subproblems_per_scenario(x, lam)
     assert type(value) is np.float64 and _same_bits(value, want_value)
     assert ybar.flags.c_contiguous and _same_bits(ybar, want_ybar)
@@ -907,8 +907,8 @@ def test_bound_arrays_do_not_leak():
     assert _same_bits(again, best) and _same_bits(lam_again, kept)
     assert np.array(trace_again).tobytes() == np.array(trace).tobytes()
     assert not np.shares_memory(lam, lam_again)
-    value, ybar = _scenario_subproblems(x, kept)
-    value_again, ybar_again = _scenario_subproblems(x, kept)
+    value, ybar = _scenario_subproblems(x)(kept)
+    value_again, ybar_again = _scenario_subproblems(x)(kept)
     assert not np.shares_memory(ybar, ybar_again)
     ybar[...] = 5.0
     assert _same_bits(value_again, value) and set(np.unique(ybar_again)) <= {0.0, 1.0}
