@@ -781,15 +781,23 @@ def test_search_memo_holds_at_most_its_size():
 
 
 def test_remembered_scan_tables_are_fresh_scan_passes():
-    # every pass is kept, read-only, and n = 1 has none
+    # every pass is kept, and n = 1 has none
     for n in (1, 2, 5, 6, 20, 26):
         local_search(generate_sched_instance(n, 1.0, seed=n), np.arange(n))
         fresh = _scan_passes(n)
         assert len(_TABLES[n]) == len(fresh) and bool(fresh) == (n > 1)
         for kept, rows in zip(_TABLES[n], fresh):
             assert kept.dtype == rows.dtype and np.array_equal(kept, rows)
+
+
+def test_remembered_scan_tables_are_read_only():
+    for n in (2, 5, 6, 20, 26):
+        local_search(generate_sched_instance(n, 1.0, seed=0), np.arange(n))
+        assert _TABLES[n]
+        for rows in _TABLES[n]:
             with pytest.raises(ValueError):
-                kept[0, 0] = 0
+                rows[0, 0] = 0
+        assert np.array_equal(_TABLES[n][0], _scan_passes(n)[0])
 
 
 def test_scan_table_memo_holds_at_most_its_size():
