@@ -46,7 +46,8 @@ __all__ = [
 
 SCHED_FEATURE_DIM = 11
 BRUTE_FORCE_JOB_LIMIT = 9
-# positions per local-search pass over the reinsertion blocks: 128 KB of float64
+# the most positions a local-search pass over the reinsertion blocks holds:
+# 128 KB of float64, which keeps a pass in L2 cache (see _scan_passes)
 _PASS_ENTRIES = 2**14
 # Orders whose descent's end each instance remembers, least recently used
 # dropped first: each search's start and every order it moved to.  Searches
@@ -168,24 +169,26 @@ def srpt_preemptive(x: SchedInstance) -> SrptStats:
     At every release or completion the job with the least remaining time
     among released unfinished jobs runs; remaining-time ties go to the
     lower job index.  A job is counted as preempted each time it is
-    displaced while unfinished.
+    displaced while unfinished.  The loop runs on Python floats, which round
+    as float64 does, and fills the arrays once at the end.
     """
     n = x.n
-    remaining = x.p.copy()
-    completion = np.zeros(n)
-    first_start = np.full(n, -1.0)  # every start time is >= 0
-    preemptions = np.zeros(n, dtype=int)
+    r = x.r.tolist()
+    remaining = x.p.tolist()
+    completion = [0.0] * n
+    first_start = [-1.0] * n  # every start time is >= 0
+    preemptions = [0] * n
 
-    release_order = np.argsort(x.r, kind="stable")
+    release_order = np.argsort(x.r, kind="stable").tolist()
     ptr = 0
     t = 0.0
     ready: list[tuple[float, int]] = []
     prev = -1
     while ptr < n or ready:
         if not ready:
-            t = float(x.r[release_order[ptr]])
-        while ptr < n and x.r[release_order[ptr]] <= t:
-            j = int(release_order[ptr])
+            t = r[release_order[ptr]]
+        while ptr < n and r[release_order[ptr]] <= t:
+            j = release_order[ptr]
             heapq.heappush(ready, (remaining[j], j))
             ptr += 1
         rem, j = heapq.heappop(ready)
@@ -194,7 +197,7 @@ def srpt_preemptive(x: SchedInstance) -> SrptStats:
         prev = j
         if first_start[j] < 0:
             first_start[j] = t
-        next_release = float(x.r[release_order[ptr]]) if ptr < n else np.inf
+        next_release = r[release_order[ptr]] if ptr < n else np.inf
         if t + rem <= next_release:
             t += rem
             remaining[j] = 0.0
@@ -203,7 +206,8 @@ def srpt_preemptive(x: SchedInstance) -> SrptStats:
             remaining[j] = rem - (next_release - t)
             t = next_release
             heapq.heappush(ready, (remaining[j], j))
-    return SrptStats(completion=completion, first_start=first_start, preemptions=preemptions)
+    return SrptStats(completion=np.array(completion), first_start=np.array(first_start),
+                     preemptions=np.array(preemptions))
 
 
 def _min_rank(key: np.ndarray) -> np.ndarray:
@@ -211,13 +215,13 @@ def _min_rank(key: np.ndarray) -> np.ndarray:
     return np.searchsorted(np.sort(key), key, side="left") + 1.0
 
 
-def _group_mean(values: np.ndarray, group: np.ndarray) -> np.ndarray:
-    # a group of one job averages to its own value, so only repeated
-    # (p, r) pairs are visited
+def _group_mean(values: np.ndarray, groups: list) -> np.ndarray:
+    # each group is a list of two or more job ids in ascending order, so
+    # every mean runs over its members in job order; a job alone in its
+    # group averages to its own value
     out = values.astype(float)
-    for g in np.flatnonzero(np.bincount(group) > 1):
-        mask = group == g
-        out[mask] = values[mask].mean()
+    for members in groups:
+        out[members] = values[members].mean()
     return out
 
 
@@ -227,12 +231,17 @@ def features(x: SchedInstance) -> np.ndarray:
     All entries are normalized by instance quantities (max, sum, horizon),
     so no further standardization is applied.  SRPT statistics are averaged
     over groups of jobs with identical (p, r): exchangeable jobs must get
-    identical rows even though the simulation breaks their tie by id.
+    identical rows even though the simulation breaks their tie by id.  The
+    groups are keyed by (p, r) as Python floats, so -0.0 and 0.0 fall in
+    one group, as float comparison has them.
     """
     n = float(x.n)
     srpt = srpt_preemptive(x)
     horizon = srpt.completion.max()
-    _, group = np.unique(np.column_stack([x.p, x.r]), axis=0, return_inverse=True)
+    groups: dict = {}
+    for j, job in enumerate(zip(x.p.tolist(), x.r.tolist())):
+        groups.setdefault(job, []).append(j)
+    repeated = [members for members in groups.values() if len(members) > 1]
     return np.column_stack([
         np.ones(x.n),
         x.p / x.p.max(),
@@ -240,9 +249,9 @@ def features(x: SchedInstance) -> np.ndarray:
         _min_rank(x.p) / n,
         _min_rank(x.r) / n,
         _min_rank(x.r + x.p) / n,
-        _group_mean(srpt.completion, group) / horizon,
-        _group_mean(srpt.first_start, group) / horizon,
-        _group_mean(srpt.preemptions.astype(float), group) / n,
+        _group_mean(srpt.completion, repeated) / horizon,
+        _group_mean(srpt.first_start, repeated) / horizon,
+        _group_mean(srpt.preemptions.astype(float), repeated) / n,
         x.r / x.p.sum(),
         x.p / x.p.mean(),
     ])
@@ -263,13 +272,25 @@ def _scan_passes(n: int) -> tuple:
     """local_search's candidate positions in scan order, read-only: the n - 1
     adjacent swaps, where almost every restart ends, then the reinsertion
     blocks (block i takes position i out and tries its n - 1 insertion
-    points) in passes of as many whole blocks as fit in _PASS_ENTRIES
-    positions, or of one block where a block is larger.  The cap keeps a
-    pass in L2 cache: one pass over all blocks ran at about half the speed
-    at n = 50 and at n = 100.  One job has no moves, so no passes."""
+    points) in passes of whole blocks.  One job has no moves, so no passes.
+
+    A pass holds as many blocks as fit in an eighth of max(_PASS_ENTRIES,
+    n^3) positions, at most _PASS_ENTRIES, or one block where a block is
+    larger.  A descent takes the first improving row, so a shorter pass
+    scores fewer rows past it, for a few more numpy calls; _PASS_ENTRIES
+    keeps a pass in L2 cache, where one pass over all blocks ran at about
+    half the speed at n = 50 and n = 100.  So all blocks make one pass up
+    to n = 13, n = 20 gets 4 passes of 5 blocks, n = 25 and 26 get 9 of 3,
+    and from n = 49 on the passes are those of _PASS_ENTRIES alone (9 at
+    n = 50, one block each at n = 100).  Replaying recorded searches
+    against passes of _PASS_ENTRIES alone, the median time ratio was
+    0.99 / 1.01 at n = 8 / 12 (one pass either way), 0.96 at n = 16, 0.84
+    at n = 20, 0.70 at n = 25 and 0.99 / 0.99 at n = 50 / 100 (the same
+    passes)."""
     # row i of reinsertion block i moves position i to i + 1: the swap of i and i + 1
     table, d = _reinsert_positions(n), np.arange(n - 1)
-    per_pass = max(1, _PASS_ENTRIES // max(1, n * (n - 1)))
+    cap = min(_PASS_ENTRIES, max(_PASS_ENTRIES, n**3) // 8)
+    per_pass = max(1, cap // max(1, n * (n - 1)))
     passes = (table[d, d], *(table[s:s + per_pass].reshape(-1, n) for s in range(0, n, per_pass)))
     for rows in passes:
         rows.flags.writeable = False
@@ -473,6 +494,8 @@ def brute_force_schedule(x: SchedInstance):
     lower-bound prune (remaining jobs in SPT order, releases relaxed), so the
     returned permutation is the lexicographically first optimal one that
     plain enumeration would select.  Its total is priced like evaluate_schedule.
+    Each max(a, b) is written out as `b if b > a else a`, which is what
+    builtin max returns, without its call.
     """
     n = x.n
     if n > BRUTE_FORCE_JOB_LIMIT:
@@ -495,8 +518,9 @@ def brute_force_schedule(x: SchedInstance):
         floor = 0.0
         for j in range(n):
             if not mask >> j & 1:
-                floor += max(r[j], t) + p[j]
-        return max(acc, floor)
+                u = r[j]
+                floor += (t if t > u else u) + p[j]
+        return floor if floor > acc else acc
 
     def search(mask: int, t: float, acc: float):
         nonlocal best_total, best
@@ -510,7 +534,8 @@ def brute_force_schedule(x: SchedInstance):
         for j in range(n):
             if mask >> j & 1:
                 continue
-            c = max(t, r[j]) + p[j]
+            u = r[j]
+            c = (u if u > t else t) + p[j]
             seq.append(j)
             search(mask | 1 << j, c, acc + c)
             seq.pop()

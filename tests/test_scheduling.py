@@ -31,7 +31,8 @@ from co_pipeline.scheduling import (
 )
 from co_pipeline.scheduling import (_MEMO_SEARCHES, _MEMO_TABLES, _PASS_ENTRIES, _TABLES,
                                     _check_permutation, _reinsert_positions, _scan_passes, _total)
-from oracles import lexicographic_optimal_schedule
+from oracles import (lexicographic_optimal_schedule, sched_features_np_unique, schedule_total,
+                     srpt_numpy_scalars)
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -309,15 +310,25 @@ def test_brute_force_total_is_its_schedules_total(jobs):
     assert np.array_equal(order, lexicographic_optimal_schedule(x.p, x.r))
 
 
-def test_brute_force_matches_its_old_search_on_ties():
-    rng = np.random.default_rng(15)
-    for n in [*range(1, 10), *rng.integers(5, 10, 40)]:
-        x = SchedInstance(p=rng.integers(1, 4, n).astype(float),
-                          r=rng.integers(0, 4, n).astype(float))
-        total, order = brute_force_schedule(x)
-        want = lexicographic_optimal_schedule(x.p, x.r)
-        assert np.array_equal(order, want), (x.p, x.r)
-        assert total == evaluate_schedule(x, want)[0]
+def test_brute_force_matches_the_oracle_on_ties_floats_and_signed_zeros():
+    # 540 instances up to the size limit: tied integers, generated integers
+    # and floats, with some zero release dates stored as -0.0
+    rng = np.random.default_rng(36)
+    for n in range(1, BRUTE_FORCE_JOB_LIMIT + 1):
+        for kind in ("ties", "generated", "float"):
+            for _ in range(20):
+                if kind == "float":
+                    p, r = rng.uniform(1, 20, n), rng.uniform(0, 10 * n, n)
+                    r[rng.random(n) < 0.3] = 0.0
+                else:
+                    p, r = _integer_instance(rng, n, kind)
+                    r[rng.random(n) < 0.2] = 0.0
+                r[(r == 0) & (rng.random(n) < 0.5)] = -0.0
+                x = SchedInstance(p=p, r=r)
+                total, order = brute_force_schedule(x)
+                want = lexicographic_optimal_schedule(x.p, x.r)
+                assert np.array_equal(order, want), (p, r)
+                assert total == schedule_total(x.p.tolist(), x.r.tolist(), want.tolist())
 
 
 def test_brute_force_size_guard():
@@ -338,30 +349,30 @@ def test_local_search_improves_hand_example():
 
 
 def _reference_local_search(x: SchedInstance, order, path=None) -> np.ndarray:
-    """Oracle: the same descent, scoring one candidate per numpy call; each
-    order moved to is appended to path when one is given."""
-    order = _check_permutation(x, order).copy()
-    total = _total(x, order)
-    n = x.n
+    """Oracle: the same descent, scoring one candidate at a time in plain
+    Python (oracles.schedule_total); each order moved to is appended to path
+    when one is given."""
+    order = _check_permutation(x, order).tolist()
+    p, r, n = x.p.tolist(), x.r.tolist(), x.n
+    total = schedule_total(p, r, order)
     while True:
         improved = False
         for i in range(n - 1):
             cand = order.copy()
             cand[i], cand[i + 1] = cand[i + 1], cand[i]
-            cand_total = _total(x, cand)
+            cand_total = schedule_total(p, r, cand)
             if cand_total < total:
                 order, total = cand, cand_total
                 improved = True
                 break
         if not improved:
             for i in range(n):
-                job = order[i]
-                rest = np.delete(order, i)
+                rest = order[:i] + order[i + 1:]
                 for k in range(n):
                     if k == i:
                         continue
-                    cand = np.insert(rest, k, job)
-                    cand_total = _total(x, cand)
+                    cand = rest[:k] + [order[i]] + rest[k:]
+                    cand_total = schedule_total(p, r, cand)
                     if cand_total < total:
                         order, total = cand, cand_total
                         improved = True
@@ -369,9 +380,9 @@ def _reference_local_search(x: SchedInstance, order, path=None) -> np.ndarray:
                 if improved:
                     break
         if not improved:
-            return order
+            return np.array(order)
         if path is not None:
-            path.append(order)
+            path.append(np.array(order))
 
 
 def _differential_instance(rng, n, kind):
@@ -390,12 +401,14 @@ def test_local_search_matches_scalar_scan():
     cases = [(int(rng.integers(1, 31)), kinds[t % 3]) for t in range(1020)]
     cases += [(1, kind) for kind in kinds] + [(2, kind) for kind in kinds]
     cases += [(50, kind) for kind in kinds]
-    # one reinsertion pass up to n = 25, two from n = 26
-    cases += [(n, kind) for n in (25, 26, 27) for kind in kinds]
+    # one reinsertion pass up to n = 13, two from n = 14; 9 passes at n = 25 and 26, 10 at 27
+    cases += [(n, kind) for n in (25, 26, 27, 13, 14) for kind in kinds]
     for n, kind in cases:
         x = _differential_instance(rng, n, kind)
         assert x._exact is (kind == "ties")  # only tiny integers take the exact swap path
         start = rng.permutation(n)
+        # the oracle prices an order with the package's bits
+        assert schedule_total(x.p.tolist(), x.r.tolist(), start) == _total(x, start)
         want = _reference_local_search(x, start)
         assert np.array_equal(local_search(x, start), want), (n, kind, x.p, x.r, start)
 
@@ -411,8 +424,41 @@ def test_scan_passes_are_the_scan_order_in_capped_whole_blocks():
             assert rows.flags.c_contiguous
             assert rows.shape[0] % max(1, n - 1) == 0
             assert rows.size <= _PASS_ENTRIES or rows.shape[0] == n - 1
-        if n in (25, 26, 50, 100):  # all blocks in one pass, then 25, 6 and 1 a pass
-            assert len(passes) == {25: 1, 26: 2, 50: 9, 100: 100}[n]
+        # about an eighth of the n^3 positions a pass, at least 2**11 and at most 2**14
+        if n in (13, 14, 20, 25, 26, 50, 100):  # 13, 11, 5, 3, 3, 6 and 1 blocks a pass
+            assert len(passes) == {13: 1, 14: 2, 20: 4, 25: 9, 26: 9, 50: 9, 100: 100}[n]
+
+
+def _whole_blocks(n):
+    """The reinsertion blocks of _scan_passes(n) in scan order, as one array."""
+    return np.concatenate(_scan_passes(n)[1:])
+
+
+_PASS_CUTS = {  # each keeps the scan order and cuts the reinsertion blocks otherwise
+    "rule": _scan_passes,
+    "one_block": lambda n: (_scan_passes(n)[0], *np.split(_whole_blocks(n), n)) if n > 1 else (),
+    "one_pass": lambda n: (_scan_passes(n)[0], _whole_blocks(n)) if n > 1 else (),
+}
+
+
+def test_pass_cut_changes_speed_only(monkeypatch):
+    # the move taken is the first improving row in scan order however the
+    # rows are cut into passes; each cut gets its own scan-table memo and
+    # each search a fresh instance, so every descent runs in full
+    rng = np.random.default_rng(35)
+    for n in [*range(1, 31), 50]:
+        for kind in ("generated", "ties", "float"):
+            if kind == "float":
+                p, r = rng.uniform(1, 100, n), rng.uniform(0, 50 * n, n)
+            else:  # integer data
+                p, r = _integer_instance(rng, n, kind)
+            for start in (rng.permutation(n), spt_layer(p)):
+                want = _reference_local_search(SchedInstance(p=p, r=r), start)
+                for cut, passes in _PASS_CUTS.items():
+                    monkeypatch.setattr(scheduling, "_scan_passes", passes)
+                    monkeypatch.setattr(scheduling, "_TABLES", {})
+                    got = local_search(SchedInstance(p=p, r=r), start)
+                    assert np.array_equal(got, want), (n, kind, cut, start)
 
 
 _jobs = st.integers(1, 9).flatmap(lambda n: st.tuples(
@@ -836,6 +882,31 @@ def test_features_srpt_columns_from_hand_example():
     assert phi[:, 6].tolist() == [5.0 / horizon, 2.0 / horizon]
     assert phi[:, 7].tolist() == [0.0, 1.0 / horizon]
     assert phi[:, 8].tolist() == [0.5, 0.0]  # preemptions / n
+
+
+# each job's (p, r) from a few tied integers, -0.0 or float data, so that
+# groups of identical jobs, remaining-time ties and signed zeros all occur
+_tied_or_float_jobs = st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.lists(st.one_of(st.sampled_from([1.0, 2.0, 3.0]), st.floats(1, 100)),
+             min_size=n, max_size=n),
+    st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0, 4.0]), st.floats(0, 200)),
+             min_size=n, max_size=n),
+))
+
+
+@settings(max_examples=400)
+@given(_tied_or_float_jobs)
+def test_srpt_and_features_keep_the_numpy_scalar_bits(jobs):
+    # the event loop on Python floats and the dict grouping of (p, r) give
+    # the bits of the numpy-scalar loop and the np.unique grouping they replaced
+    x = SchedInstance(p=np.array(jobs[0]), r=np.array(jobs[1]))
+    srpt = srpt_preemptive(x)
+    for got, want in zip((srpt.completion, srpt.first_start, srpt.preemptions),
+                         srpt_numpy_scalars(x.p, x.r)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    got, want = features(x), sched_features_np_unique(x.p, x.r)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
